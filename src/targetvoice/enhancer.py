@@ -87,12 +87,34 @@ class EnhancerConfig:
         return replace(cfg, **values)
 
 
+class _Unfilled:
+    """Generator stand-in for a net whose loader fills every parameter next."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 class EnhancerNet:
-    """The conditioned DNN with gains / strengths / VAD heads."""
+    """The conditioned DNN with gains / strengths / VAD heads.
+
+    Streaming sessions share one float32 copy of the parameters, built on
+    first use. While it exists the float64 parameters are read-only, so a
+    write that bypasses params() fails instead of leaving sessions on stale
+    weights; params() drops the copy and makes them writable again.
+    """
 
     def __init__(self, config: EnhancerConfig = EnhancerConfig(), seed: int = 0):
+        self._build(config, np.random.default_rng(seed))
+
+    @classmethod
+    def _unfilled(cls, config: EnhancerConfig) -> "EnhancerNet":
+        net = cls.__new__(cls)
+        net._build(config, _Unfilled())
+        return net
+
+    def _build(self, config: EnhancerConfig, rng) -> None:
         self.config = config
-        rng = np.random.default_rng(seed)
         d, c = config.dense_units, config.conv_channels
         n, e = config.gru_units, config.embedding_dim
         self.dense_in = Dense(FEATURE_DIM, d, "tanh", rng, "en_dense_in")
@@ -109,13 +131,28 @@ class EnhancerNet:
         self.layers = [self.dense_in, self.conv1, self.conv2, *self.grus,
                        self.head_gains, self.head_strengths, self.head_vad]
         self._cache = None
+        self._float32 = None
 
     @property
     def n_params(self) -> int:
         return sum(layer.n_params for layer in self.layers)
 
     def params(self):
+        if self._float32 is not None:
+            self._float32 = None
+            self._set_writeable(True)
         return collect_params(self.layers)
+
+    def _set_writeable(self, flag: bool) -> None:
+        for p in collect_params(self.layers).values():
+            p.flags.writeable = flag
+
+    def float32_weights(self) -> "Float32Weights":
+        """The read-only float32 parameters every session on this net shares."""
+        if self._float32 is None:
+            self._float32 = Float32Weights(self)
+            self._set_writeable(False)
+        return self._float32
 
     def grads(self):
         return collect_grads(self.layers)
@@ -370,10 +407,10 @@ def enhancer_from_entries(entries: dict) -> EnhancerNet:
             key: int(entries[f"meta.{key}"][1][0])
             for key in vars(EnhancerConfig())
         })
-        net = EnhancerNet(cfg)
+        net = EnhancerNet._unfilled(cfg)
         for layer in net.layers:
             for name, arr in layer.params().items():
-                stored = entries[name][1].astype(np.float64)
+                stored = entries[name][1]
                 if stored.shape != arr.shape:
                     raise WeightsFormatError(
                         f"shape mismatch for {name}: {stored.shape} vs {arr.shape}"
@@ -389,13 +426,40 @@ def enhancer_from_entries(entries: dict) -> EnhancerNet:
 # ---------------------------------------------------------------------------
 
 
+def _read_only_f32(arr: np.ndarray) -> np.ndarray:
+    out = arr.astype(np.float32)
+    out.flags.writeable = False
+    return out
+
+
+class Float32Weights:
+    """One net's parameters as read-only float32 arrays, shared by its sessions.
+
+    GRU 1's input weight keeps only its conv rows: each session folds the
+    constant embedding rows into its own copy of that layer's bias.
+    """
+
+    def __init__(self, net: EnhancerNet):
+        f32 = _read_only_f32
+        c = net.config.conv_channels
+        self.w_dense, self.b_dense = f32(net.dense_in.W), f32(net.dense_in.b)
+        self.w_conv1, self.b_conv1 = f32(net.conv1.W), f32(net.conv1.b)
+        self.w_conv2, self.b_conv2 = f32(net.conv2.W), f32(net.conv2.b)
+        self.gru_wx = (f32(net.grus[0].Wx[:c]), *(f32(g.Wx) for g in net.grus[1:]))
+        self.gru_wh = tuple(f32(g.Wh) for g in net.grus)
+        self.gru_b = tuple(f32(g.b) for g in net.grus)
+        self.w_gains, self.b_gains = f32(net.head_gains.W), f32(net.head_gains.b)
+        self.w_str, self.b_str = f32(net.head_strengths.W), f32(net.head_strengths.b)
+        self.w_vad, self.b_vad = f32(net.head_vad.W), f32(net.head_vad.b)
+
+
 class EnhancerSession:
     """Per-stream float32 inference state with preallocated buffers.
 
     step() runs one 10 ms frame through the network without allocating new
-    arrays, so a warm stream adds no steady-state heap growth. Weights are
-    read-only and may be shared across sessions; all mutable state (conv
-    rings, GRU hidden vectors) is session-local.
+    arrays, so a warm stream adds no steady-state heap growth. The weights
+    are the net's shared read-only Float32Weights; all mutable state (conv
+    rings, GRU hidden vectors, scratch) is session-local.
     """
 
     def __init__(self, net: EnhancerNet, embedding: np.ndarray):
@@ -407,23 +471,13 @@ class EnhancerSession:
             )
         f32 = np.float32
         self.cfg = cfg
-        self.w_dense = net.dense_in.W.astype(f32)
-        self.b_dense = net.dense_in.b.astype(f32)
-        self.w_conv1 = net.conv1.W.astype(f32)
-        self.b_conv1 = net.conv1.b.astype(f32)
-        self.w_conv2 = net.conv2.W.astype(f32)
-        self.b_conv2 = net.conv2.b.astype(f32)
-        self.gru_wx = [g.Wx.astype(f32) for g in net.grus]
-        self.gru_wh = [g.Wh.astype(f32) for g in net.grus]
-        self.gru_b = [g.b.astype(f32) for g in net.grus]
-        self.w_gains = net.head_gains.W.astype(f32)
-        self.b_gains = net.head_gains.b.astype(f32)
-        self.w_str = net.head_strengths.W.astype(f32)
-        self.b_str = net.head_strengths.b.astype(f32)
-        self.w_vad = net.head_vad.W.astype(f32)
-        self.b_vad = net.head_vad.b.astype(f32)
+        self.weights = w = net.float32_weights()
+        d, c, n = cfg.dense_units, cfg.conv_channels, cfg.gru_units
+        # GRU 1 sees [conv2 out, embedding]; the embedding's term is constant
+        gru1 = net.grus[0]
+        bias1 = (embedding.astype(np.float64) @ gru1.Wx[c:] + gru1.b).astype(f32)
+        self._gru_b = (bias1, *w.gru_b[1:])
 
-        d, c, n, e = cfg.dense_units, cfg.conv_channels, cfg.gru_units, cfg.embedding_dim
         self._dense_out = np.zeros(d, dtype=f32)
         self._ring1 = np.zeros((5, d), dtype=f32)
         self._ring2 = np.zeros((3, c), dtype=f32)
@@ -431,8 +485,6 @@ class EnhancerSession:
         self._head2 = 0
         self._conv1_out = np.zeros(c, dtype=f32)
         self._conv2_out = np.zeros(c, dtype=f32)
-        self._gru_in = np.zeros(c + e, dtype=f32)
-        self._gru_in[c:] = embedding.astype(f32)
         self._h = [np.zeros(n, dtype=f32) for _ in net.grus]
         self._gx = np.zeros(3 * n, dtype=f32)
         self._gh = np.zeros(3 * n, dtype=f32)
@@ -453,21 +505,12 @@ class EnhancerSession:
         x += 1.0
         np.reciprocal(x, out=x)
 
-    def _conv_step(self, ring, head, weights, bias, out, tmp) -> int:
-        head = (head + 1) % ring.shape[0]
-        out[:] = bias
-        for k in range(ring.shape[0]):
-            np.matmul(ring[(head - k) % ring.shape[0]], weights[k], out=tmp)
-            out += tmp
-        np.tanh(out, out=out)
-        return head
-
     def _gru_step(self, idx: int, x: np.ndarray) -> np.ndarray:
         n = self.cfg.gru_units
         h = self._h[idx]
-        np.matmul(x, self.gru_wx[idx], out=self._gx)
-        self._gx += self.gru_b[idx]
-        np.matmul(h, self.gru_wh[idx], out=self._gh)
+        np.matmul(x, self.weights.gru_wx[idx], out=self._gx)
+        self._gx += self._gru_b[idx]
+        np.matmul(h, self.weights.gru_wh[idx], out=self._gh)
         z, r, cand = self._zbuf, self._rbuf, self._nbuf
         np.add(self._gx[:n], self._gh[:n], out=z)
         self._sigmoid_inplace(z)
@@ -484,49 +527,48 @@ class EnhancerSession:
 
     def step(self, feature_vector: np.ndarray) -> float:
         """Advance one frame; results land in .gains / .strengths, VAD returned."""
-        np.matmul(feature_vector, self.w_dense, out=self._dense_out)
-        self._dense_out += self.b_dense
+        w = self.weights
+        np.matmul(feature_vector, w.w_dense, out=self._dense_out)
+        self._dense_out += w.b_dense
         np.tanh(self._dense_out, out=self._dense_out)
 
         self._head1 = (self._head1 + 1) % 5
         ring = self._ring1
         ring[self._head1] = self._dense_out
         out = self._conv1_out
-        out[:] = self.b_conv1
+        out[:] = w.b_conv1
         for k in range(5):
-            np.matmul(ring[(self._head1 - k) % 5], self.w_conv1[k], out=self._tmp_c)
+            np.matmul(ring[(self._head1 - k) % 5], w.w_conv1[k], out=self._tmp_c)
             out += self._tmp_c
         np.tanh(out, out=out)
 
         self._head2 = (self._head2 + 1) % 3
         self._ring2[self._head2] = out
         out2 = self._conv2_out
-        out2[:] = self.b_conv2
+        out2[:] = w.b_conv2
         for k in range(3):
-            np.matmul(self._ring2[(self._head2 - k) % 3], self.w_conv2[k],
+            np.matmul(self._ring2[(self._head2 - k) % 3], w.w_conv2[k],
                       out=self._tmp_c)
             out2 += self._tmp_c
         np.tanh(out2, out=out2)
 
-        c = self.cfg.conv_channels
-        self._gru_in[:c] = out2
-        h = self._gru_step(0, self._gru_in)
-        np.matmul(h, self.w_vad, out=self._vad_out)
-        self._vad_out += self.b_vad
+        h = self._gru_step(0, out2)
+        np.matmul(h, w.w_vad, out=self._vad_out)
+        self._vad_out += w.b_vad
         self._sigmoid_inplace(self._vad_out)
         vad = self._vad_out
 
         for i in range(1, len(self._h)):
             h = self._gru_step(i, h)
 
-        np.matmul(h, self.w_gains, out=self.gains)
-        self.gains += self.b_gains
+        np.matmul(h, w.w_gains, out=self.gains)
+        self.gains += w.b_gains
         self._sigmoid_inplace(self.gains)
 
         n = self.cfg.gru_units
         self._str_in[:n] = h
         self._str_in[n:] = self.gains
-        np.matmul(self._str_in, self.w_str, out=self.strengths)
-        self.strengths += self.b_str
+        np.matmul(self._str_in, w.w_str, out=self.strengths)
+        self.strengths += w.b_str
         self._sigmoid_inplace(self.strengths)
         return vad[0]

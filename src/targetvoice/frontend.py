@@ -229,9 +229,12 @@ def pitch_coherence(window_samples: np.ndarray, delayed_samples: np.ndarray,
 
 
 def coherence_from_spectra(spec: np.ndarray, spec_delayed: np.ndarray,
-                           fb: ErbFilterbank) -> np.ndarray:
+                           fb: ErbFilterbank,
+                           e_cur: np.ndarray | None = None) -> np.ndarray:
+    """Coherence of two spectra; `e_cur` is band_energies(spec) if known."""
     cross = spec.real * spec_delayed.real + spec.imag * spec_delayed.imag
-    e_cur = band_energies(spec, fb)
+    if e_cur is None:
+        e_cur = band_energies(spec, fb)
     e_del = band_energies(spec_delayed, fb)
     num = fb.weights @ cross
     denom = np.sqrt(e_cur * e_del)
@@ -352,7 +355,7 @@ class FeatureStream:
             start = end - WINDOW - pitch.period
             delayed = self._history[start : start + WINDOW]
             spec_d = np.fft.rfft(delayed * _ANALYSIS_WINDOW)
-            coh = coherence_from_spectra(spec, spec_d, self.fb)
+            coh = coherence_from_spectra(spec, spec_d, self.fb, energies)
         else:
             coh = np.zeros(N_BANDS)
         feats = assemble_features(energies, coh, pitch, self._prev_log_energy)

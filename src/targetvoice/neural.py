@@ -23,7 +23,7 @@ class ShapeError(ValueError):
 def xavier_uniform(rng: np.random.Generator, n_in: int, n_out: int,
                    shape, dtype=np.float64) -> np.ndarray:
     limit = np.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -79,8 +79,9 @@ class Dense(Layer):
         self.name = name
         self.W = xavier_uniform(rng, n_in, n_out, (n_in, n_out))
         self.b = np.zeros(n_out)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
+        # np.zeros, not zeros_like: gradient pages stay untouched until training
+        self.dW = np.zeros(self.W.shape)
+        self.db = np.zeros(self.b.shape)
         self._cache = None
 
     def params(self):
@@ -127,8 +128,8 @@ class CausalConv1d(Layer):
         self.name = name
         self.W = xavier_uniform(rng, kernel * n_in, n_out, (kernel, n_in, n_out))
         self.b = np.zeros(n_out)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
+        self.dW = np.zeros(self.W.shape)
+        self.db = np.zeros(self.b.shape)
         self._cache = None
 
     def params(self):
@@ -188,9 +189,9 @@ class GRU(Layer):
         self.Wx = xavier_uniform(rng, n_in, n_units, (n_in, 3 * n_units))
         self.Wh = xavier_uniform(rng, n_units, n_units, (n_units, 3 * n_units))
         self.b = np.zeros(3 * n_units)
-        self.dWx = np.zeros_like(self.Wx)
-        self.dWh = np.zeros_like(self.Wh)
-        self.db = np.zeros_like(self.b)
+        self.dWx = np.zeros(self.Wx.shape)
+        self.dWh = np.zeros(self.Wh.shape)
+        self.db = np.zeros(self.b.shape)
         self._cache = None
 
     def params(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from targetvoice import enhancer as en
+from targetvoice.neural import Adam
 from targetvoice.weights_io import pack_weights, unpack_weights
 from tests.conftest import finite_difference_params
 
@@ -273,3 +274,52 @@ class TestSessionAndSerialization:
         g1, _, v1 = tiny_net.forward(feats, emb)
         g2, _, v2 = restored.forward(feats, emb)
         np.testing.assert_allclose(g1, g2, atol=1e-6)
+
+
+def float32_arrays(session):
+    for value in vars(session.weights).values():
+        yield from value if isinstance(value, tuple) else (value,)
+
+
+class TestSharedWeights:
+    def test_sessions_share_read_only_weights(self, tiny_cfg):
+        net = en.build_model(tiny_cfg, seed=4)[0]
+        e1, e2 = unit_embeddings(2, 8, seed=14).astype(np.float32)
+        s1, s2 = en.EnhancerSession(net, e1), en.EnhancerSession(net, e2)
+        pairs = list(zip(float32_arrays(s1), float32_arrays(s2)))
+        assert len(pairs) == 12 + 3 * tiny_cfg.n_gru_layers
+        for a, b in pairs:
+            assert np.shares_memory(a, b)
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s1.weights.gru_wh[0][0, 0] = 1.0
+        # the embedding term lives in each session's own GRU 1 bias
+        assert not np.shares_memory(s1._gru_b[0], s2._gru_b[0])
+        assert not np.array_equal(s1._gru_b[0], s2._gru_b[0])
+        assert not np.shares_memory(s1._h[0], s2._h[0])
+
+    def test_later_session_sees_params_update(self, tiny_cfg):
+        net = en.build_model(tiny_cfg, seed=6)[0]
+        rng = np.random.default_rng(15)
+        feats = 0.4 * rng.standard_normal((2, 12, 68))
+        emb = unit_embeddings(2, 8, seed=16)
+        first = en.EnhancerSession(net, emb[0].astype(np.float32))
+        with pytest.raises(ValueError, match="read-only"):
+            net.grus[0].Wh[0, 0] = 1.0  # bypasses params() while a session exists
+        opt = Adam(net.params(), lr=1e-2)
+        net.zero_grads()
+        g, s, v = net.forward(feats, emb)
+        net.backward(np.ones_like(g), np.ones_like(s), np.ones_like(v))
+        opt.step(net.grads())
+
+        second = en.EnhancerSession(net, emb[0].astype(np.float32))
+        assert second.weights is not first.weights
+        assert not np.array_equal(second.weights.w_dense, first.weights.w_dense)
+        gains, strengths, vad = net.forward(feats[0], emb[0])
+        for t in range(12):
+            v_t = second.step(feats[0, t].astype(np.float32))
+            np.testing.assert_allclose(second.gains, gains[t], atol=1e-5)
+            np.testing.assert_allclose(second.strengths, strengths[t], atol=1e-5)
+            assert v_t == pytest.approx(vad[t], abs=1e-5)
+        with pytest.raises(ValueError, match="read-only"):
+            net.head_gains.b[0] = 0.0

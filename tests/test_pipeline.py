@@ -153,3 +153,26 @@ class TestApplyBandControls:
                                       frame_periods(frames), fb)
         streaming = enhance_audio(x, None, None, fb)
         np.testing.assert_allclose(offline, streaming, atol=1e-9)
+
+
+class TestSharedWeights:
+    @pytest.mark.filterwarnings("ignore:Use of fft convolution")  # the NaN stream
+    def test_interleaved_streams_match_solo_runs(self, toy_model):
+        net, _ = toy_model
+        rng = np.random.default_rng(13)
+        embs = rng.standard_normal((4, 16))
+        embs /= np.linalg.norm(embs, axis=-1, keepdims=True)
+        n_hops = 60
+        clips = [tone(110.0 * (k + 2), n_hops * 480 / 48000)
+                 + 0.1 * rng.standard_normal(n_hops * 480) for k in range(4)]
+        clips[3][n_hops * 480 // 2] = np.nan
+        engines = [StreamingEnhancer(net, e) for e in embs]
+        assert all(e.session.weights is engines[0].session.weights for e in engines)
+        outs = [[] for _ in engines]
+        for h in range(n_hops):
+            for k, eng in enumerate(engines):
+                outs[k].append(eng.process(clips[k][h * 480 : (h + 1) * 480]))
+        for k in range(3):
+            solo = StreamingEnhancer(net, embs[k]).process(clips[k])
+            assert np.all(np.isfinite(solo))
+            np.testing.assert_array_equal(np.concatenate(outs[k]), solo)
