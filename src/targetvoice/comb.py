@@ -13,8 +13,6 @@ reconstructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from targetvoice.frontend import (
@@ -31,29 +29,6 @@ COMB_TAPS = np.array([0.125, 0.25, 0.25, 0.25, 0.125])
 COMB_MAX_LEAD = 3 * HOP
 
 _SYNTHESIS_WINDOW = vorbis_window(WINDOW)
-
-
-@dataclass
-class EnhancerOutputs:
-    """Per-frame control signals: band gains, pitch strengths, VAD."""
-
-    gains: np.ndarray      # [32] in [0, 1]
-    strengths: np.ndarray  # [32] in [0, 1]
-    vad: float
-
-    def clamped(self) -> "EnhancerOutputs":
-        return EnhancerOutputs(
-            gains=np.clip(self.gains, 0.0, 1.0),
-            strengths=np.clip(self.strengths, 0.0, 1.0),
-            vad=float(min(max(self.vad, 0.0), 1.0)),
-        )
-
-
-def identity_outputs() -> EnhancerOutputs:
-    """Pass-through controls: unit gains, zero strengths."""
-    return EnhancerOutputs(
-        gains=np.ones(32), strengths=np.zeros(32), vad=0.0
-    )
 
 
 def comb_filter_window(context: np.ndarray, window_start: int,

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from targetvoice.frontend import FEATURE_DIM
-from targetvoice.neural import Adam, CausalConv1d, Dense, GRU, collect_grads, collect_params
+from targetvoice.neural import (
+    Adam,
+    CausalConv1d,
+    Dense,
+    GRU,
+    Unfilled,
+    collect_grads,
+    collect_params,
+)
 from targetvoice.weights_io import WeightsFormatError
 
 MIN_EMBED_FRAMES = 50  # 0.5 s
@@ -40,8 +48,16 @@ class EmbedderNet:
     """Conv x2 -> GRU x2 -> last-frame dense -> L2 normalize."""
 
     def __init__(self, config: EmbedderConfig = EmbedderConfig(), seed: int = 0):
+        self._build(config, np.random.default_rng(seed))
+
+    @classmethod
+    def _unfilled(cls, config: EmbedderConfig) -> "EmbedderNet":
+        net = cls.__new__(cls)
+        net._build(config, Unfilled())
+        return net
+
+    def _build(self, config: EmbedderConfig, rng) -> None:
         self.config = config
-        rng = np.random.default_rng(seed)
         ch, units, dim = config.conv_channels, config.gru_units, config.embedding_dim
         self.conv1 = CausalConv1d(FEATURE_DIM, ch, 3, "tanh", rng, "se_conv1")
         self.conv2 = CausalConv1d(ch, ch, 3, "tanh", rng, "se_conv2")
@@ -330,7 +346,7 @@ def embedder_from_entries(entries: dict) -> EmbedderNet:
             gru_units=int(entries["meta.gru_units"][1][0]),
             embedding_dim=int(entries["meta.embedding_dim"][1][0]),
         )
-        net = EmbedderNet(config)
+        net = EmbedderNet._unfilled(config)
         for layer in net.layers:
             for name, arr in layer.params().items():
                 stored = entries[name][1].astype(np.float64)

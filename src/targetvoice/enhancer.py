@@ -31,6 +31,7 @@ from targetvoice.neural import (
     CausalConv1d,
     Dense,
     GRU,
+    Unfilled,
     collect_grads,
     collect_params,
 )
@@ -87,14 +88,6 @@ class EnhancerConfig:
         return replace(cfg, **values)
 
 
-class _Unfilled:
-    """Generator stand-in for a net whose loader fills every parameter next."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.empty(size)
-
-
 class EnhancerNet:
     """The conditioned DNN with gains / strengths / VAD heads.
 
@@ -110,7 +103,7 @@ class EnhancerNet:
     @classmethod
     def _unfilled(cls, config: EnhancerConfig) -> "EnhancerNet":
         net = cls.__new__(cls)
-        net._build(config, _Unfilled())
+        net._build(config, Unfilled())
         return net
 
     def _build(self, config: EnhancerConfig, rng) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate
 
 SAMPLE_RATE = 48000
 HOP = 480            # 10 ms
@@ -30,6 +29,16 @@ PITCH_MIN_LAG = 96   # 500 Hz
 PITCH_MAX_LAG = 768  # 62.5 Hz
 PITCH_CORR_WINDOW = 768
 PITCH_HISTORY = PITCH_MAX_LAG + PITCH_CORR_WINDOW
+# full linear correlation of the history with the current window spans
+# PITCH_HISTORY + PITCH_CORR_WINDOW - 1 lags; 2304 = 2^8 * 3^2 is that plus
+# one, already a fast FFT size, so the circular product never wraps
+PITCH_FFT_SIZE = PITCH_HISTORY + PITCH_CORR_WINDOW
+_PITCH_LAGS = np.arange(PITCH_MIN_LAG, PITCH_MAX_LAG + 1)
+# c[k] = sum_n x[k+n] * cur[n] sits at k + 767 of the product of x with the
+# reversed window, and r(tau) reads k = 768 - tau
+_PITCH_CORR_INDEX = 2 * PITCH_CORR_WINDOW - 1 - _PITCH_LAGS
+_LAG_END = PITCH_HISTORY - _PITCH_LAGS
+_LAG_START = PITCH_CORR_WINDOW - _PITCH_LAGS
 VOICING_THRESHOLD = 0.3
 OCTAVE_PREFERENCE = 0.85
 
@@ -43,23 +52,6 @@ FRAME_CONTEXT = PITCH_MAX_LAG
 
 class ConfigurationError(ValueError):
     """Raised when a filterbank layout cannot be realized."""
-
-
-@dataclass(frozen=True)
-class FrameSpec:
-    """Framing constants: 10 ms hop, 20 ms window, 30 ms look-ahead."""
-
-    hop: int = HOP
-    window: int = WINDOW
-    lookahead_frames: int = LOOKAHEAD_FRAMES
-
-    def __post_init__(self) -> None:
-        if self.window != 2 * self.hop:
-            raise ConfigurationError("window must be exactly two hops")
-
-    @property
-    def lookahead_ms(self) -> float:
-        return self.lookahead_frames * self.hop * 1000.0 / SAMPLE_RATE
 
 
 @dataclass(frozen=True)
@@ -192,14 +184,13 @@ def estimate_pitch(history: np.ndarray) -> PitchEstimate:
     if cur_energy < 1e-20:
         return PitchEstimate(None, 0.0)
 
-    # c[k] = sum_n x[k+n] * cur[n]  ->  r(tau) uses k = 768 - tau
-    c = correlate(x, cur, mode="valid", method="fft")
+    prod = np.fft.rfft(x, PITCH_FFT_SIZE) * np.fft.rfft(cur[::-1], PITCH_FFT_SIZE)
+    c = np.fft.irfft(prod, PITCH_FFT_SIZE)[_PITCH_CORR_INDEX]
     sq = np.concatenate(([0.0], np.cumsum(x * x)))
-    lags = np.arange(PITCH_MIN_LAG, PITCH_MAX_LAG + 1)
-    lag_energy = sq[PITCH_HISTORY - lags] - sq[PITCH_CORR_WINDOW - lags]
+    lag_energy = sq[_LAG_END] - sq[_LAG_START]
     denom = np.sqrt(cur_energy * lag_energy)
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(denom > 1e-20, c[PITCH_CORR_WINDOW - lags] / denom, 0.0)
+        r = np.where(denom > 1e-20, c / denom, 0.0)
     r = np.clip(r, -1.0, 1.0)
 
     peak = float(r.max())
@@ -212,7 +203,7 @@ def estimate_pitch(history: np.ndarray) -> PitchEstimate:
     is_peak[1:-1] = (r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:])
     candidates = np.flatnonzero(is_peak & (r >= OCTAVE_PREFERENCE * peak))
     idx = int(candidates[0]) if len(candidates) else int(np.argmax(r))
-    return PitchEstimate(int(lags[idx]), float(r[idx]))
+    return PitchEstimate(int(_PITCH_LAGS[idx]), float(r[idx]))
 
 
 def pitch_coherence(window_samples: np.ndarray, delayed_samples: np.ndarray,
@@ -304,10 +295,8 @@ class FeatureStream:
     The filterbank is immutable and may be shared between sessions.
     """
 
-    def __init__(self, fb: ErbFilterbank | None = None,
-                 spec: FrameSpec = FrameSpec()):
+    def __init__(self, fb: ErbFilterbank | None = None):
         self.fb = fb if fb is not None else design_erb_filterbank()
-        self.spec = spec
         # context behind the frame start, zero-primed
         self._history = np.zeros(FRAME_CONTEXT + WINDOW, dtype=np.float64)
         self._filled = FRAME_CONTEXT  # fill position inside the history buffer
@@ -317,18 +306,23 @@ class FeatureStream:
         self._next_frame = 0     # next frame index to emit
         self._prev_log_energy: float | None = None
 
-    def push(self, samples: np.ndarray) -> list[FrameFeatures]:
-        """Feed samples; return every frame whose window is now complete."""
+    def push(self, samples: np.ndarray,
+             spectra: list[np.ndarray] | None = None) -> list[FrameFeatures]:
+        """Feed samples; return every frame whose window is now complete.
+
+        When `spectra` is given, each returned frame's analysis spectrum
+        (rfft of the windowed frame, 481 bins) is appended to it in order.
+        """
         chunk = np.asarray(samples, dtype=np.float64).ravel()
         self._pending = np.concatenate([self._pending, chunk])
         self._total += len(chunk)
 
         out: list[FrameFeatures] = []
-        while self._next_frame * self.spec.hop + WINDOW <= self._total:
-            needed = self._next_frame * self.spec.hop + WINDOW - self._absorbed
+        while self._next_frame * HOP + WINDOW <= self._total:
+            needed = self._next_frame * HOP + WINDOW - self._absorbed
             if needed > 0:
                 self._absorb(needed)
-            out.append(self._emit_frame())
+            out.append(self._emit_frame(spectra))
             self._next_frame += 1
         return out
 
@@ -345,10 +339,12 @@ class FeatureStream:
         self._filled += n
         self._absorbed += n
 
-    def _emit_frame(self) -> FrameFeatures:
+    def _emit_frame(self, spectra: list[np.ndarray] | None) -> FrameFeatures:
         end = self._filled
         frame = self._history[end - WINDOW : end]
         spec = np.fft.rfft(frame * _ANALYSIS_WINDOW)
+        if spectra is not None:
+            spectra.append(spec)
         energies = band_energies(spec, self.fb)
         pitch = estimate_pitch(self._history[end - PITCH_HISTORY : end])
         if pitch.voiced:

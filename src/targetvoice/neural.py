@@ -26,6 +26,14 @@ def xavier_uniform(rng: np.random.Generator, n_in: int, n_out: int,
     return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
 
 
+class Unfilled:
+    """Generator stand-in for a net whose loader fills every parameter next."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "linear":
         return z

@@ -64,20 +64,23 @@ class StreamingEnhancer:
         self.features.push(np.zeros(HOP))  # timeline padding
         self.comb = CombState()
         self.ola = OverlapAddSynthesizer()
-        # features of the frames awaiting their look-ahead outputs
-        self._frame_queue: deque[FrameFeatures] = deque()
+        # features and analysis spectra of the frames awaiting their
+        # look-ahead outputs
+        self._frame_queue: deque[tuple[FrameFeatures, np.ndarray]] = deque()
         self._hop_buffer = np.zeros(0)
         self.frames_processed = 0
         self.last_vad = 0.0
 
     # -- internals ----------------------------------------------------------
 
-    def _advance_frame(self, feats: FrameFeatures) -> np.ndarray | None:
+    def _advance_frame(self, feats: FrameFeatures,
+                       spec: np.ndarray) -> np.ndarray | None:
         """Run one feature frame through the model; synthesize frame t-3.
 
         When feature frame t completes, the comb ring's current window is
-        exactly frame t-3 — the model step that just consumed frame t
-        supplies that older frame's gains and strengths.
+        exactly frame t-3, whose analysis spectrum waits at the head of the
+        queue — the model step that just consumed frame t supplies that
+        older frame's gains and strengths.
         """
         self.frames_processed += 1
         if self.session is not None:
@@ -88,13 +91,11 @@ class StreamingEnhancer:
             gains = None
             strengths = None
 
-        self._frame_queue.append(feats)
+        self._frame_queue.append((feats, spec))
         if len(self._frame_queue) <= LOOKAHEAD_FRAMES:
             return None  # still filling the look-ahead delay line
 
-        past = self._frame_queue.popleft()
-        window = self.comb.window_samples()
-        spec = np.fft.rfft(window * _WINDOW)
+        past, spec = self._frame_queue.popleft()
         if gains is None:
             out_spec = spec
         else:
@@ -109,10 +110,11 @@ class StreamingEnhancer:
 
     def _process_one_hop(self, hop: np.ndarray) -> np.ndarray:
         self.comb.push(hop)
-        frames = self.features.push(hop)
+        spectra: list[np.ndarray] = []
+        frames = self.features.push(hop, spectra)
         emitted = np.zeros(HOP)
-        for feats in frames:
-            out = self._advance_frame(feats)
+        for feats, spec in zip(frames, spectra):
+            out = self._advance_frame(feats, spec)
             if out is not None:
                 emitted = out
         return emitted

@@ -1,5 +1,9 @@
 """DSP frontend: filterbank, transform, pitch, coherence, 68-dim features."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -177,6 +181,92 @@ class TestEstimatePitch:
         assert np.isfinite(est.correlation)
 
 
+def _scipy_reference_pitch(history: np.ndarray) -> fe.PitchEstimate:
+    """The pitch search with the correlation taken by scipy.signal.correlate."""
+    from scipy.signal import correlate
+
+    x = np.asarray(history, dtype=np.float64)[-fe.PITCH_HISTORY:]
+    cur = x[fe.PITCH_CORR_WINDOW:]
+    cur_energy = float(np.dot(cur, cur))
+    if cur_energy < 1e-20:
+        return fe.PitchEstimate(None, 0.0)
+    c = correlate(x, cur, mode="valid", method="fft")
+    sq = np.concatenate(([0.0], np.cumsum(x * x)))
+    lags = np.arange(fe.PITCH_MIN_LAG, fe.PITCH_MAX_LAG + 1)
+    denom = np.sqrt(cur_energy * (sq[fe.PITCH_HISTORY - lags] - sq[fe.PITCH_CORR_WINDOW - lags]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.clip(np.where(denom > 1e-20, c[fe.PITCH_CORR_WINDOW - lags] / denom, 0.0),
+                    -1.0, 1.0)
+    peak = float(r.max())
+    if peak < fe.VOICING_THRESHOLD:
+        return fe.PitchEstimate(None, 0.0)
+    is_peak = np.empty(len(r), dtype=bool)
+    is_peak[0] = r[0] >= r[1]
+    is_peak[-1] = r[-1] >= r[-2]
+    is_peak[1:-1] = (r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:])
+    candidates = np.flatnonzero(is_peak & (r >= fe.OCTAVE_PREFERENCE * peak))
+    idx = int(candidates[0]) if len(candidates) else int(np.argmax(r))
+    return fe.PitchEstimate(int(lags[idx]), float(r[idx]))
+
+
+def _pitch_corpus(rng: np.random.Generator):
+    """2100 histories: noise, pulse trains, sawtooths, silence, near threshold."""
+    n = fe.PITCH_HISTORY
+    t = np.arange(n)
+    for amp in np.geomspace(1e-4, 1e2, 500):
+        yield amp * rng.standard_normal(n)
+    for kind in ("pulse", "sawtooth"):
+        for f0 in np.geomspace(62.5, 500.0, 500):
+            phase = (t * f0 / fe.SAMPLE_RATE + rng.uniform()) % 1.0
+            clean = (phase < f0 / fe.SAMPLE_RATE) * 1.0 if kind == "pulse" else 2.0 * phase - 1.0
+            noisy = clean + rng.uniform(0.0, 1.5) * np.std(clean) * rng.standard_normal(n)
+            yield 10.0 ** rng.uniform(-4, 2) * noisy
+    for _ in range(50):
+        yield np.zeros(n)
+    # periodic plus white noise at the power ratio that puts the
+    # correlation peak near the 0.3 voicing threshold
+    for _ in range(550):
+        f0 = rng.uniform(62.5, 500.0)
+        clean = np.sin(2 * np.pi * f0 * t / fe.SAMPLE_RATE + rng.uniform(0, 2 * np.pi))
+        rho = rng.uniform(0.2, 0.4)
+        sigma = np.sqrt(0.5 * (1.0 - rho) / rho)
+        yield clean + sigma * rng.standard_normal(n)
+
+
+class TestPitchCorrelationPath:
+    def test_fft_size_is_scipys_fast_length(self):
+        from scipy.fft import next_fast_len
+
+        full = fe.PITCH_HISTORY + fe.PITCH_CORR_WINDOW - 1
+        assert fe.PITCH_FFT_SIZE == next_fast_len(full, real=True) == 2304
+
+    def test_matches_scipy_correlate_exactly(self):
+        voiced = near_threshold = 0
+        histories = list(_pitch_corpus(np.random.default_rng(2024)))
+        assert len(histories) >= 2000
+        for k, history in enumerate(histories):
+            got = fe.estimate_pitch(history)
+            assert got == _scipy_reference_pitch(history), f"history {k}"
+            voiced += got.voiced
+            near_threshold += got.voiced and got.correlation < 0.35
+        # the corpus reaches both sides of the voicing decision
+        assert 500 <= voiced <= len(histories) - 500
+        assert near_threshold >= 20
+
+
+def test_streaming_imports_leave_scipy_signal_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "import targetvoice, targetvoice.pipeline, targetvoice.enhancer, "
+            "targetvoice.embedder, targetvoice.weights_io, targetvoice.comb\n"
+            "print('scipy.signal' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # Pitch coherence
 # ---------------------------------------------------------------------------
@@ -289,6 +379,16 @@ class TestFeatureStream:
                 emitted.append(i + 1)
         expected = [t * 480 + 960 for t in range(len(emitted))]
         assert emitted == expected
+
+    def test_push_hands_out_each_frames_analysis_spectrum(self):
+        audio = 0.3 * np.random.default_rng(5).standard_normal(4800)
+        stream = fe.FeatureStream()
+        spectra = []
+        frames = stream.push(audio[:1000], spectra) + stream.push(audio[1000:], spectra)
+        assert len(spectra) == len(frames) == 9
+        for t, spec in enumerate(spectra):
+            expected = fe.analyze_frame(audio[t * 480 : t * 480 + 960])
+            assert spec.tobytes() == expected.tobytes()
 
     def test_frame_count_matches_length(self):
         frames = fe.extract_features(np.zeros(48000))
