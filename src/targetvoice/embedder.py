@@ -24,7 +24,7 @@ from targetvoice.neural import (
     collect_grads,
     collect_params,
 )
-from targetvoice.weights_io import WeightsFormatError
+from targetvoice.weights_io import check_shapes, read_meta
 
 MIN_EMBED_FRAMES = 50  # 0.5 s
 
@@ -339,22 +339,27 @@ def embedder_entries(net: EmbedderNet) -> list[tuple[str, str, np.ndarray]]:
     return entries
 
 
+def _param_shapes(cfg: EmbedderConfig):
+    """(name, shape) of every parameter EmbedderNet(cfg) holds, in order."""
+    ch, units, dim = cfg.conv_channels, cfg.gru_units, cfg.embedding_dim
+    yield "se_conv1.W", (3, FEATURE_DIM, ch)
+    yield "se_conv1.b", (ch,)
+    yield "se_conv2.W", (3, ch, ch)
+    yield "se_conv2.b", (ch,)
+    for name, n_in in (("se_gru1", ch), ("se_gru2", units)):
+        yield f"{name}.Wx", (n_in, 3 * units)
+        yield f"{name}.Wh", (units, 3 * units)
+        yield f"{name}.b", (3 * units,)
+    yield "se_proj.W", (units, dim)
+    yield "se_proj.b", (dim,)
+
+
 def embedder_from_entries(entries: dict) -> EmbedderNet:
-    try:
-        config = EmbedderConfig(
-            conv_channels=int(entries["meta.conv_channels"][1][0]),
-            gru_units=int(entries["meta.gru_units"][1][0]),
-            embedding_dim=int(entries["meta.embedding_dim"][1][0]),
-        )
-        net = EmbedderNet._unfilled(config)
-        for layer in net.layers:
-            for name, arr in layer.params().items():
-                stored = entries[name][1].astype(np.float64)
-                if stored.shape != arr.shape:
-                    raise WeightsFormatError(
-                        f"shape mismatch for {name}: {stored.shape} vs {arr.shape}"
-                    )
-                arr[...] = stored
-    except KeyError as exc:
-        raise WeightsFormatError(f"missing entry {exc} in embedder weights") from exc
+    """The net a weight file holds; WeightsFormatError before any allocation."""
+    config = EmbedderConfig(**read_meta(entries, vars(EmbedderConfig()), "embedder"))
+    check_shapes(entries, _param_shapes(config), "embedder")
+    net = EmbedderNet._unfilled(config)
+    for layer in net.layers:
+        for name, arr in layer.params().items():
+            arr[...] = entries[name][1]
     return net

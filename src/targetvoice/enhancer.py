@@ -35,7 +35,7 @@ from targetvoice.neural import (
     collect_grads,
     collect_params,
 )
-from targetvoice.weights_io import WeightsFormatError
+from targetvoice.weights_io import check_shapes, read_meta
 
 GAIN_LOSS_EXPONENT = 0.5
 VAD_LOSS_WEIGHT = 1.0
@@ -394,23 +394,36 @@ def enhancer_entries(net: EnhancerNet) -> list[tuple[str, str, np.ndarray]]:
     return entries
 
 
+def _param_shapes(cfg: EnhancerConfig):
+    """(name, shape) of every parameter EnhancerNet(cfg) holds, in order."""
+    d, c = cfg.dense_units, cfg.conv_channels
+    n, e = cfg.gru_units, cfg.embedding_dim
+    yield "en_dense_in.W", (FEATURE_DIM, d)
+    yield "en_dense_in.b", (d,)
+    yield "en_conv1.W", (5, d, c)
+    yield "en_conv1.b", (c,)
+    yield "en_conv2.W", (3, c, c)
+    yield "en_conv2.b", (c,)
+    for i in range(cfg.n_gru_layers):
+        yield f"en_gru{i + 1}.Wx", (c + e if i == 0 else n, 3 * n)
+        yield f"en_gru{i + 1}.Wh", (n, 3 * n)
+        yield f"en_gru{i + 1}.b", (3 * n,)
+    yield "en_gains.W", (n, N_BANDS)
+    yield "en_gains.b", (N_BANDS,)
+    yield "en_strengths.W", (n + N_BANDS, N_BANDS)
+    yield "en_strengths.b", (N_BANDS,)
+    yield "en_vad.W", (n, 1)
+    yield "en_vad.b", (1,)
+
+
 def enhancer_from_entries(entries: dict) -> EnhancerNet:
-    try:
-        cfg = EnhancerConfig(**{
-            key: int(entries[f"meta.{key}"][1][0])
-            for key in vars(EnhancerConfig())
-        })
-        net = EnhancerNet._unfilled(cfg)
-        for layer in net.layers:
-            for name, arr in layer.params().items():
-                stored = entries[name][1]
-                if stored.shape != arr.shape:
-                    raise WeightsFormatError(
-                        f"shape mismatch for {name}: {stored.shape} vs {arr.shape}"
-                    )
-                arr[...] = stored
-    except KeyError as exc:
-        raise WeightsFormatError(f"missing entry {exc} in enhancer weights") from exc
+    """The net a weight file holds; WeightsFormatError before any allocation."""
+    cfg = EnhancerConfig(**read_meta(entries, vars(EnhancerConfig()), "enhancer"))
+    check_shapes(entries, _param_shapes(cfg), "enhancer")
+    net = EnhancerNet._unfilled(cfg)
+    for layer in net.layers:
+        for name, arr in layer.params().items():
+            arr[...] = entries[name][1]
     return net
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SAMPLE_RATE = 48000
 HOP = 480            # 10 ms
@@ -48,6 +49,10 @@ LOG_FLOOR = float(np.log10(ENERGY_FLOOR))
 # context a frame needs behind its own start: the coherence comparison
 # window reaches back one maximum pitch lag before the frame
 FRAME_CONTEXT = PITCH_MAX_LAG
+
+# frames computed together when one push completes several; bounds the
+# block temporaries (under 2 MB at 32) whatever the length of the push
+BLOCK_FRAMES = 32
 
 
 class ConfigurationError(ValueError):
@@ -155,15 +160,23 @@ def analyze_frame(window_samples: np.ndarray) -> np.ndarray:
     return np.fft.rfft(x * _ANALYSIS_WINDOW)
 
 
-def band_energies(spectrum: np.ndarray, fb: ErbFilterbank,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Per-band energy: E[b] = sum_bin weights[b, bin] * |X[bin]|^2."""
+def _band_sums(fb: ErbFilterbank, values: np.ndarray) -> np.ndarray:
+    # a stacked matrix-vector product per row: bit for bit the same sums
+    # for one spectrum or a block, where a [k, 481] @ [481, 32] gemm is not
+    return np.matmul(fb.weights, values[..., None])[..., 0]
+
+
+def band_energies(spectrum: np.ndarray, fb: ErbFilterbank) -> np.ndarray:
+    """Per-band energy: E[b] = sum_bin weights[b, bin] * |X[bin]|^2.
+
+    `spectrum` is one spectrum or a stack of them along leading axes.
+    """
     if spectrum.shape[-1] != fb.n_bins:
         raise ValueError(
             f"spectrum has {spectrum.shape[-1]} bins, filterbank expects {fb.n_bins}"
         )
     power = (spectrum.real * spectrum.real) + (spectrum.imag * spectrum.imag)
-    return np.matmul(fb.weights, power, out=out)
+    return _band_sums(fb, power)
 
 
 def estimate_pitch(history: np.ndarray) -> PitchEstimate:
@@ -194,7 +207,7 @@ def estimate_pitch(history: np.ndarray) -> PitchEstimate:
     r = np.clip(r, -1.0, 1.0)
 
     peak = float(r.max())
-    if peak < VOICING_THRESHOLD:
+    if not peak >= VOICING_THRESHOLD:  # NaN from non-finite input is unvoiced
         return PitchEstimate(None, 0.0)
 
     is_peak = np.empty(len(r), dtype=bool)
@@ -204,6 +217,43 @@ def estimate_pitch(history: np.ndarray) -> PitchEstimate:
     candidates = np.flatnonzero(is_peak & (r >= OCTAVE_PREFERENCE * peak))
     idx = int(candidates[0]) if len(candidates) else int(np.argmax(r))
     return PitchEstimate(int(_PITCH_LAGS[idx]), float(r[idx]))
+
+
+def estimate_pitch_block(histories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """estimate_pitch over the rows of a [k, 1536] array, bit for bit.
+
+    Returns each row's period in samples (0 when unvoiced) and its
+    correlation (0.0 when unvoiced).
+    """
+    x = np.asarray(histories, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != PITCH_HISTORY:
+        raise ValueError(f"need rows of exactly {PITCH_HISTORY} samples, got {x.shape}")
+    cur = x[:, PITCH_CORR_WINDOW:]
+    cur_energy = (cur[:, None, :] @ cur[:, :, None])[:, 0, 0]  # equals np.dot
+
+    prod = np.fft.rfft(x, PITCH_FFT_SIZE)
+    prod *= np.fft.rfft(cur[:, ::-1], PITCH_FFT_SIZE)
+    c = np.fft.irfft(prod, PITCH_FFT_SIZE)[:, _PITCH_CORR_INDEX]
+    del prod
+    sq = np.zeros((len(x), PITCH_HISTORY + 1))
+    np.cumsum(x * x, axis=1, out=sq[:, 1:])
+    lag_energy = sq[:, _LAG_END] - sq[:, _LAG_START]
+    del sq
+    with np.errstate(invalid="ignore", divide="ignore"):
+        denom = np.sqrt(cur_energy[:, None] * lag_energy)
+        r = np.where(denom > 1e-20, c / denom, 0.0)
+    np.clip(r, -1.0, 1.0, out=r)
+
+    peak = r.max(axis=1)
+    voiced = (cur_energy >= 1e-20) & (peak >= VOICING_THRESHOLD)
+    is_peak = np.ones(r.shape, dtype=bool)
+    is_peak[:, 1:] = r[:, 1:] >= r[:, :-1]
+    is_peak[:, :-1] &= r[:, :-1] >= r[:, 1:]
+    # a voiced row's global maximum is a candidate, so argmax finds one
+    idx = np.argmax(is_peak & (r >= OCTAVE_PREFERENCE * peak[:, None]), axis=1)
+    periods = np.where(voiced, _PITCH_LAGS[idx], 0)
+    correlations = np.where(voiced, r[np.arange(len(r)), idx], 0.0)
+    return periods, correlations
 
 
 def pitch_coherence(window_samples: np.ndarray, delayed_samples: np.ndarray,
@@ -227,7 +277,7 @@ def coherence_from_spectra(spec: np.ndarray, spec_delayed: np.ndarray,
     if e_cur is None:
         e_cur = band_energies(spec, fb)
     e_del = band_energies(spec_delayed, fb)
-    num = fb.weights @ cross
+    num = _band_sums(fb, cross)
     denom = np.sqrt(e_cur * e_del)
     with np.errstate(invalid="ignore", divide="ignore"):
         coh = np.where(denom > 1e-20, num / denom, 0.0)
@@ -312,18 +362,32 @@ class FeatureStream:
 
         When `spectra` is given, each returned frame's analysis spectrum
         (rfft of the windowed frame, 481 bins) is appended to it in order.
+        A push that completes several frames computes them in blocks of
+        BLOCK_FRAMES, with the same results as one frame at a time.
         """
-        chunk = np.asarray(samples, dtype=np.float64).ravel()
-        self._pending = np.concatenate([self._pending, chunk])
+        chunk = np.asarray(samples).ravel()
+        if chunk.dtype != np.float32:  # float32 widens exactly where it is read
+            chunk = chunk.astype(np.float64, copy=False)
+        if len(self._pending):
+            self._pending = np.concatenate([self._pending, chunk])
+        else:
+            self._pending = chunk
         self._total += len(chunk)
 
+        due = max(0, (self._total - WINDOW) // HOP + 1 - self._next_frame)
         out: list[FrameFeatures] = []
-        while self._next_frame * HOP + WINDOW <= self._total:
-            needed = self._next_frame * HOP + WINDOW - self._absorbed
-            if needed > 0:
-                self._absorb(needed)
+        if due == 1:
+            self._absorb(self._next_frame * HOP + WINDOW - self._absorbed)
             out.append(self._emit_frame(spectra))
             self._next_frame += 1
+        elif due > 1:
+            buf = np.empty(FRAME_CONTEXT + (min(due, BLOCK_FRAMES) - 1) * HOP + WINDOW)
+            while due > 0:
+                count = min(due, BLOCK_FRAMES)
+                out.extend(self._emit_block(buf, count, spectra))
+                due -= count
+        # what is left may view the caller's array: hold a copy, not the array
+        self._pending = self._pending.copy()
         return out
 
     def _absorb(self, n: int) -> None:
@@ -357,6 +421,64 @@ class FeatureStream:
         feats = assemble_features(energies, coh, pitch, self._prev_log_energy)
         self._prev_log_energy = feats.log_energy
         return feats
+
+    def _emit_block(self, buf: np.ndarray, count: int,
+                    spectra: list[np.ndarray] | None) -> list[FrameFeatures]:
+        """The next `count` frames at once, bit for bit as _emit_frame."""
+        # buf holds the stream from FRAME_CONTEXT before the first frame's
+        # start to the last frame's end
+        end = self._next_frame * HOP + (count - 1) * HOP + WINDOW
+        buf = buf[: FRAME_CONTEXT + (count - 1) * HOP + WINDOW]
+        kept = len(buf) - (end - self._absorbed)
+        buf[:kept] = self._history[self._filled - kept : self._filled]
+        buf[kept:] = self._pending[: end - self._absorbed]
+        self._pending = self._pending[end - self._absorbed :]
+        self._history[:] = buf[-len(self._history) :]
+        self._filled = len(self._history)
+        self._absorbed = end
+        self._next_frame += count
+
+        windows = sliding_window_view(buf, WINDOW)
+        spec = np.fft.rfft(windows[FRAME_CONTEXT::HOP] * _ANALYSIS_WINDOW)
+        if spectra is not None:
+            spectra.extend(spec)
+        energies = band_energies(spec, self.fb)
+        histories = sliding_window_view(buf, PITCH_HISTORY)
+        periods, correlations = estimate_pitch_block(
+            histories[FRAME_CONTEXT + WINDOW - PITCH_HISTORY :: HOP])
+        voiced = np.flatnonzero(periods)
+        coh = np.zeros((count, N_BANDS))
+        if len(voiced):
+            starts = FRAME_CONTEXT + voiced * HOP - periods[voiced]
+            spec_d = np.fft.rfft(windows[starts] * _ANALYSIS_WINDOW)
+            coh[voiced] = coherence_from_spectra(spec[voiced], spec_d, self.fb,
+                                                 energies[voiced])
+        return self._assemble_block(energies, coh, periods, correlations)
+
+    def _assemble_block(self, energies: np.ndarray, coh: np.ndarray,
+                        periods: np.ndarray,
+                        correlations: np.ndarray) -> list[FrameFeatures]:
+        """assemble_features over a block, carrying the log-energy delta."""
+        band_mag = np.log10(np.maximum(energies, 0.0) + ENERGY_FLOOR)
+        log_energy = np.log10(energies.sum(axis=1) + ENERGY_FLOOR)
+        # each delta subtracts the previous frame's stored (float32) energy
+        previous = log_energy.astype(np.float32).astype(np.float64)
+        delta = np.empty_like(log_energy)
+        delta[1:] = log_energy[1:] - previous[:-1]
+        delta[0] = (0.0 if self._prev_log_energy is None
+                    else log_energy[0] - self._prev_log_energy)
+        norm_period = np.where(periods > 0, (periods - PITCH_MIN_LAG)
+                               / (PITCH_MAX_LAG - PITCH_MIN_LAG), 0.0)
+        general = np.stack([norm_period, correlations, log_energy, delta], axis=1)
+        band_mag = band_mag.astype(np.float32)
+        coh = coh.astype(np.float32)
+        general = general.astype(np.float32)
+        self._prev_log_energy = float(general[-1, 2])
+        return [
+            FrameFeatures(band_mag=band_mag[t], pitch_coherence=coh[t], general=general[t],
+                          pitch=PitchEstimate(p, r) if p else PitchEstimate(None, 0.0))
+            for t, (p, r) in enumerate(zip(periods.tolist(), correlations.tolist()))
+        ]
 
 
 def extract_features(audio: np.ndarray,

@@ -263,14 +263,12 @@ class MixtureExample:
     clean_target: AudioBuffer
     interferer: AudioBuffer | None
     noise: AudioBuffer
-    enrollment: AudioBuffer | None
     targets: SupervisionTargets
     spec: MixtureSpec
 
 
 def make_mixture(spec: MixtureSpec, target: AudioBuffer,
                  interferer: AudioBuffer | None, noise: AudioBuffer,
-                 enrollment: AudioBuffer | None = None,
                  fb: ErbFilterbank | None = None) -> MixtureExample:
     """Mix target + interferer + noise at the requested SIR/SNR.
 
@@ -317,7 +315,6 @@ def make_mixture(spec: MixtureSpec, target: AudioBuffer,
         clean_target=AudioBuffer(t32),
         interferer=None if i32 is None else AudioBuffer(i32),
         noise=AudioBuffer(n32),
-        enrollment=enrollment,
         targets=targets,
         spec=spec,
     )

@@ -16,6 +16,7 @@ rather than returning corrupt tensors. Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -103,6 +104,41 @@ def unpack_weights(data: bytes) -> tuple[str, dict[str, tuple[str, np.ndarray]]]
     if pos != len(data) - 4:
         raise WeightsFormatError("trailing bytes after payload")
     return model_kind, entries
+
+
+def read_meta(entries: dict, keys, model_kind: str) -> dict[str, int]:
+    """Each `meta.<key>` entry as a positive integer.
+
+    Raises WeightsFormatError for a missing, non-scalar, non-integer or
+    non-positive value, so no model is ever sized from one.
+    """
+    values = {}
+    for key in keys:
+        name = f"meta.{key}"
+        if name not in entries:
+            raise WeightsFormatError(f"missing entry {name!r} in {model_kind} weights")
+        stored = entries[name][1]
+        value = float(stored.reshape(-1)[0]) if stored.size == 1 else math.nan
+        if not (value >= 1 and value.is_integer()):
+            raise WeightsFormatError(
+                f"{name} must be a positive integer, got {stored.tolist()}"
+            )
+        values[key] = int(value)
+    return values
+
+
+def check_shapes(entries: dict, expected, model_kind: str) -> None:
+    """Compare stored entries with the (name, shape) pairs a config implies.
+
+    Run before building the model, so a file whose dimensions disagree
+    with its own metadata fails here instead of sizing an allocation.
+    """
+    for name, shape in expected:
+        if name not in entries:
+            raise WeightsFormatError(f"missing entry {name!r} in {model_kind} weights")
+        stored = entries[name][1].shape
+        if stored != shape:
+            raise WeightsFormatError(f"shape mismatch for {name}: {stored} vs {shape}")
 
 
 def save_weights(path, model_kind: str,

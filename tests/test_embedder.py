@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from targetvoice import embedder as em
-from targetvoice.weights_io import pack_weights, unpack_weights
+from targetvoice.weights_io import WeightsFormatError, pack_weights, unpack_weights
 from tests.conftest import finite_difference_params
 
 
@@ -138,6 +138,14 @@ class TestSerialization:
         b = em.embed_utterance(restored, feats)
         # float32 storage rounds the weights; embeddings stay overwhelmingly aligned
         assert float(np.dot(a, b)) > 1.0 - 1e-5
+
+    @pytest.mark.parametrize("units", [-1, 0, 2 ** 31])
+    def test_bad_meta_rejected_before_allocation(self, toy_net, units):
+        entries = [(name, kind, np.array([float(units)]) if name == "meta.gru_units" else arr)
+                   for name, kind, arr in em.embedder_entries(toy_net)]
+        _, stored = unpack_weights(pack_weights("embedder", entries))
+        with pytest.raises(WeightsFormatError):
+            em.embedder_from_entries(stored)
 
     def test_dataset_minimums_enforced(self):
         tiny = {0: [random_features(0)] * 4, 1: [random_features(1)] * 4}

@@ -5,7 +5,7 @@ import pytest
 
 from targetvoice import enhancer as en
 from targetvoice.neural import Adam
-from targetvoice.weights_io import pack_weights, unpack_weights
+from targetvoice.weights_io import WeightsFormatError, pack_weights, unpack_weights
 from tests.conftest import finite_difference_params
 
 
@@ -274,6 +274,14 @@ class TestSessionAndSerialization:
         g1, _, v1 = tiny_net.forward(feats, emb)
         g2, _, v2 = restored.forward(feats, emb)
         np.testing.assert_allclose(g1, g2, atol=1e-6)
+
+    @pytest.mark.parametrize("units", [-1, 0, 2 ** 31])
+    def test_bad_meta_rejected_before_allocation(self, tiny_net, units):
+        entries = [(name, kind, np.array([float(units)]) if name == "meta.gru_units" else arr)
+                   for name, kind, arr in en.enhancer_entries(tiny_net)]
+        _, stored = unpack_weights(pack_weights("enhancer", entries))
+        with pytest.raises(WeightsFormatError):
+            en.enhancer_from_entries(stored)
 
 
 def float32_arrays(session):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,15 @@ class TestEstimatePitch:
         assert est.period is not None
         assert np.isfinite(est.correlation)
 
+    @pytest.mark.parametrize("sample", [np.inf, 1e300], ids=["inf", "1e300"])
+    def test_non_finite_correlation_unvoiced(self, sample):
+        # a 150 Hz square wave whose square overflows at one sample gives a
+        # NaN correlation peak, which must not read as voiced
+        x = np.sign(np.sin(2 * np.pi * 150 * np.arange(1536) / 48000))
+        x[1000] = sample
+        with np.errstate(all="ignore"):
+            assert fe.estimate_pitch(x) == fe.PitchEstimate(None, 0.0)
+
 
 def _scipy_reference_pitch(history: np.ndarray) -> fe.PitchEstimate:
     """The pitch search with the correlation taken by scipy.signal.correlate."""
@@ -252,6 +262,15 @@ class TestPitchCorrelationPath:
         # the corpus reaches both sides of the voicing decision
         assert 500 <= voiced <= len(histories) - 500
         assert near_threshold >= 20
+
+    def test_block_kernel_matches_scipy_correlate_exactly(self):
+        histories = np.stack(list(_pitch_corpus(np.random.default_rng(2024))))
+        for start in range(0, len(histories), fe.BLOCK_FRAMES):
+            block = histories[start : start + fe.BLOCK_FRAMES]
+            periods, correlations = fe.estimate_pitch_block(block)
+            for k, (period, corr) in enumerate(zip(periods.tolist(), correlations.tolist())):
+                got = fe.PitchEstimate(period or None, corr)
+                assert got == _scipy_reference_pitch(block[k]), f"history {start + k}"
 
 
 def test_streaming_imports_leave_scipy_signal_unloaded():
@@ -353,20 +372,71 @@ class TestAssembleFeatures:
 # ---------------------------------------------------------------------------
 
 
+def _square_150hz(n: int) -> np.ndarray:
+    return np.sign(np.sin(2 * np.pi * 150 * np.arange(n) / 48000))
+
+
+def _with_samples(x: np.ndarray, at: int, values) -> np.ndarray:
+    x = x.copy()
+    x[at : at + len(values)] = values
+    return x
+
+
+def _speech_like(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    envelope = 0.5 + 0.5 * np.sin(2 * np.pi * 3 * np.arange(n) / 48000)
+    return envelope * (0.5 * sawtooth(140.0, n) + 0.1 * rng.standard_normal(n))
+
+
+STREAM_SIGNALS = {
+    "noise": lambda: (0.3 * np.random.default_rng(11).standard_normal(14400)).astype(np.float32),
+    "nan_burst": lambda: _with_samples(_square_150hz(24000), 12000, [np.nan] * 10),
+    "inf": lambda: _with_samples(_square_150hz(24000), 12000, [np.inf, 0.0, -np.inf]),
+    "1e300": lambda: _with_samples(_square_150hz(24000), 12000, [1e300]),
+    "1e6": lambda: _with_samples(_square_150hz(24000), 12000, [1e6, -1e6]),
+    "dc": lambda: np.ones(14400),
+    "silence_in_speech": lambda: np.concatenate(
+        [_speech_like(24000, 1), np.zeros(96000), _speech_like(24000, 2)]),
+}
+
+
+def _frame_bytes(frames) -> list[bytes]:
+    # bytes, not ==: NaN features never compare equal
+    return [f.vector.tobytes() + np.array([f.pitch.period or 0, f.pitch.correlation]).tobytes()
+            for f in frames]
+
+
 class TestFeatureStream:
-    @pytest.mark.parametrize("chunk", [1, 7, 480, 1000, 9600])
-    def test_streaming_equals_batch_bit_exact(self, chunk):
-        rng = np.random.default_rng(11)
-        audio = (0.3 * rng.standard_normal(14400)).astype(np.float32)
-        ref = fe.extract_features(audio)
-        stream = fe.FeatureStream()
-        got = []
-        for i in range(0, len(audio), chunk):
-            got.extend(stream.push(audio[i : i + chunk]))
-        assert len(got) == len(ref)
-        for a, b in zip(got, ref):
-            np.testing.assert_array_equal(a.vector, b.vector)
-            assert a.pitch == b.pitch
+    # the bare chunk ids are the white-noise signal
+    @pytest.mark.parametrize("signal, chunk", [
+        pytest.param(signal, chunk, id=str(chunk) if signal == "noise" else f"{signal}-{chunk}")
+        for signal in STREAM_SIGNALS for chunk in (1, 7, 480, 1000, 9600)
+    ])
+    def test_streaming_equals_batch_bit_exact(self, signal, chunk):
+        audio = STREAM_SIGNALS[signal]()
+        with np.errstate(all="ignore"):
+            ref = fe.extract_features(audio)
+            stream = fe.FeatureStream()
+            got = []
+            for i in range(0, len(audio), chunk):
+                got.extend(stream.push(audio[i : i + chunk]))
+        assert len(got) == len(ref) == (len(audio) - 960) // 480 + 1
+        assert _frame_bytes(got) == _frame_bytes(ref)
+
+    def test_whole_file_memory_bounded(self):
+        # one 30 s push holds its frames' outputs and bounded block
+        # temporaries, not whole-file float64 copies of the input
+        rng = np.random.default_rng(3)
+        audio = (0.5 * sawtooth(120.0, 30 * 48000)
+                 + 0.1 * rng.standard_normal(30 * 48000)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            frames = fe.extract_features(audio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(frames) == 2999
+        assert peak < 2 * audio.size * 8 + 2 * 2 ** 20
 
     def test_emission_timing(self):
         # frame t emerges exactly when its window (t*480 + 960) is buffered
