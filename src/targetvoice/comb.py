@@ -85,21 +85,6 @@ class CombState:
         return comb_filter_window(self._buf, self._past, period)
 
 
-def comb_filter_frame(state: CombState, frame: np.ndarray,
-                      period: int | None) -> np.ndarray:
-    """Push one hop-aligned frame through the comb at the given period.
-
-    The frame must be the state's current window (callers advance the state
-    by hops); an absent period returns the input unchanged.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (WINDOW,):
-        raise ValueError(f"expected {WINDOW} samples, got {frame.shape}")
-    if not np.allclose(state.window_samples(), frame):
-        raise ValueError("frame does not match the comb state's current window")
-    return state.filter_window(period)
-
-
 def bands_to_bins(values: np.ndarray, fb: ErbFilterbank,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Interpolate 32 per-band values to per-bin values (triangular weights)."""

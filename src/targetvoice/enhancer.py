@@ -21,7 +21,7 @@ outputs for frame t are supervised from the features up to frame t+3
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,28 +64,6 @@ class EnhancerConfig:
             raise ValueError(f"unknown preset {name!r}; "
                              f"choose from {sorted(presets)}")
         return presets[name]
-
-    def to_text(self) -> str:
-        return "".join(
-            f"{k} = {v}\n"
-            for k, v in sorted(vars(self).items())
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "EnhancerConfig":
-        cfg = cls()
-        fields = {f: int for f in vars(cfg)}
-        values = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in fields:
-                raise ValueError(f"unknown config key {key!r}")
-            values[key] = int(val.strip())
-        return replace(cfg, **values)
 
 
 class EnhancerNet:

@@ -126,15 +126,24 @@ class StreamingEnhancer:
 
         Output lags input by exactly DELAY_SAMPLES; one hop in, one hop out.
         """
-        x = np.asarray(samples, dtype=np.float64).ravel()
-        self._hop_buffer = np.concatenate([self._hop_buffer, x])
-        outs = []
-        while len(self._hop_buffer) >= HOP:
-            hop, self._hop_buffer = self._hop_buffer[:HOP], self._hop_buffer[HOP:]
-            outs.append(self._process_one_hop(hop))
-        if not outs:
-            return np.zeros(0)
-        return np.concatenate(outs)
+        # Hops are views of the caller's array, widened one at a time; only
+        # the remainder of fewer than HOP samples is kept between calls.
+        x = np.asarray(samples).ravel()
+        held = len(self._hop_buffer)
+        n_hops = (held + len(x)) // HOP
+        out = np.empty(n_hops * HOP)
+        for i in range(n_hops):
+            start = i * HOP - held  # negative only for a hop that completes the remainder
+            if start < 0:
+                hop = np.concatenate([self._hop_buffer, x[:start + HOP]])
+            else:
+                hop = np.asarray(x[start:start + HOP], dtype=np.float64)
+            out[i * HOP:(i + 1) * HOP] = self._process_one_hop(hop)
+        if n_hops == 0:
+            self._hop_buffer = np.concatenate([self._hop_buffer, x])
+        else:
+            self._hop_buffer = x[n_hops * HOP - held:].astype(np.float64)
+        return out
 
     def flush(self) -> np.ndarray:
         """Pad with silence until every buffered input sample is emitted."""

@@ -59,8 +59,9 @@ def unpack_weights(data: bytes) -> tuple[str, dict[str, tuple[str, np.ndarray]]]
     """Parse a weight blob into (model_kind, {name: (layer_kind, array)})."""
     if len(data) < 12 or data[:4] != MAGIC:
         raise WeightsFormatError("not a weight file (bad magic)")
+    view = memoryview(data)
     stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
-    actual_crc = zlib.crc32(data[:-4])
+    actual_crc = zlib.crc32(view[:-4])
     if stored_crc != actual_crc:
         raise WeightsFormatError(
             f"checksum mismatch (stored {stored_crc:#010x}, "
@@ -70,6 +71,31 @@ def unpack_weights(data: bytes) -> tuple[str, dict[str, tuple[str, np.ndarray]]]
     if version != VERSION:
         raise WeightsFormatError(f"unsupported version {version}, expected {VERSION}")
 
+    try:
+        model_kind, metas, pos = _unpack_header(data)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise WeightsFormatError(f"malformed header: {exc}") from exc
+
+    entries: dict[str, tuple[str, np.ndarray]] = {}
+    for name, kind, shape in metas:
+        n = math.prod(shape)
+        raw = view[pos : pos + 4 * n]
+        if len(raw) != 4 * n:
+            raise WeightsFormatError(f"payload truncated at entry {name!r}")
+        arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        entries[name] = (kind, arr)
+        pos += 4 * n
+    if pos != len(data) - 4:
+        raise WeightsFormatError("trailing bytes after payload")
+    return model_kind, entries
+
+
+def _unpack_header(data: bytes):
+    """(model_kind, [(name, layer_kind, shape)], payload offset).
+
+    Reads past the end raise struct.error, and names that are not UTF-8
+    raise UnicodeDecodeError; the caller turns both into a format error.
+    """
     pos = 8
     (kind_len,) = struct.unpack_from("<H", data, pos)
     pos += 2
@@ -91,19 +117,7 @@ def unpack_weights(data: bytes) -> tuple[str, dict[str, tuple[str, np.ndarray]]]
         if code not in KIND_NAMES:
             raise WeightsFormatError(f"unknown layer-kind code {code}")
         metas.append((name, KIND_NAMES[code], shape))
-
-    entries: dict[str, tuple[str, np.ndarray]] = {}
-    for name, kind, shape in metas:
-        n = int(np.prod(shape)) if shape else 1
-        raw = data[pos : pos + 4 * n]
-        if len(raw) != 4 * n:
-            raise WeightsFormatError(f"payload truncated at entry {name!r}")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-        entries[name] = (kind, arr)
-        pos += 4 * n
-    if pos != len(data) - 4:
-        raise WeightsFormatError("trailing bytes after payload")
-    return model_kind, entries
+    return model_kind, metas, pos
 
 
 def read_meta(entries: dict, keys, model_kind: str) -> dict[str, int]:

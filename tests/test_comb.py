@@ -27,14 +27,14 @@ class TestCombFilter:
         sig = np.sin(2 * np.pi * n / period) + 0.3 * np.sin(2 * np.pi * 5 * n / period + 1.0)
         state = primed_state(sig)
         window = state.window_samples().copy()
-        filtered = cb.comb_filter_frame(state, window, period)
+        filtered = state.filter_window(period)
         np.testing.assert_allclose(filtered, window, atol=1e-6)
 
     def test_absent_period_passthrough(self):
         sig = np.random.default_rng(1).standard_normal(20000)
         state = primed_state(sig)
         window = state.window_samples().copy()
-        np.testing.assert_array_equal(cb.comb_filter_frame(state, window, None), window)
+        np.testing.assert_array_equal(state.filter_window(None), window)
 
     def test_white_noise_energy_ratio(self):
         # uncorrelated-shift oracle: E[y^2]/E[x^2] = sum of squared taps
@@ -66,11 +66,6 @@ class TestCombFilter:
         yb = primed_state(b).filter_window(300)
         yab = primed_state(2 * a + 3 * b).filter_window(300)
         np.testing.assert_allclose(yab, 2 * ya + 3 * yb, atol=1e-9)
-
-    def test_mismatched_frame_rejected(self):
-        state = primed_state(np.random.default_rng(4).standard_normal(20000))
-        with pytest.raises(ValueError, match="current window"):
-            cb.comb_filter_frame(state, np.zeros(960), 480)
 
     def test_out_of_range_period_rejected(self):
         state = primed_state(np.random.default_rng(5).standard_normal(20000))

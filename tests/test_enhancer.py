@@ -47,14 +47,6 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="preset"):
             en.EnhancerConfig.preset("ppn9000")
 
-    def test_config_text_roundtrip(self):
-        cfg = en.EnhancerConfig.preset("toy")
-        assert en.EnhancerConfig.from_text(cfg.to_text()) == cfg
-
-    def test_config_text_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown"):
-            en.EnhancerConfig.from_text("bogus = 7\n")
-
 
 class TestForward:
     def test_outputs_in_unit_interval(self, tiny_net):

@@ -270,6 +270,171 @@ class TestGRU:
         assert worst < 1e-4
 
 
+class StepwiseGRU:
+    """Reference: the per-step GRU recurrence with per-step gradient GEMMs.
+
+    Reads and accumulates into a live GRU's parameters and gradients, so
+    its results compare directly with the sequence-level kernels.
+    """
+
+    def __init__(self, layer: nn.GRU):
+        self.layer = layer
+
+    def forward(self, x, h0=None):
+        g = self.layer
+        squeeze = x.ndim == 2
+        if squeeze:
+            x = x[None]
+        batch, steps, _ = x.shape
+        n = g.n_units
+        h = np.zeros((batch, n)) if h0 is None else h0.copy()
+        gx_all = x @ g.Wx + g.b
+        h_seq = np.empty((batch, steps, n))
+        cache = []
+        for t in range(steps):
+            gh = h @ g.Wh
+            gx = gx_all[:, t, :]
+            z = 1.0 / (1.0 + np.exp(-(gx[:, :n] + gh[:, :n])))
+            r = 1.0 / (1.0 + np.exp(-(gx[:, n:2 * n] + gh[:, n:2 * n])))
+            ghn = gh[:, 2 * n:]
+            cand = np.tanh(gx[:, 2 * n:] + r * ghn)
+            h_new = (1.0 - z) * h + z * cand
+            cache.append((h, z, r, cand, ghn))
+            h = h_new
+            h_seq[:, t, :] = h
+        self._cache = (x, cache, squeeze)
+        return h_seq[0] if squeeze else h_seq
+
+    def backward(self, dh_seq):
+        g = self.layer
+        x, cache, squeeze = self._cache
+        if squeeze:
+            dh_seq = dh_seq[None]
+        batch, steps, _ = x.shape
+        n = g.n_units
+        dx = np.zeros_like(x)
+        dgx = np.empty((batch, 3 * n))
+        dgh = np.empty((batch, 3 * n))
+        dh_carry = np.zeros((batch, n))
+        for t in range(steps - 1, -1, -1):
+            h_prev, z, r, cand, ghn = cache[t]
+            dh = dh_seq[:, t, :] + dh_carry
+            dn = dh * z
+            dz = dh * (cand - h_prev)
+            dh_prev = dh * (1.0 - z)
+
+            dn_pre = dn * (1.0 - cand * cand)
+            dr = dn_pre * ghn
+            dz_pre = dz * z * (1.0 - z)
+            dr_pre = dr * r * (1.0 - r)
+
+            dgx[:, :n] = dz_pre
+            dgx[:, n:2 * n] = dr_pre
+            dgx[:, 2 * n:] = dn_pre
+            dgh[:, :n] = dz_pre
+            dgh[:, n:2 * n] = dr_pre
+            dgh[:, 2 * n:] = dn_pre * r
+            g.dWx += x[:, t, :].T @ dgx
+            g.dWh += h_prev.T @ dgh
+            g.db += dgx.sum(axis=0)
+            dx[:, t, :] = dgx @ g.Wx.T
+            dh_carry = dh_prev + dgh @ g.Wh.T
+        return dx[0] if squeeze else dx
+
+
+def run_both(layer, x, dy, h0=None, passes=1):
+    """Forward and `passes` backwards through the layer, then the oracle.
+
+    The oracle's backward needs a batched h0, [1, n] for unbatched input.
+    """
+    results = []
+    oracle_h0 = None if h0 is None else np.atleast_2d(h0)
+    for impl, start in ((layer, h0), (StepwiseGRU(layer), oracle_h0)):
+        layer.zero_grads()
+        y = impl.forward(x, start)
+        for _ in range(passes):
+            dx = impl.backward(dy)
+        results.append((y, dx, {k: v.copy() for k, v in layer.grads().items()}))
+    return results
+
+
+def assert_rel_close(got, want, rel):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rel * scale
+
+
+def check_against_oracle(layer, x, dy, h0=None):
+    (y, dx, grads), (y_ref, dx_ref, grads_ref) = run_both(layer, x, dy, h0)
+    assert y.shape == y_ref.shape and dx.shape == dx_ref.shape == x.shape
+    np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
+    assert_rel_close(dx, dx_ref, 1e-10)
+    for key in grads_ref:
+        assert_rel_close(grads[key], grads_ref[key], 1e-10)
+
+
+class TestGRUSequenceKernels:
+    """The sequence-level forward/backward against the per-step oracle.
+
+    Forward writes the state update as h + z (n - h); backward regroups
+    the per-step factors and sums the gradients over the whole sequence
+    in one GEMM. Outputs agree to 1e-12 absolute, gradients to a relative
+    1e-10 of their largest entry.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 2, 50])
+    @pytest.mark.parametrize("given_h0", [False, True])
+    def test_matches_stepwise_oracle(self, batch, steps, given_h0):
+        rng = np.random.default_rng(100 * batch + steps)
+        layer = nn.GRU(5, 6, rng)
+        layer.b[...] = 0.3 * rng.standard_normal(layer.b.shape)
+        x = rng.standard_normal((batch, steps, 5))
+        dy = rng.standard_normal((batch, steps, 6))
+        h0 = 0.5 * rng.standard_normal((batch, 6)) if given_h0 else None
+        check_against_oracle(layer, x, dy, h0)
+
+    def test_unbatched_input_with_initial_state(self):
+        rng = np.random.default_rng(7)
+        layer = nn.GRU(4, 5, rng)
+        x = rng.standard_normal((9, 4))
+        dy = rng.standard_normal((9, 5))
+        check_against_oracle(layer, x, dy, 0.5 * rng.standard_normal(5))
+
+    def test_two_backwards_accumulate(self):
+        rng = np.random.default_rng(9)
+        layer = nn.GRU(4, 3, rng)
+        x = rng.standard_normal((2, 11, 4))
+        dy = rng.standard_normal((2, 11, 3))
+        (_, dx, grads), (_, dx_ref, grads_ref) = run_both(layer, x, dy, passes=2)
+        (_, dx_once, grads_once), _ = run_both(layer, x, dy)
+        np.testing.assert_array_equal(dx, dx_once)
+        for key in grads_ref:
+            assert_rel_close(grads[key], grads_ref[key], 1e-10)
+            assert_rel_close(grads[key], 2.0 * grads_once[key], 1e-12)
+
+    def test_output_does_not_alias_cache(self):
+        rng = np.random.default_rng(10)
+        layer = nn.GRU(3, 4, rng)
+        x = rng.standard_normal((1, 5, 3))
+        dy = rng.standard_normal((1, 5, 4))
+        layer.zero_grads()
+        y = layer.forward(x)
+        dx = layer.backward(dy).copy()
+        y[...] = 0.0
+        layer.zero_grads()
+        np.testing.assert_array_equal(layer.backward(dy), dx)
+
+    def test_shape_mismatch(self):
+        layer = nn.GRU(4, 3, np.random.default_rng(0))
+        with pytest.raises(nn.ShapeError):
+            layer.forward(np.zeros((2, 5, 6)))
+
+    def test_backward_before_forward(self):
+        layer = nn.GRU(4, 3, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="before forward"):
+            layer.backward(np.zeros((2, 5, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Adam, determinism
 # ---------------------------------------------------------------------------

@@ -63,6 +63,37 @@ class TestStreamTiming:
         total = sum(len(c) for c in collected)
         assert total == 2400
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_chunking_byte_identical(self, toy_model, dtype):
+        net, emb = toy_model
+        x = (0.3 * np.random.default_rng(9).standard_normal(9000)).astype(dtype)
+        whole = StreamingEnhancer(net, emb)
+        expected = np.concatenate([whole.process(x), whole.flush()])
+        rng = np.random.default_rng(10)
+        for sizes in ([1] * 700 + [8300], [479, 481, 960, 1, 7079],
+                      rng.integers(1, 1500, size=40)):
+            engine = StreamingEnhancer(net, emb)
+            bounds = np.minimum(np.cumsum(np.concatenate([[0], sizes])), len(x))
+            parts = [engine.process(x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+            parts.append(engine.process(x[bounds[-1]:]))
+            parts.append(engine.flush())
+            assert np.concatenate(parts).tobytes() == expected.tobytes()
+
+    def test_whole_file_process_holds_no_input_copies(self):
+        import tracemalloc
+
+        x = (0.2 * np.random.default_rng(11).standard_normal(8 * 48000)).astype(np.float32)
+        engine = StreamingEnhancer()
+        engine.process(x[:480])  # lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            out = engine.process(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == len(x)
+        assert peak <= 2 * x.size * 8 + (1 << 20)
+
     def test_flush_completes_output(self):
         engine = StreamingEnhancer()
         x = 0.2 * np.random.default_rng(5).standard_normal(7000)

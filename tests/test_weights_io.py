@@ -80,6 +80,50 @@ class TestCorruption:
             wio.load_weights(path, expect_kind="enhancer")
 
 
+def with_crc(body: bytes) -> bytes:
+    import struct, zlib
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def parses_or_format_error(blob: bytes) -> None:
+    """A blob either loads or fails with WeightsFormatError, nothing else."""
+    try:
+        wio.unpack_weights(blob)
+    except wio.WeightsFormatError:
+        pass
+
+
+class TestMalformedHeaderFuzz:
+    """Damage under a valid checksum must still fail with a typed error."""
+
+    @pytest.mark.parametrize("mask", [0x01, 0x80, 0xFF])
+    def test_flipped_header_byte_with_valid_crc(self, entries, mask):
+        blob = wio.pack_weights("x", entries)
+        header = len(blob) - 4 - 4 * sum(arr.size for _, _, arr in entries)
+        for i in range(header):
+            body = bytearray(blob[:-4])
+            body[i] ^= mask
+            parses_or_format_error(with_crc(bytes(body)))
+
+    def test_truncated_at_every_offset(self, entries):
+        blob = wio.pack_weights("x", entries[1:])
+        for cut in range(len(blob)):
+            parses_or_format_error(blob[:cut])
+            parses_or_format_error(with_crc(blob[:cut]))
+
+    def test_entry_count_past_header(self, entries):
+        blob = bytearray(wio.pack_weights("x", entries))
+        blob[11:15] = (1000).to_bytes(4, "little")  # after magic, version, kind "x"
+        with pytest.raises(wio.WeightsFormatError, match="header"):
+            wio.unpack_weights(with_crc(bytes(blob[:-4])))
+
+    def test_name_not_utf8(self, entries):
+        blob = bytearray(wio.pack_weights("x", entries))
+        blob[17] = 0xFF  # first byte of the first entry's name
+        with pytest.raises(wio.WeightsFormatError, match="header"):
+            wio.unpack_weights(with_crc(bytes(blob[:-4])))
+
+
 class TestEmbeddingFiles:
     def test_roundtrip_unit_norm(self, tmp_path):
         rng = np.random.default_rng(1)
