@@ -94,16 +94,17 @@ def read_wav(path) -> AudioBuffer:
         raise AudioFormatError(
             f"{path}: sample rate {rate} Hz; only {SAMPLE_RATE} Hz is supported"
         )
-    if audio_format == 1 and bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float32) / 32767.0
-        samples = np.maximum(samples, -1.0)
-    elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    else:
+    dtype = {(1, 16): "<i2", (3, 32): "<f4"}.get((audio_format, bits))
+    if dtype is None:
         raise AudioFormatError(
             f"{path}: unsupported sample format (format={audio_format}, "
             f"bits={bits}); need PCM16 or IEEE float32"
         )
+    if len(payload) % (bits // 8):
+        raise AudioFormatError(f"{path}: data chunk is not a whole number of samples")
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float32)
+    if audio_format == 1:
+        samples = np.maximum(samples / 32767.0, -1.0)
     return AudioBuffer(samples)
 
 

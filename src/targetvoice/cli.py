@@ -265,11 +265,11 @@ def cmd_train_enhancer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from targetvoice.frontend import extract_features, feature_matrix, frame_periods
+    from targetvoice.enhancer import lookahead_slices
+    from targetvoice.frontend import design_erb_filterbank, extract_features, feature_matrix
     from targetvoice.metrics import cosine_probe, si_snr_aligned, vad_accuracy, write_report
-    from targetvoice.pipeline import apply_band_controls, enhance_audio
+    from targetvoice.pipeline import enhance_audio, replay_controls
     from targetvoice.synth import compute_supervision, read_manifest
-    from targetvoice.frontend import design_erb_filterbank
 
     _check_rate(args)
     embedder_net = _load_embedder(args.embedder)
@@ -284,11 +284,7 @@ def cmd_eval(args) -> int:
 
         vad_acc = None
         if args.mode == "oracle":
-            frames = extract_features(mixture, fb)
-            periods = frame_periods(frames)
-            t = min(len(frames), len(targets.vad))
-            out = apply_band_controls(mixture, targets.gains[:t],
-                                      targets.strengths[:t], periods[:t], fb)
+            out = replay_controls(mixture, targets.gains, targets.strengths, fb)
         elif args.mode == "model":
             if enhancer_net is None:
                 raise DataError("--mode model needs --enhancer weights")
@@ -299,9 +295,9 @@ def cmd_eval(args) -> int:
                                    feature_matrix(extract_features(enroll, fb)))
             out = enhance_audio(mixture, enhancer_net, emb, fb)
             feats = feature_matrix(extract_features(mixture, fb))
-            gains, strengths, vad = enhancer_net.forward(feats, emb)
-            t = min(len(vad), len(targets.vad))
-            acc, _, _ = vad_accuracy(vad[:t], targets.vad[:t])
+            _, _, vad = enhancer_net.forward(feats, emb)
+            out_t, lab_t = lookahead_slices(len(vad), len(targets.vad))
+            acc, _, _ = vad_accuracy(vad[out_t], targets.vad[lab_t])
             vad_acc = float(acc)
         else:  # identity
             out = enhance_audio(mixture, None, None, fb)

@@ -225,6 +225,16 @@ def vad_labels_from_energy(clean_log_energy: np.ndarray,
     return (log_e > threshold).astype(np.float64)
 
 
+def lookahead_slices(n_outputs: int, n_labels: int) -> tuple[slice, slice]:
+    """Slices of outputs and labels pairing step t with frame t - LOOKAHEAD_FRAMES.
+
+    The model emits a frame's estimate once it has seen 30 ms past it; the
+    first LOOKAHEAD_FRAMES outputs belong to no frame.
+    """
+    n = max(0, min(n_outputs - LOOKAHEAD_FRAMES, n_labels))
+    return slice(LOOKAHEAD_FRAMES, LOOKAHEAD_FRAMES + n), slice(0, n)
+
+
 # ---------------------------------------------------------------------------
 # Losses (value + analytic gradients)
 # ---------------------------------------------------------------------------
@@ -310,15 +320,14 @@ def train_enhancer_toy(dataset: list, config: EnhancerTrainConfig, log=None):
 
     Each dataset example carries equal-length arrays: features [T, 68],
     embedding [E], gains [T, 32], strengths [T, 32], vad [T]. The model's
-    step t output is supervised with the targets of frame t - 3 (look-ahead
-    shift); the first 3 steps of each sequence carry no loss.
+    step t output is supervised with the targets of frame t - 3
+    (lookahead_slices); the first 3 steps of each sequence carry no loss.
     """
     if not dataset:
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(config.seed)
     net = EnhancerNet(config.model, seed=config.model_seed)
     opt = Adam(net.params(), lr=config.lr)
-    shift = LOOKAHEAD_FRAMES
 
     losses = []
     for step in range(1, config.steps + 1):
@@ -332,20 +341,18 @@ def train_enhancer_toy(dataset: list, config: EnhancerTrainConfig, log=None):
 
         net.zero_grads()
         gains, strengths, vad = net.forward(feats, embs)
+        out, lab = lookahead_slices(vad.shape[1], t_vad.shape[1])
         gs_loss, d_g, d_r = gain_strength_loss(
-            gains[:, shift:], strengths[:, shift:],
-            t_gain[:, : t_gain.shape[1] - shift],
-            t_str[:, : t_str.shape[1] - shift],
-        )
-        v_loss, d_v = vad_loss(vad[:, shift:], t_vad[:, : t_vad.shape[1] - shift])
+            gains[:, out], strengths[:, out], t_gain[:, lab], t_str[:, lab])
+        v_loss, d_v = vad_loss(vad[:, out], t_vad[:, lab])
         loss = gs_loss + config.vad_weight * v_loss
 
         d_gains = np.zeros_like(gains)
         d_strengths = np.zeros_like(strengths)
         d_vad = np.zeros_like(vad)
-        d_gains[:, shift:] = d_g
-        d_strengths[:, shift:] = d_r
-        d_vad[:, shift:] = config.vad_weight * d_v
+        d_gains[:, out] = d_g
+        d_strengths[:, out] = d_r
+        d_vad[:, out] = config.vad_weight * d_v
         net.backward(d_gains, d_strengths, d_vad)
         opt.step(net.grads())
 

@@ -390,6 +390,10 @@ class FeatureStream:
         self._pending = self._pending.copy()
         return out
 
+    def restart_delta(self) -> None:
+        """Give the next frame the log-energy delta of a first frame: 0."""
+        self._prev_log_energy = None
+
     def _absorb(self, n: int) -> None:
         take, self._pending = self._pending[:n], self._pending[n:]
         if len(take) != n:
@@ -492,8 +496,3 @@ def feature_matrix(frames: list[FrameFeatures]) -> np.ndarray:
     if not frames:
         return np.zeros((0, FEATURE_DIM), dtype=np.float32)
     return np.stack([f.vector for f in frames]).astype(np.float32)
-
-
-def frame_periods(frames: list[FrameFeatures]) -> np.ndarray:
-    """Per-frame pitch period in samples, 0 where unvoiced."""
-    return np.array([f.pitch.period or 0 for f in frames], dtype=np.int32)

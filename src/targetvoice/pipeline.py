@@ -5,7 +5,8 @@ enhancer one step, and applies that step's gains and pitch-filter
 strengths to the frame three hops behind it — the model has consumed
 features up to frame t+3 before the output for frame t is synthesized,
 which realizes the 30 ms look-ahead as a delay line at the feature/output
-boundary.
+boundary. The model sees exactly the frames of extract_features(); the
+straddle frame in front of them (see StreamingEnhancer) is synthesis-only.
 
 Stream timing: process() returns 480 output samples per 480 input samples
 with a fixed 1920-sample (40 ms) delay — 10 ms from the synthesis overlap
@@ -13,7 +14,8 @@ plus the 30 ms look-ahead. enhance_audio() trims that delay so the output
 file aligns sample-for-sample with its input.
 
 Without a model (identity mode: gains 1, strengths 0) the engine is an
-exact pass-through reconstructor.
+exact pass-through reconstructor; oracle evaluation replays known controls
+through it (replay_controls).
 """
 
 from __future__ import annotations
@@ -38,13 +40,36 @@ from targetvoice.frontend import (
 _WINDOW = vorbis_window(WINDOW)
 
 
+class ControlReplay:
+    """Known per-frame controls in the model session's place.
+
+    Row t of the [T, 32] gains and strengths belongs to frame t of
+    extract_features on the engine's input. Like the model, step t supplies
+    frame t - LOOKAHEAD_FRAMES's controls; the straddle frame and the tail
+    frames take the nearest row. There is no VAD.
+    """
+
+    def __init__(self, gains: np.ndarray, strengths: np.ndarray):
+        self._gains = np.asarray(gains, dtype=np.float64)
+        self._strengths = np.asarray(strengths, dtype=np.float64)
+        self._steps = 0
+
+    def step(self, feature_vector: np.ndarray) -> float:
+        t = min(max(self._steps - LOOKAHEAD_FRAMES, 0), len(self._gains) - 1)
+        self._steps += 1
+        self.gains, self.strengths = self._gains[t], self._strengths[t]
+        return 0.0
+
+
 class StreamingEnhancer:
     """One real-time enhancement session (single stream, single thread).
 
     The engine prepends one hop of silence to its internal timeline so the
     first synthesis window straddles the stream start and reconstruction
-    is exact from the first sample. Model weights are shared, read-only;
-    every mutable buffer lives in this object.
+    is exact from the first sample; that frame gets no model step. Model
+    weights are shared, read-only; every mutable buffer lives in this
+    object. `session` supplies the per-frame controls: an EnhancerSession,
+    a ControlReplay, or None (identity).
     """
 
     DELAY_SAMPLES = (LOOKAHEAD_FRAMES + 1) * HOP  # 40 ms stream delay
@@ -64,9 +89,9 @@ class StreamingEnhancer:
         self.features.push(np.zeros(HOP))  # timeline padding
         self.comb = CombState()
         self.ola = OverlapAddSynthesizer()
-        # features and analysis spectra of the frames awaiting their
+        # pitch periods and analysis spectra of the frames awaiting their
         # look-ahead outputs
-        self._frame_queue: deque[tuple[FrameFeatures, np.ndarray]] = deque()
+        self._frame_queue: deque[tuple[int | None, np.ndarray]] = deque()
         self._hop_buffer = np.zeros(0)
         self.frames_processed = 0
         self.last_vad = 0.0
@@ -83,23 +108,23 @@ class StreamingEnhancer:
         older frame's gains and strengths.
         """
         self.frames_processed += 1
+        self._frame_queue.append((feats.pitch.period, spec))
+        if self.frames_processed == 1:
+            # the straddle frame: the model's frame 0 is the next one, whose
+            # log-energy delta reads 0 as in extract_features
+            self.features.restart_delta()
+            return None
         if self.session is not None:
             self.last_vad = float(self.session.step(feats.vector.astype(np.float32)))
-            gains = self.session.gains.astype(np.float64)
-            strengths = self.session.strengths.astype(np.float64)
-        else:
-            gains = None
-            strengths = None
-
-        self._frame_queue.append((feats, spec))
         if len(self._frame_queue) <= LOOKAHEAD_FRAMES:
             return None  # still filling the look-ahead delay line
 
-        past, spec = self._frame_queue.popleft()
-        if gains is None:
+        period, spec = self._frame_queue.popleft()
+        if self.session is None:
             out_spec = spec
         else:
-            period = past.pitch.period
+            gains = self.session.gains.astype(np.float64)
+            strengths = self.session.strengths.astype(np.float64)
             if period is not None and float(np.max(strengths)) > 1e-6:
                 combed = self.comb.filter_window(period)
                 comb_spec = np.fft.rfft(combed * _WINDOW)
@@ -156,53 +181,21 @@ def enhance_audio(audio: np.ndarray, net: EnhancerNet | None = None,
                   embedding: np.ndarray | None = None,
                   fb: ErbFilterbank | None = None) -> np.ndarray:
     """Process a whole buffer; output is delay-compensated and equal length."""
-    x = np.asarray(audio, dtype=np.float64)
-    engine = StreamingEnhancer(net, embedding, fb)
-    out = np.concatenate([engine.process(x), engine.flush()])
-    return out[StreamingEnhancer.DELAY_SAMPLES : StreamingEnhancer.DELAY_SAMPLES + len(x)]
+    return _run_whole(StreamingEnhancer(net, embedding, fb), audio)
 
 
-def apply_band_controls(audio: np.ndarray, gains: np.ndarray,
-                        strengths: np.ndarray, periods: np.ndarray,
-                        fb: ErbFilterbank | None = None) -> np.ndarray:
-    """Offline per-frame band processing with known controls.
+def replay_controls(audio: np.ndarray, gains: np.ndarray, strengths: np.ndarray,
+                    fb: ErbFilterbank | None = None) -> np.ndarray:
+    """enhance_audio with known [T, 32] controls (see ControlReplay) for a model.
 
-    gains/strengths/periods are indexed by the frames of extract_features
-    on the same audio (frame t at samples [t*480, t*480+960)); used by the
-    oracle-mask harnesses where the controls come from ground truth rather
-    than a model. Output aligns with the input and has the same length.
+    Used by the oracle-mask harnesses, where the controls come from ground truth.
     """
-    from targetvoice.comb import COMB_MAX_LEAD, comb_filter_window
-    from targetvoice.frontend import PITCH_MAX_LAG
+    engine = StreamingEnhancer(None, None, fb)
+    engine.session = ControlReplay(gains, strengths)
+    return _run_whole(engine, audio)
 
-    fb = fb if fb is not None else design_erb_filterbank()
+
+def _run_whole(engine: StreamingEnhancer, audio: np.ndarray) -> np.ndarray:
     x = np.asarray(audio, dtype=np.float64)
-    gains = np.asarray(gains, dtype=np.float64)
-    strengths = np.asarray(strengths, dtype=np.float64)
-    periods = np.asarray(periods)
-    n_frames = gains.shape[0]
-
-    left = 2 * PITCH_MAX_LAG
-    padded = np.concatenate([
-        np.zeros(left + HOP), x, np.zeros(WINDOW + COMB_MAX_LEAD + 2 * HOP)
-    ])
-    ola = OverlapAddSynthesizer()
-    hops = []
-    # straddle frame at the start plus enough tail frames to cover the input
-    total_frames = int(np.ceil(len(x) / HOP)) + 2
-    for s in range(total_frames):
-        start = left + s * HOP
-        window = padded[start : start + WINDOW]
-        spec = np.fft.rfft(window * _WINDOW)
-        t = min(max(s - 1, 0), n_frames - 1)  # frame s covers input frame s-1
-        period = int(periods[t]) if periods[t] > 0 else None
-        if period is not None and strengths[t].max() > 1e-6:
-            combed = comb_filter_window(padded, start, period)
-            comb_spec = np.fft.rfft(combed * _WINDOW)
-        else:
-            comb_spec = spec
-        hops.append(ola.push(apply_per_band(spec, comb_spec, gains[t],
-                                            strengths[t], fb)))
-    y = np.concatenate(hops)
-    # hop s of y covers padded [s*480, (s+1)*480): input starts at hop 1
-    return y[HOP : HOP + len(x)]
+    out = np.concatenate([engine.process(x), engine.flush()])
+    return out[engine.DELAY_SAMPLES : engine.DELAY_SAMPLES + len(x)]

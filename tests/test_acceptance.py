@@ -22,7 +22,7 @@ from targetvoice import frontend as fe
 from targetvoice import metrics as mt
 from targetvoice import neural as nn
 from targetvoice import synth as sy
-from targetvoice.pipeline import apply_band_controls, enhance_audio
+from targetvoice.pipeline import enhance_audio, replay_controls
 from targetvoice.weights_io import pack_weights
 from tests.conftest import finite_difference_params, tone
 
@@ -287,11 +287,8 @@ def test_criterion_6_oracle_mask_separation(toy_speakers, embedder_bundle, fbank
     for example, _, _ in mixtures:
         mix = example.mixture.samples.astype(np.float64)
         ref = example.clean_target.samples.astype(np.float64)
-        frames = fe.extract_features(mix, fbank)
-        periods = fe.frame_periods(frames)
-        t = min(len(frames), len(example.targets.vad))
-        out = apply_band_controls(mix, example.targets.gains[:t],
-                                  np.zeros((t, 32)), periods[:t], fbank)
+        out = replay_controls(mix, example.targets.gains,
+                              np.zeros_like(example.targets.strengths), fbank)
         gains_db.append(mt.si_snr_aligned(out, ref) - mt.si_snr_aligned(mix, ref))
         probe = mt.cosine_probe(out, ref, example.interferer.samples, net_e)
         cos_t.append(probe.cos_target)
@@ -359,19 +356,18 @@ def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
             wins += 1
         feats = fe.feature_matrix(fe.extract_features(mix, fbank))
         _, _, vad = net_h.forward(feats, embeddings[spk_a])
-        t = min(len(vad), len(example.targets.vad))
-        active = example.targets.vad[:t] > 0.5
+        out_t, lab_t = en.lookahead_slices(len(vad), len(example.targets.vad))
+        vad = vad[out_t]
+        active = example.targets.vad[lab_t] > 0.5
         active_total += int(active.sum())
-        active_correct += int(np.sum(vad[:t][active] >= 0.5))
+        active_correct += int(np.sum(vad[active] >= 0.5))
         # personalization: the VAD must stay low when only the interferer talks
         interf_frames = fe.extract_features(
             example.interferer.samples.astype(np.float64), fbank)
-        interf_log_e = np.array([f.log_energy for f in interf_frames[:t]])
+        interf_log_e = np.array([f.log_energy for f in interf_frames[lab_t]])
         interf_active = en.vad_labels_from_energy(interf_log_e) > 0.5
-        vad_target_only.extend(vad[:t][active[: len(interf_active)]
-                                       & ~interf_active])
-        vad_interf_only.extend(vad[:t][interf_active
-                                       & ~active[: len(interf_active)]])
+        vad_target_only.extend(vad[active[: len(interf_active)] & ~interf_active])
+        vad_interf_only.extend(vad[interf_active & ~active[: len(interf_active)]])
 
     vad_active_acc = active_correct / max(active_total, 1)
     personalization_ok = (bool(vad_interf_only) and bool(vad_target_only)

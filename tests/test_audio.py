@@ -81,3 +81,50 @@ class TestRejection:
     def test_wrong_buffer_rate_rejected(self):
         with pytest.raises(AudioFormatError, match="48000"):
             AudioBuffer(np.zeros(10, dtype=np.float32), sample_rate=16000)
+
+
+def reads_or_format_error(path, blob):
+    path.write_bytes(blob)
+    try:
+        assert isinstance(read_wav(path), AudioBuffer)
+    except AudioFormatError:
+        pass
+
+
+def with_sizes_fixed(blob):
+    """A truncated write_wav file whose RIFF and data sizes match what is left."""
+    if len(blob) < 44:
+        return blob
+    return (blob[:4] + struct.pack("<I", len(blob) - 8) + blob[8:40]
+            + struct.pack("<I", len(blob) - 44) + blob[44:])
+
+
+class TestMalformedFileFuzz:
+    """Damaged files must read or fail with AudioFormatError, nothing else."""
+
+    @pytest.fixture(params=[True, False], ids=["pcm16", "float32"])
+    def blob(self, request, tmp_path, samples):
+        path = tmp_path / "small.wav"
+        write_wav(path, samples[:25], pcm16=request.param)
+        return path.read_bytes()
+
+    def test_truncated_at_every_offset(self, tmp_path, blob):
+        for cut in range(len(blob)):
+            reads_or_format_error(tmp_path / "cut.wav", blob[:cut])
+            reads_or_format_error(tmp_path / "cut.wav", with_sizes_fixed(blob[:cut]))
+
+    @pytest.mark.parametrize("mask", [0x01, 0x80, 0xFF])
+    def test_flipped_header_byte(self, tmp_path, blob, mask):
+        for i in range(44):
+            damaged = bytearray(blob)
+            damaged[i] ^= mask
+            reads_or_format_error(tmp_path / "flip.wav", bytes(damaged))
+
+    def test_data_chunk_not_whole_samples(self, tmp_path):
+        header = b"RIFF" + struct.pack("<I", 36 + 5) + b"WAVE"
+        header += b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 48000, 48000 * 4, 4, 32)
+        header += b"data" + struct.pack("<I", 5)
+        path = tmp_path / "odd.wav"
+        path.write_bytes(header + bytes(5) + b"\0")
+        with pytest.raises(AudioFormatError, match="whole number"):
+            read_wav(path)

@@ -101,15 +101,13 @@ class TestApplyPerBand:
     def test_comb_blend_raises_band_coherence(self, fb):
         # periodic + noise through full-strength comb blending: coherence
         # measured by the frontend must rise in every voiced band
-        from targetvoice.pipeline import apply_band_controls
+        from targetvoice.pipeline import replay_controls
 
         clean = sawtooth(100.0, 48000)
         noisy = clean + 1.0 * np.random.default_rng(7).standard_normal(48000)
         frames = fe.extract_features(noisy, fb)
-        periods = fe.frame_periods(frames)
         n = len(frames)
-        out = apply_band_controls(noisy, np.ones((n, 32)), np.ones((n, 32)),
-                                  periods, fb)
+        out = replay_controls(noisy, np.ones((n, 32)), np.ones((n, 32)), fb)
         out_frames = fe.extract_features(out, fb)
 
         clean_frames = fe.extract_features(clean, fb)

@@ -5,10 +5,67 @@ import pytest
 
 from targetvoice import enhancer as en
 from targetvoice import synth as sy
-from targetvoice.frontend import extract_features, frame_periods
+from targetvoice.comb import (
+    COMB_MAX_LEAD,
+    OverlapAddSynthesizer,
+    apply_per_band,
+    comb_filter_window,
+)
+from targetvoice.frontend import (
+    HOP,
+    PITCH_MAX_LAG,
+    WINDOW,
+    extract_features,
+    feature_matrix,
+    vorbis_window,
+)
 from targetvoice.metrics import si_snr
-from targetvoice.pipeline import StreamingEnhancer, apply_band_controls, enhance_audio
+from targetvoice.pipeline import StreamingEnhancer, enhance_audio, replay_controls
 from tests.conftest import tone
+
+
+def frame_periods(frames):
+    """Per-frame pitch period in samples, 0 where unvoiced."""
+    return np.array([f.pitch.period or 0 for f in frames], dtype=np.int32)
+
+
+def apply_band_controls(audio, gains, strengths, periods, fb):
+    """Offline reference for replay_controls: its own framing, comb and overlap-add.
+
+    gains/strengths/periods are indexed by the frames of extract_features
+    on the same audio (frame t at samples [t*480, t*480+960)). The straddle
+    frame before frame 0 and the tail frames after the last one borrow the
+    nearest frame's controls and pitch period. Output aligns with the input
+    and has the same length.
+    """
+    window_fn = vorbis_window(WINDOW)
+    x = np.asarray(audio, dtype=np.float64)
+    n_frames = gains.shape[0]
+
+    left = 2 * PITCH_MAX_LAG
+    padded = np.concatenate([
+        np.zeros(left + HOP), x, np.zeros(WINDOW + COMB_MAX_LEAD + 2 * HOP)
+    ])
+    ola = OverlapAddSynthesizer()
+    hops = []
+    # straddle frame at the start plus enough tail frames to cover the input
+    total_frames = int(np.ceil(len(x) / HOP)) + 2
+    for s in range(total_frames):
+        start = left + s * HOP
+        window = padded[start : start + WINDOW]
+        spec = np.fft.rfft(window * window_fn)
+        t = min(max(s - 1, 0), n_frames - 1)  # frame s covers input frame s-1
+        period = int(periods[t]) if periods[t] > 0 else None
+        if period is not None and strengths[t].max() > 1e-6:
+            combed = comb_filter_window(padded, start, period)
+            comb_spec = np.fft.rfft(combed * window_fn)
+        else:
+            comb_spec = spec
+        hops.append(ola.push(apply_per_band(spec, comb_spec, gains[t],
+                                            strengths[t], fb)))
+    y = np.concatenate(hops)
+    # hop s of y covers padded [s*480, (s+1)*480): input starts at hop 1
+    return y[HOP : HOP + len(x)]
 
 
 @pytest.fixture(scope="module")
@@ -123,13 +180,26 @@ class TestLookahead:
         assert not np.allclose(out[bound:p], base[bound:p], atol=1e-10)
 
     def test_engine_matches_batch_forward_vad(self, toy_model):
+        # the model sees exactly the frames of extract_features: after hop h
+        # its newest step is batch frame h-1 (hop 0 completes only the
+        # synthesis-only straddle frame), from frame 0 on
         net, emb = toy_model
         x = sy.synth_speaker(7, 2.0).samples.astype(np.float64)
+        ref = net.forward(feature_matrix(extract_features(x)), emb)
         engine = StreamingEnhancer(net, emb)
-        engine.process(x)
-        assert 0.0 <= engine.last_vad <= 1.0
-        # one hop of internal padding: one feature frame per pushed hop
-        assert engine.frames_processed == len(x) // 480
+        n_hops = len(x) // 480
+        got = ([], [], [])
+        for h in range(n_hops):
+            engine.process(x[h * 480 : (h + 1) * 480])
+            if h > 0:
+                for out, val in zip(got, (engine.session.gains,
+                                          engine.session.strengths, engine.last_vad)):
+                    out.append(np.copy(val))
+        assert len(got[0]) == len(ref[0])
+        for out, val in zip(got, ref):
+            np.testing.assert_allclose(np.array(out), val, rtol=0, atol=1e-6)
+        # one hop of internal padding: one engine frame per pushed hop
+        assert engine.frames_processed == n_hops
 
 
 class TestModelPath:
@@ -160,34 +230,47 @@ class TestModelPath:
 class TestApplyBandControls:
     def test_identity_controls_reconstruct(self, fb):
         x = 0.3 * np.random.default_rng(10).standard_normal(24000)
-        frames = extract_features(x, fb)
-        n = len(frames)
-        y = apply_band_controls(x, np.ones((n, 32)), np.zeros((n, 32)),
-                                np.zeros(n, dtype=int), fb)
+        n = len(extract_features(x, fb))
+        y = replay_controls(x, np.ones((n, 32)), np.zeros((n, 32)), fb)
         assert y.shape == x.shape
         assert si_snr(y, x) >= 40.0
 
     def test_zero_gains_silence(self, fb):
         x = 0.3 * np.random.default_rng(11).standard_normal(24000)
-        frames = extract_features(x, fb)
-        n = len(frames)
-        y = apply_band_controls(x, np.zeros((n, 32)), np.zeros((n, 32)),
-                                np.zeros(n, dtype=int), fb)
+        n = len(extract_features(x, fb))
+        y = replay_controls(x, np.zeros((n, 32)), np.zeros((n, 32)), fb)
         assert float(np.max(np.abs(y))) < 1e-9
 
-    def test_streaming_engine_agrees_with_offline_oracle_path(self, fb):
-        # identity path: both implementations must reconstruct identically
-        x = 0.3 * np.random.default_rng(12).standard_normal(24000)
+    @staticmethod
+    def _differing_hops(seed, fb, strength_scale):
+        rng = np.random.default_rng(seed)
+        x = (sy.synth_speaker(seed, 1.0).samples.astype(np.float64)
+             + 0.05 * rng.standard_normal(48000))
         frames = extract_features(x, fb)
         n = len(frames)
-        offline = apply_band_controls(x, np.ones((n, 32)), np.zeros((n, 32)),
-                                      frame_periods(frames), fb)
-        streaming = enhance_audio(x, None, None, fb)
-        np.testing.assert_allclose(offline, streaming, atol=1e-9)
+        gains = rng.uniform(0.0, 1.0, (n, 32))
+        strengths = strength_scale * rng.uniform(0.0, 1.0, (n, 32))
+        engine = replay_controls(x, gains, strengths, fb)
+        ref = apply_band_controls(x, gains, strengths, frame_periods(frames), fb)
+        assert np.any(frame_periods(frames))  # voiced: the comb path runs
+        assert engine.shape == ref.shape == x.shape
+        return [h for h in range(len(x) // HOP)
+                if engine[h * HOP : (h + 1) * HOP].tobytes()
+                != ref[h * HOP : (h + 1) * HOP].tobytes()]
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_replay_matches_reference_zero_strengths(self, fb, seed):
+        assert self._differing_hops(seed, fb, 0.0) == []
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_replay_matches_reference_with_strengths(self, fb, seed):
+        # the reference combs the straddle and tail windows at a neighbouring
+        # frame's pitch period, the engine at the pitch it measured on them:
+        # only the first and the last output hop may differ
+        assert set(self._differing_hops(seed, fb, 1.0)) <= {0, 48000 // HOP - 1}
 
 
 class TestSharedWeights:
-    @pytest.mark.filterwarnings("ignore:Use of fft convolution")  # the NaN stream
     def test_interleaved_streams_match_solo_runs(self, toy_model):
         net, _ = toy_model
         rng = np.random.default_rng(13)
