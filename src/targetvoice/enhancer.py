@@ -21,6 +21,7 @@ outputs for frame t are supervised from the features up to frame t+3
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,34 +67,71 @@ class EnhancerConfig:
         return presets[name]
 
 
+_LAYER_ATTRS = frozenset({"dense_in", "conv1", "conv2", "grus", "head_gains",
+                          "head_strengths", "head_vad", "layers"})
+
+
 class EnhancerNet:
     """The conditioned DNN with gains / strengths / VAD heads.
 
-    Streaming sessions share one float32 copy of the parameters, built on
-    first use. While it exists the float64 parameters are read-only, so a
-    write that bypasses params() fails instead of leaving sessions on stale
-    weights; params() drops the copy and makes them writable again.
+    A net holds its parameters in one or both of two forms: a float64
+    master, which training, forward() and the layer attributes use, and a
+    read-only float32 pack (float32_weights()) that every streaming session
+    on the net shares. It is in one of three states:
+
+    - master only: a new or training net; the master is writable.
+    - master and pack: float32_weights() narrowed the master into the pack,
+      or the master was widened from a loaded net's pack. The master is
+      read-only, so a write that bypasses params() fails instead of leaving
+      sessions on stale weights; params() drops the pack and makes the
+      master writable again.
+    - pack only: a net loaded by enhancer_from_entries. Streaming never
+      needs more. The first read of the master (forward, backward,
+      params(), a layer attribute such as grus[0].Wx) widens the pack into
+      it, bit for bit.
     """
 
     def __init__(self, config: EnhancerConfig = EnhancerConfig(), seed: int = 0):
-        self._build(config, np.random.default_rng(seed))
+        self.config = config
+        self._cache = None
+        self._float32 = None
+        self._build(np.random.default_rng(seed))
 
     @classmethod
-    def _unfilled(cls, config: EnhancerConfig) -> "EnhancerNet":
+    def _from_float32(cls, config: EnhancerConfig,
+                      weights: "Float32Weights") -> "EnhancerNet":
+        """A net whose float64 master is built from `weights` on first read."""
         net = cls.__new__(cls)
-        net._build(config, Unfilled())
+        net.config = config
+        net._cache = None
+        net._float32 = weights
         return net
 
-    def _build(self, config: EnhancerConfig, rng) -> None:
-        self.config = config
-        d, c = config.dense_units, config.conv_channels
-        n, e = config.gru_units, config.embedding_dim
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: the layers of a
+        # net that has not built its master yet.
+        if name not in _LAYER_ATTRS or "_float32" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        # built aside, so a failure part way leaves no unfilled layer here
+        master = self._from_float32(self.config, self._float32)
+        master._build(Unfilled())
+        named = self._float32.named()
+        for key, arr in collect_params(master.layers).items():
+            arr[...] = named[key]
+            arr.flags.writeable = False
+        self.__dict__.update(vars(master))
+        return self.__dict__[name]
+
+    def _build(self, rng) -> None:
+        d, c = self.config.dense_units, self.config.conv_channels
+        n, e = self.config.gru_units, self.config.embedding_dim
         self.dense_in = Dense(FEATURE_DIM, d, "tanh", rng, "en_dense_in")
         self.conv1 = CausalConv1d(d, c, 5, "tanh", rng, "en_conv1")
         self.conv2 = CausalConv1d(c, c, 3, "tanh", rng, "en_conv2")
         self.grus = [
             GRU(c + e if i == 0 else n, n, rng, f"en_gru{i + 1}")
-            for i in range(config.n_gru_layers)
+            for i in range(self.config.n_gru_layers)
         ]
         self.head_gains = Dense(n, N_BANDS, "sigmoid", rng, "en_gains")
         self.head_strengths = Dense(n + N_BANDS, N_BANDS, "sigmoid", rng,
@@ -101,28 +139,26 @@ class EnhancerNet:
         self.head_vad = Dense(n, 1, "sigmoid", rng, "en_vad")
         self.layers = [self.dense_in, self.conv1, self.conv2, *self.grus,
                        self.head_gains, self.head_strengths, self.head_vad]
-        self._cache = None
-        self._float32 = None
 
     @property
     def n_params(self) -> int:
-        return sum(layer.n_params for layer in self.layers)
+        return sum(math.prod(shape) for _, shape in _param_shapes(self.config))
 
     def params(self):
+        params = collect_params(self.layers)
         if self._float32 is not None:
             self._float32 = None
-            self._set_writeable(True)
-        return collect_params(self.layers)
-
-    def _set_writeable(self, flag: bool) -> None:
-        for p in collect_params(self.layers).values():
-            p.flags.writeable = flag
+            for p in params.values():
+                p.flags.writeable = True
+        return params
 
     def float32_weights(self) -> "Float32Weights":
         """The read-only float32 parameters every session on this net shares."""
         if self._float32 is None:
-            self._float32 = Float32Weights(self)
-            self._set_writeable(False)
+            params = collect_params(self.layers)
+            self._float32 = Float32Weights(params)
+            for p in params.values():
+                p.flags.writeable = False
         return self._float32
 
     def grads(self):
@@ -402,14 +438,17 @@ def _param_shapes(cfg: EnhancerConfig):
 
 
 def enhancer_from_entries(entries: dict) -> EnhancerNet:
-    """The net a weight file holds; WeightsFormatError before any allocation."""
+    """The net a weight file holds; WeightsFormatError before any allocation.
+
+    The net adopts the entries' float32 arrays as its shared session
+    weights and makes them read-only; nothing is copied. Its float64
+    master is widened from them only when something reads it.
+    """
     cfg = EnhancerConfig(**read_meta(entries, vars(EnhancerConfig()), "enhancer"))
-    check_shapes(entries, _param_shapes(cfg), "enhancer")
-    net = EnhancerNet._unfilled(cfg)
-    for layer in net.layers:
-        for name, arr in layer.params().items():
-            arr[...] = entries[name][1]
-    return net
+    shapes = list(_param_shapes(cfg))
+    check_shapes(entries, shapes, "enhancer")
+    weights = Float32Weights({name: entries[name][1] for name, _ in shapes})
+    return EnhancerNet._from_float32(cfg, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +457,8 @@ def enhancer_from_entries(entries: dict) -> EnhancerNet:
 
 
 def _read_only_f32(arr: np.ndarray) -> np.ndarray:
-    out = arr.astype(np.float32)
+    """`arr` itself if it is contiguous float32, else a float32 copy; read-only."""
+    out = np.ascontiguousarray(arr, dtype=np.float32)
     out.flags.writeable = False
     return out
 
@@ -426,22 +466,38 @@ def _read_only_f32(arr: np.ndarray) -> np.ndarray:
 class Float32Weights:
     """One net's parameters as read-only float32 arrays, shared by its sessions.
 
-    GRU 1's input weight keeps only its conv rows: each session folds the
-    constant embedding rows into its own copy of that layer's bias.
+    Built from a name -> array mapping: a loaded file's float32 entries,
+    which it adopts without a copy, or an in-memory net's float64
+    parameters, which it narrows. GRU 1's input weight holds the conv rows
+    and then the embedding rows; each session folds the constant embedding
+    term into its own copy of that layer's bias.
     """
 
-    def __init__(self, net: EnhancerNet):
-        f32 = _read_only_f32
-        c = net.config.conv_channels
-        self.w_dense, self.b_dense = f32(net.dense_in.W), f32(net.dense_in.b)
-        self.w_conv1, self.b_conv1 = f32(net.conv1.W), f32(net.conv1.b)
-        self.w_conv2, self.b_conv2 = f32(net.conv2.W), f32(net.conv2.b)
-        self.gru_wx = (f32(net.grus[0].Wx[:c]), *(f32(g.Wx) for g in net.grus[1:]))
-        self.gru_wh = tuple(f32(g.Wh) for g in net.grus)
-        self.gru_b = tuple(f32(g.b) for g in net.grus)
-        self.w_gains, self.b_gains = f32(net.head_gains.W), f32(net.head_gains.b)
-        self.w_str, self.b_str = f32(net.head_strengths.W), f32(net.head_strengths.b)
-        self.w_vad, self.b_vad = f32(net.head_vad.W), f32(net.head_vad.b)
+    # (W attribute, b attribute, layer) for every layer but the GRUs, and
+    # (attribute, parameter) for the GRUs' per-layer tuples
+    _LAYERS = (("w_dense", "b_dense", "en_dense_in"), ("w_conv1", "b_conv1", "en_conv1"),
+               ("w_conv2", "b_conv2", "en_conv2"), ("w_gains", "b_gains", "en_gains"),
+               ("w_str", "b_str", "en_strengths"), ("w_vad", "b_vad", "en_vad"))
+    _GRU = (("gru_wx", "Wx"), ("gru_wh", "Wh"), ("gru_b", "b"))
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        for w, b, layer in self._LAYERS:
+            setattr(self, w, _read_only_f32(params[f"{layer}.W"]))
+            setattr(self, b, _read_only_f32(params[f"{layer}.b"]))
+        n_gru = sum(name.endswith(".Wh") for name in params)
+        for attr, key in self._GRU:
+            setattr(self, attr, tuple(_read_only_f32(params[f"en_gru{i}.{key}"])
+                                      for i in range(1, n_gru + 1)))
+
+    def named(self) -> dict[str, np.ndarray]:
+        """The arrays under their parameter names, as the constructor took them."""
+        named = {}
+        for w, b, layer in self._LAYERS:
+            named[f"{layer}.W"], named[f"{layer}.b"] = getattr(self, w), getattr(self, b)
+        for attr, key in self._GRU:
+            for i, arr in enumerate(getattr(self, attr), 1):
+                named[f"en_gru{i}.{key}"] = arr
+        return named
 
 
 class EnhancerSession:
@@ -465,8 +521,10 @@ class EnhancerSession:
         self.weights = w = net.float32_weights()
         d, c, n = cfg.dense_units, cfg.conv_channels, cfg.gru_units
         # GRU 1 sees [conv2 out, embedding]; the embedding's term is constant
-        gru1 = net.grus[0]
-        bias1 = (embedding.astype(np.float64) @ gru1.Wx[c:] + gru1.b).astype(f32)
+        wx1 = w.gru_wx[0]
+        bias1 = (embedding.astype(np.float64) @ wx1[c:].astype(np.float64)
+                 + w.gru_b[0].astype(np.float64)).astype(f32)
+        self._gru_wx = (wx1[:c], *w.gru_wx[1:])
         self._gru_b = (bias1, *w.gru_b[1:])
 
         self._dense_out = np.zeros(d, dtype=f32)
@@ -476,7 +534,7 @@ class EnhancerSession:
         self._head2 = 0
         self._conv1_out = np.zeros(c, dtype=f32)
         self._conv2_out = np.zeros(c, dtype=f32)
-        self._h = [np.zeros(n, dtype=f32) for _ in net.grus]
+        self._h = [np.zeros(n, dtype=f32) for _ in range(cfg.n_gru_layers)]
         self._gx = np.zeros(3 * n, dtype=f32)
         self._gh = np.zeros(3 * n, dtype=f32)
         self._zbuf = np.zeros(n, dtype=f32)
@@ -499,7 +557,7 @@ class EnhancerSession:
     def _gru_step(self, idx: int, x: np.ndarray) -> np.ndarray:
         n = self.cfg.gru_units
         h = self._h[idx]
-        np.matmul(x, self.weights.gru_wx[idx], out=self._gx)
+        np.matmul(x, self._gru_wx[idx], out=self._gx)
         self._gx += self._gru_b[idx]
         np.matmul(h, self.weights.gru_wh[idx], out=self._gh)
         z, r, cand = self._zbuf, self._rbuf, self._nbuf

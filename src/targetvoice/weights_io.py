@@ -35,6 +35,7 @@ class WeightsFormatError(ValueError):
 
 def pack_weights(model_kind: str, entries: list[tuple[str, str, np.ndarray]]) -> bytes:
     """Serialize (name, layer_kind, array) entries into the binary format."""
+    _check_unique(name for name, _, _ in entries)
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", VERSION)
@@ -117,7 +118,16 @@ def _unpack_header(data: bytes):
         if code not in KIND_NAMES:
             raise WeightsFormatError(f"unknown layer-kind code {code}")
         metas.append((name, KIND_NAMES[code], shape))
+    _check_unique(name for name, _, _ in metas)
     return model_kind, metas, pos
+
+
+def _check_unique(names) -> None:
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise WeightsFormatError(f"duplicate entry name {name!r}")
+        seen.add(name)
 
 
 def read_meta(entries: dict, keys, model_kind: str) -> dict[str, int]:

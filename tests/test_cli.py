@@ -104,6 +104,21 @@ class TestEnhance:
         assert rc == EXIT_OK
         assert out.exists()
 
+    def test_model_path_builds_no_float64_weights(self, tmp_path, mix_dir, embedder_weights,
+                                                 enhancer_weights, enroll_wav, monkeypatch):
+        emb_path = tmp_path / "emb.ppnw"
+        main(["enroll", enroll_wav, "--weights", embedder_weights,
+              "--out", str(emb_path)])
+
+        def no_master(*args):
+            raise AssertionError("enhance built the float64 parameters")
+
+        monkeypatch.setattr(EnhancerNet, "_build", no_master)
+        rc = main(["enhance", os.path.join(mix_dir, "mix_0000.wav"),
+                   "--embedding", str(emb_path),
+                   "--weights", enhancer_weights, "--out", str(tmp_path / "out.wav")])
+        assert rc == EXIT_OK
+
     def test_wrong_dim_embedding_no_partial_output(self, tmp_path, mix_dir,
                                                    enhancer_weights):
         from targetvoice.weights_io import save_embedding

@@ -5,6 +5,7 @@ import pytest
 
 from targetvoice import enhancer as en
 from targetvoice.neural import Adam
+from targetvoice.pipeline import StreamingEnhancer
 from targetvoice.weights_io import WeightsFormatError, pack_weights, unpack_weights
 from tests.conftest import finite_difference_params
 
@@ -323,3 +324,127 @@ class TestSharedWeights:
             assert v_t == pytest.approx(vad[t], abs=1e-5)
         with pytest.raises(ValueError, match="read-only"):
             net.head_gains.b[0] = 0.0
+
+
+def save_and_load(net):
+    """The blob `net` saves to, its entries, and the net loaded from them."""
+    blob = pack_weights("enhancer", en.enhancer_entries(net))
+    entries = unpack_weights(blob)[1]
+    return blob, entries, en.enhancer_from_entries(entries)
+
+
+def has_master(net):
+    return "layers" in vars(net)
+
+
+def widened(entries, name):
+    return entries[name][1].astype(np.float64)
+
+
+def run_engine(net, emb, x, bounds):
+    """Output samples and per-chunk controls of one engine fed x in chunks."""
+    engine = StreamingEnhancer(net, emb)
+    out, controls = [], []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        out.append(engine.process(x[a:b]))
+        controls += [engine.session.gains.copy(), engine.session.strengths.copy(),
+                     np.float64(engine.last_vad)]
+    out.append(engine.flush())
+    return np.concatenate(out).tobytes(), b"".join(c.tobytes() for c in controls)
+
+
+class TestLoadedNet:
+    """A loaded net runs sessions on the file's own float32 arrays; its
+    float64 master is built only when read, from those arrays widened."""
+
+    def test_engine_matches_saved_net_under_any_chunking(self, tiny_cfg):
+        net = en.build_model(tiny_cfg, seed=7)[0]
+        _, _, loaded = save_and_load(net)
+        emb = unit_embeddings(1, 8, seed=17)[0]
+        rng = np.random.default_rng(18)
+        x = 0.3 * rng.standard_normal(12000)
+        bounds = np.minimum(np.cumsum([0, *rng.integers(1, 1500, size=30)]), len(x))
+        assert run_engine(loaded, emb, x, bounds) == run_engine(net, emb, x, bounds)
+        assert loaded.n_params == net.n_params
+        assert not has_master(loaded)  # streaming and counting read only the pack
+
+    def test_sessions_adopt_the_entry_arrays(self, tiny_net):
+        _, entries, loaded = save_and_load(tiny_net)
+        en.EnhancerSession(loaded, unit_embeddings(1, 8)[0].astype(np.float32))
+        for name, arr in loaded.float32_weights().named().items():
+            assert arr is entries[name][1]
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("reader", ["attribute", "params", "entries"])
+    def test_master_is_the_widened_entries(self, tiny_net, reader):
+        _, entries, loaded = save_and_load(tiny_net)
+        if reader == "attribute":
+            np.testing.assert_array_equal(loaded.grus[0].Wx, widened(entries, "en_gru1.Wx"))
+            master = {k: v for layer in loaded.layers for k, v in layer.params().items()}
+        elif reader == "params":
+            master = loaded.params()
+        else:
+            master = {name: arr for name, _, arr in en.enhancer_entries(loaded)
+                      if not name.startswith("meta.")}
+        names = [name for name, _ in en._param_shapes(tiny_net.config)]
+        assert list(master) == names
+        for name in names:
+            assert master[name].dtype == np.float64
+            assert master[name].tobytes() == widened(entries, name).tobytes()
+
+    def test_forward_equals_net_built_from_widened_entries(self, tiny_net):
+        _, entries, loaded = save_and_load(tiny_net)
+        ref = en.build_model(tiny_net.config, seed=0)[0]
+        for name, p in ref.params().items():
+            p[...] = widened(entries, name)
+        feats = np.random.default_rng(19).standard_normal((2, 14, 68))
+        emb = unit_embeddings(2, 8, seed=20)
+        for got, want in zip(loaded.forward(feats, emb), ref.forward(feats, emb)):
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.grus[0].Wh[0, 0] = 1.0  # the pack still backs sessions
+
+    def test_save_load_save_identical_bytes(self, tiny_net):
+        blob, _, loaded = save_and_load(tiny_net)
+        assert pack_weights("enhancer", en.enhancer_entries(loaded)) == blob
+
+    def test_later_session_sees_params_update(self, tiny_net):
+        _, _, loaded = save_and_load(tiny_net)
+        rng = np.random.default_rng(21)
+        feats = 0.4 * rng.standard_normal((2, 12, 68))
+        emb = unit_embeddings(2, 8, seed=22)
+        first = en.EnhancerSession(loaded, emb[0].astype(np.float32))
+        opt = Adam(loaded.params(), lr=1e-2)
+        loaded.zero_grads()
+        g, s, v = loaded.forward(feats, emb)
+        loaded.backward(np.ones_like(g), np.ones_like(s), np.ones_like(v))
+        opt.step(loaded.grads())
+
+        second = en.EnhancerSession(loaded, emb[0].astype(np.float32))
+        assert second.weights is not first.weights
+        gains, strengths, vad = loaded.forward(feats[0], emb[0])
+        for t in range(12):
+            v_t = second.step(feats[0, t].astype(np.float32))
+            np.testing.assert_allclose(second.gains, gains[t], atol=1e-5)
+            np.testing.assert_allclose(second.strengths, strengths[t], atol=1e-5)
+            assert v_t == pytest.approx(vad[t], abs=1e-5)
+
+    def test_loading_allocates_no_weight_copy(self):
+        # ppn512-shaped entries: loading plus the first session may allocate
+        # session state and the embedding fold, not a copy of the weights
+        import tracemalloc
+
+        cfg = en.EnhancerConfig.preset("ppn512")
+        entries = {f"meta.{key}": ("scalar", np.array([float(val)], dtype=np.float32))
+                   for key, val in vars(cfg).items()}
+        for name, shape in en._param_shapes(cfg):
+            entries[name] = ("dense", np.zeros(shape, dtype=np.float32))
+        payload = sum(arr.nbytes for _, arr in entries.values())
+        emb = unit_embeddings(1, cfg.embedding_dim)[0].astype(np.float32)
+        tracemalloc.start()
+        try:
+            en.EnhancerSession(en.enhancer_from_entries(entries), emb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * payload + (2 << 20)

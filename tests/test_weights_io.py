@@ -124,6 +124,19 @@ class TestMalformedHeaderFuzz:
             wio.unpack_weights(with_crc(bytes(blob[:-4])))
 
 
+class TestDuplicateNames:
+    def test_pack_rejects_repeated_name(self, entries):
+        with pytest.raises(wio.WeightsFormatError, match="duplicate.*layer1.W"):
+            wio.pack_weights("x", entries + [entries[0]])
+
+    def test_unpack_rejects_repeated_name(self, entries):
+        blob = bytearray(wio.pack_weights("x", entries))
+        at = blob.index(b"layer1.b")  # in the header, before any payload
+        blob[at:at + 8] = b"layer1.W"
+        with pytest.raises(wio.WeightsFormatError, match="duplicate.*layer1.W"):
+            wio.unpack_weights(with_crc(bytes(blob[:-4])))
+
+
 class TestEmbeddingFiles:
     def test_roundtrip_unit_norm(self, tmp_path):
         rng = np.random.default_rng(1)
