@@ -49,13 +49,6 @@ def _write_sidecar(out_path: str, args: argparse.Namespace) -> None:
             fh.write(f"{key} = {val}\n")
 
 
-def _check_rate(args) -> None:
-    if getattr(args, "sample_rate", SAMPLE_RATE) != SAMPLE_RATE:
-        raise DataError(f"only {SAMPLE_RATE} Hz is supported (no resampler)")
-    if getattr(args, "lookahead_ms", 30) != 30:
-        raise DataError("only the 30 ms look-ahead configuration is supported")
-
-
 def _load_embedder(path):
     from targetvoice.embedder import embedder_from_entries
 
@@ -79,7 +72,6 @@ def cmd_enroll(args) -> int:
     from targetvoice.embedder import enroll_embedding
     from targetvoice.frontend import extract_features, feature_matrix
 
-    _check_rate(args)
     audio = read_wav(args.audio)
     if audio.duration < MIN_ENROLL_S:
         raise DataError(
@@ -106,7 +98,6 @@ def cmd_enroll(args) -> int:
 def cmd_enhance(args) -> int:
     from targetvoice.pipeline import enhance_audio
 
-    _check_rate(args)
     audio = read_wav(args.mixture)
     if args.identity:
         net, emb = None, None
@@ -151,7 +142,6 @@ def cmd_mix(args) -> int:
         training_specs,
     )
 
-    _check_rate(args)
     os.makedirs(args.out_dir, exist_ok=True)
     speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
     if args.preset == "eval":
@@ -205,7 +195,6 @@ def cmd_train_embedder(args) -> int:
     )
     from targetvoice.synth import build_toy_speakers, embedder_crop_sets
 
-    _check_rate(args)
     speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
     train_set, heldout_set = embedder_crop_sets(speakers)
     config = EmbedderTrainConfig(
@@ -235,7 +224,6 @@ def cmd_train_enhancer(args) -> int:
     )
     from targetvoice.synth import build_toy_speakers, toy_enhancer_dataset
 
-    _check_rate(args)
     embedder_net = _load_embedder(args.embedder)
     speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
     dataset, _ = toy_enhancer_dataset(speakers, embedder_net,
@@ -271,7 +259,6 @@ def cmd_eval(args) -> int:
     from targetvoice.pipeline import enhance_audio, replay_controls
     from targetvoice.synth import compute_supervision, read_manifest
 
-    _check_rate(args)
     embedder_net = _load_embedder(args.embedder)
     enhancer_net = _load_enhancer(args.enhancer) if args.enhancer else None
     fb = design_erb_filterbank()
@@ -331,7 +318,6 @@ def cmd_bench(args) -> int:
     from targetvoice.enhancer import EnhancerConfig, EnhancerNet
     from targetvoice.metrics import benchmark_stream
 
-    _check_rate(args)
     if args.preset == "identity":
         net, emb = None, None
     else:
@@ -364,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--sample-rate", type=int, default=SAMPLE_RATE,
-                       help="fixed at 48000; other rates are rejected")
-        p.add_argument("--lookahead-ms", type=int, default=30,
-                       help="fixed at 30 ms")
 
     p = sub.add_parser("enroll", help="compute a speaker embedding from audio")
     p.add_argument("audio")

@@ -17,6 +17,7 @@ import numpy as np
 
 from targetvoice.frontend import (
     HOP,
+    LOOKAHEAD_FRAMES,
     PITCH_MAX_LAG,
     WINDOW,
     ErbFilterbank,
@@ -24,9 +25,9 @@ from targetvoice.frontend import (
 )
 
 COMB_TAPS = np.array([0.125, 0.25, 0.25, 0.25, 0.125])
-# forward taps may only reach into the buffered look-ahead: 3 hops past
-# the end of the current window
-COMB_MAX_LEAD = 3 * HOP
+# forward taps may only reach into the buffered look-ahead: LOOKAHEAD_FRAMES
+# hops past the end of the current window
+COMB_MAX_LEAD = LOOKAHEAD_FRAMES * HOP
 
 _SYNTHESIS_WINDOW = vorbis_window(WINDOW)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -76,8 +77,9 @@ class EnhancerNet:
 
     A net holds its parameters in one or both of two forms: a float64
     master, which training, forward() and the layer attributes use, and a
-    read-only float32 pack (float32_weights()) that every streaming session
-    on the net shares. It is in one of three states:
+    float32 pack (float32_weights()) that every streaming session on the
+    net shares: a read-only mapping from parameter name (as in params())
+    to a read-only float32 array. It is in one of three states:
 
     - master only: a new or training net; the master is writable.
     - master and pack: float32_weights() narrowed the master into the pack,
@@ -99,7 +101,7 @@ class EnhancerNet:
 
     @classmethod
     def _from_float32(cls, config: EnhancerConfig,
-                      weights: "Float32Weights") -> "EnhancerNet":
+                      weights: MappingProxyType) -> "EnhancerNet":
         """A net whose float64 master is built from `weights` on first read."""
         net = cls.__new__(cls)
         net.config = config
@@ -116,9 +118,8 @@ class EnhancerNet:
         # built aside, so a failure part way leaves no unfilled layer here
         master = self._from_float32(self.config, self._float32)
         master._build(Unfilled())
-        named = self._float32.named()
         for key, arr in collect_params(master.layers).items():
-            arr[...] = named[key]
+            arr[...] = self._float32[key]
             arr.flags.writeable = False
         self.__dict__.update(vars(master))
         return self.__dict__[name]
@@ -152,11 +153,11 @@ class EnhancerNet:
                 p.flags.writeable = True
         return params
 
-    def float32_weights(self) -> "Float32Weights":
-        """The read-only float32 parameters every session on this net shares."""
+    def float32_weights(self) -> MappingProxyType:
+        """Parameter name -> read-only float32 array, shared by every session."""
         if self._float32 is None:
             params = collect_params(self.layers)
-            self._float32 = Float32Weights(params)
+            self._float32 = _shared_float32(params)
             for p in params.values():
                 p.flags.writeable = False
         return self._float32
@@ -447,66 +448,41 @@ def enhancer_from_entries(entries: dict) -> EnhancerNet:
     cfg = EnhancerConfig(**read_meta(entries, vars(EnhancerConfig()), "enhancer"))
     shapes = list(_param_shapes(cfg))
     check_shapes(entries, shapes, "enhancer")
-    weights = Float32Weights({name: entries[name][1] for name, _ in shapes})
+    weights = _shared_float32({name: entries[name][1] for name, _ in shapes})
     return EnhancerNet._from_float32(cfg, weights)
 
 
 # ---------------------------------------------------------------------------
-# Streaming inference session (float32, allocation-free steps)
+# Streaming inference session (float32, no steady-state heap growth)
 # ---------------------------------------------------------------------------
 
 
-def _read_only_f32(arr: np.ndarray) -> np.ndarray:
-    """`arr` itself if it is contiguous float32, else a float32 copy; read-only."""
-    out = np.ascontiguousarray(arr, dtype=np.float32)
-    out.flags.writeable = False
-    return out
+def _shared_float32(params: dict[str, np.ndarray]) -> MappingProxyType:
+    """Read-only name -> read-only float32 array mapping over `params`.
 
-
-class Float32Weights:
-    """One net's parameters as read-only float32 arrays, shared by its sessions.
-
-    Built from a name -> array mapping: a loaded file's float32 entries,
-    which it adopts without a copy, or an in-memory net's float64
-    parameters, which it narrows. GRU 1's input weight holds the conv rows
-    and then the embedding rows; each session folds the constant embedding
-    term into its own copy of that layer's bias.
+    A contiguous float32 array is adopted as it is; any other is narrowed
+    into a float32 copy.
     """
+    shared = {}
+    for name, arr in params.items():
+        shared[name] = np.ascontiguousarray(arr, dtype=np.float32)
+        shared[name].flags.writeable = False
+    return MappingProxyType(shared)
 
-    # (W attribute, b attribute, layer) for every layer but the GRUs, and
-    # (attribute, parameter) for the GRUs' per-layer tuples
-    _LAYERS = (("w_dense", "b_dense", "en_dense_in"), ("w_conv1", "b_conv1", "en_conv1"),
-               ("w_conv2", "b_conv2", "en_conv2"), ("w_gains", "b_gains", "en_gains"),
-               ("w_str", "b_str", "en_strengths"), ("w_vad", "b_vad", "en_vad"))
-    _GRU = (("gru_wx", "Wx"), ("gru_wh", "Wh"), ("gru_b", "b"))
 
-    def __init__(self, params: dict[str, np.ndarray]):
-        for w, b, layer in self._LAYERS:
-            setattr(self, w, _read_only_f32(params[f"{layer}.W"]))
-            setattr(self, b, _read_only_f32(params[f"{layer}.b"]))
-        n_gru = sum(name.endswith(".Wh") for name in params)
-        for attr, key in self._GRU:
-            setattr(self, attr, tuple(_read_only_f32(params[f"en_gru{i}.{key}"])
-                                      for i in range(1, n_gru + 1)))
-
-    def named(self) -> dict[str, np.ndarray]:
-        """The arrays under their parameter names, as the constructor took them."""
-        named = {}
-        for w, b, layer in self._LAYERS:
-            named[f"{layer}.W"], named[f"{layer}.b"] = getattr(self, w), getattr(self, b)
-        for attr, key in self._GRU:
-            for i, arr in enumerate(getattr(self, attr), 1):
-                named[f"en_gru{i}.{key}"] = arr
-        return named
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 class EnhancerSession:
-    """Per-stream float32 inference state with preallocated buffers.
+    """Per-stream float32 inference over the net's shared read-only weights.
 
-    step() runs one 10 ms frame through the network without allocating new
-    arrays, so a warm stream adds no steady-state heap growth. The weights
-    are the net's shared read-only Float32Weights; all mutable state (conv
-    rings, GRU hidden vectors, scratch) is session-local.
+    `weights` is the net's name -> float32 array mapping, shared by every
+    session on the net. The session holds only its own state: the two conv
+    layers' input windows (newest frame first), one hidden vector per GRU
+    layer, and GRU 1's bias with the constant embedding term folded in.
+    step() allocates only temporaries, so a warm stream shows no
+    steady-state heap growth (audited by acceptance criterion 8).
     """
 
     def __init__(self, net: EnhancerNet, embedding: np.ndarray):
@@ -516,108 +492,46 @@ class EnhancerSession:
                 f"embedding shape {embedding.shape} does not match model "
                 f"dim {cfg.embedding_dim}"
             )
-        f32 = np.float32
         self.cfg = cfg
         self.weights = w = net.float32_weights()
-        d, c, n = cfg.dense_units, cfg.conv_channels, cfg.gru_units
+        c, n = cfg.conv_channels, cfg.gru_units
         # GRU 1 sees [conv2 out, embedding]; the embedding's term is constant
-        wx1 = w.gru_wx[0]
-        bias1 = (embedding.astype(np.float64) @ wx1[c:].astype(np.float64)
-                 + w.gru_b[0].astype(np.float64)).astype(f32)
-        self._gru_wx = (wx1[:c], *w.gru_wx[1:])
-        self._gru_b = (bias1, *w.gru_b[1:])
+        self._gru1_b = (embedding.astype(np.float64) @ w["en_gru1.Wx"][c:].astype(np.float64)
+                        + w["en_gru1.b"].astype(np.float64)).astype(np.float32)
+        self._conv1_in = np.zeros((5, cfg.dense_units), dtype=np.float32)
+        self._conv2_in = np.zeros((3, c), dtype=np.float32)
+        self._h = [np.zeros(n, dtype=np.float32) for _ in range(cfg.n_gru_layers)]
+        self.gains = np.zeros(N_BANDS, dtype=np.float32)
+        self.strengths = np.zeros(N_BANDS, dtype=np.float32)
 
-        self._dense_out = np.zeros(d, dtype=f32)
-        self._ring1 = np.zeros((5, d), dtype=f32)
-        self._ring2 = np.zeros((3, c), dtype=f32)
-        self._head1 = 0
-        self._head2 = 0
-        self._conv1_out = np.zeros(c, dtype=f32)
-        self._conv2_out = np.zeros(c, dtype=f32)
-        self._h = [np.zeros(n, dtype=f32) for _ in range(cfg.n_gru_layers)]
-        self._gx = np.zeros(3 * n, dtype=f32)
-        self._gh = np.zeros(3 * n, dtype=f32)
-        self._zbuf = np.zeros(n, dtype=f32)
-        self._rbuf = np.zeros(n, dtype=f32)
-        self._nbuf = np.zeros(n, dtype=f32)
-        self._tmp_n = np.zeros(n, dtype=f32)
-        self._tmp_c = np.zeros(c, dtype=f32)
-        self._str_in = np.zeros(n + N_BANDS, dtype=f32)
-        self.gains = np.zeros(N_BANDS, dtype=f32)
-        self.strengths = np.zeros(N_BANDS, dtype=f32)
-        self._vad_out = np.zeros(1, dtype=f32)
+    def _conv(self, window: np.ndarray, x: np.ndarray, layer: str) -> np.ndarray:
+        window[1:] = window[:-1]
+        window[0] = x
+        wc = self.weights[f"{layer}.W"]
+        return np.tanh(window.reshape(-1) @ wc.reshape(-1, wc.shape[-1])
+                       + self.weights[f"{layer}.b"])
 
-    @staticmethod
-    def _sigmoid_inplace(x: np.ndarray) -> None:
-        np.negative(x, out=x)
-        np.exp(x, out=x)
-        x += 1.0
-        np.reciprocal(x, out=x)
-
-    def _gru_step(self, idx: int, x: np.ndarray) -> np.ndarray:
-        n = self.cfg.gru_units
-        h = self._h[idx]
-        np.matmul(x, self._gru_wx[idx], out=self._gx)
-        self._gx += self._gru_b[idx]
-        np.matmul(h, self.weights.gru_wh[idx], out=self._gh)
-        z, r, cand = self._zbuf, self._rbuf, self._nbuf
-        np.add(self._gx[:n], self._gh[:n], out=z)
-        self._sigmoid_inplace(z)
-        np.add(self._gx[n : 2 * n], self._gh[n : 2 * n], out=r)
-        self._sigmoid_inplace(r)
-        np.multiply(r, self._gh[2 * n :], out=cand)
-        cand += self._gx[2 * n :]
-        np.tanh(cand, out=cand)
-        # h += z * (cand - h)
-        np.subtract(cand, h, out=self._tmp_n)
-        self._tmp_n *= z
-        h += self._tmp_n
+    def _gru(self, i: int, x: np.ndarray, wx: np.ndarray, b: np.ndarray) -> np.ndarray:
+        n, h = self.cfg.gru_units, self._h[i]
+        gx = x @ wx + b
+        gh = h @ self.weights[f"en_gru{i + 1}.Wh"]
+        z = _sigmoid(gx[:n] + gh[:n])
+        r = _sigmoid(gx[n:2 * n] + gh[n:2 * n])
+        cand = np.tanh(gx[2 * n:] + r * gh[2 * n:])
+        h += z * (cand - h)
         return h
 
     def step(self, feature_vector: np.ndarray) -> float:
         """Advance one frame; results land in .gains / .strengths, VAD returned."""
         w = self.weights
-        np.matmul(feature_vector, w.w_dense, out=self._dense_out)
-        self._dense_out += w.b_dense
-        np.tanh(self._dense_out, out=self._dense_out)
-
-        self._head1 = (self._head1 + 1) % 5
-        ring = self._ring1
-        ring[self._head1] = self._dense_out
-        out = self._conv1_out
-        out[:] = w.b_conv1
-        for k in range(5):
-            np.matmul(ring[(self._head1 - k) % 5], w.w_conv1[k], out=self._tmp_c)
-            out += self._tmp_c
-        np.tanh(out, out=out)
-
-        self._head2 = (self._head2 + 1) % 3
-        self._ring2[self._head2] = out
-        out2 = self._conv2_out
-        out2[:] = w.b_conv2
-        for k in range(3):
-            np.matmul(self._ring2[(self._head2 - k) % 3], w.w_conv2[k],
-                      out=self._tmp_c)
-            out2 += self._tmp_c
-        np.tanh(out2, out=out2)
-
-        h = self._gru_step(0, out2)
-        np.matmul(h, w.w_vad, out=self._vad_out)
-        self._vad_out += w.b_vad
-        self._sigmoid_inplace(self._vad_out)
-        vad = self._vad_out
-
+        x = np.tanh(feature_vector @ w["en_dense_in.W"] + w["en_dense_in.b"])
+        x = self._conv(self._conv1_in, x, "en_conv1")
+        x = self._conv(self._conv2_in, x, "en_conv2")
+        h = self._gru(0, x, w["en_gru1.Wx"][:self.cfg.conv_channels], self._gru1_b)
+        vad = _sigmoid(h @ w["en_vad.W"] + w["en_vad.b"])
         for i in range(1, len(self._h)):
-            h = self._gru_step(i, h)
-
-        np.matmul(h, w.w_gains, out=self.gains)
-        self.gains += w.b_gains
-        self._sigmoid_inplace(self.gains)
-
-        n = self.cfg.gru_units
-        self._str_in[:n] = h
-        self._str_in[n:] = self.gains
-        np.matmul(self._str_in, w.w_str, out=self.strengths)
-        self.strengths += w.b_str
-        self._sigmoid_inplace(self.strengths)
+            h = self._gru(i, h, w[f"en_gru{i + 1}.Wx"], w[f"en_gru{i + 1}.b"])
+        self.gains = _sigmoid(h @ w["en_gains.W"] + w["en_gains.b"])
+        self.strengths = _sigmoid(np.concatenate([h, self.gains]) @ w["en_strengths.W"]
+                                  + w["en_strengths.b"])
         return vad[0]

@@ -216,7 +216,7 @@ class GRU(Layer):
                 f"{self.name}.b": self.db}
 
     def step(self, x_t: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """One recurrence step (no cache); used by tests and inference."""
+        """One recurrence step (no cache); the tests check forward() against it."""
         n = self.n_units
         gx = x_t @ self.Wx + self.b
         gh = h @ self.Wh

@@ -123,8 +123,7 @@ class StreamingEnhancer:
         if self.session is None:
             out_spec = spec
         else:
-            gains = self.session.gains.astype(np.float64)
-            strengths = self.session.strengths.astype(np.float64)
+            gains, strengths = self.session.gains, self.session.strengths
             if period is not None and float(np.max(strengths)) > 1e-6:
                 combed = self.comb.filter_window(period)
                 comb_spec = np.fft.rfft(combed * _WINDOW)

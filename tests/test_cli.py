@@ -2,6 +2,7 @@
 
 import json
 import os
+import wave
 
 import numpy as np
 import pytest
@@ -133,11 +134,17 @@ class TestEnhance:
         assert rc == EXIT_DATA
         assert not out.exists()
 
-    def test_wrong_sample_rate_flag_rejected(self, tmp_path, mix_dir):
-        rc = main(["enhance", os.path.join(mix_dir, "mix_0000.wav"),
-                   "--identity", "--out", str(tmp_path / "x.wav"),
-                   "--sample-rate", "44100"])
+    def test_wrong_sample_rate_file_rejected(self, tmp_path):
+        path = tmp_path / "rate.wav"
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(44100)
+            fh.writeframes(np.zeros(44100, dtype="<i2").tobytes())
+        out = tmp_path / "x.wav"
+        rc = main(["enhance", str(path), "--identity", "--out", str(out)])
         assert rc == EXIT_DATA
+        assert not out.exists()
 
 
 class TestMix:

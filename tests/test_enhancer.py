@@ -257,6 +257,23 @@ class TestSessionAndSerialization:
             np.testing.assert_allclose(session.strengths, strengths[t], atol=1e-5)
             assert v == pytest.approx(vad[t], abs=1e-5)
 
+    @pytest.mark.parametrize("preset", ["toy", "ppn512"])
+    def test_preset_session_matches_batch(self, preset):
+        # full-width conv and GRU layers, 300 frames, float32 rounding only
+        net = en.build_model(en.EnhancerConfig.preset(preset), seed=8)[0]
+        rng = np.random.default_rng(10)
+        feats = 0.5 * rng.standard_normal((300, 68))
+        emb = unit_embeddings(1, net.config.embedding_dim, seed=12)[0]
+        gains, strengths, vad = net.forward(feats, emb)
+        session = en.EnhancerSession(net, emb.astype(np.float32))
+        got = ([], [], [])
+        for t in range(300):
+            got[2].append(session.step(feats[t].astype(np.float32)))
+            got[0].append(session.gains.copy())
+            got[1].append(session.strengths.copy())
+        for out, ref in zip(got, (gains, strengths, vad)):
+            np.testing.assert_allclose(np.array(out), ref, rtol=0, atol=1e-6)
+
     def test_weight_roundtrip(self, tiny_net):
         blob = pack_weights("enhancer", en.enhancer_entries(tiny_net))
         _, entries = unpack_weights(blob)
@@ -277,26 +294,25 @@ class TestSessionAndSerialization:
             en.enhancer_from_entries(stored)
 
 
-def float32_arrays(session):
-    for value in vars(session.weights).values():
-        yield from value if isinstance(value, tuple) else (value,)
-
-
 class TestSharedWeights:
     def test_sessions_share_read_only_weights(self, tiny_cfg):
         net = en.build_model(tiny_cfg, seed=4)[0]
         e1, e2 = unit_embeddings(2, 8, seed=14).astype(np.float32)
         s1, s2 = en.EnhancerSession(net, e1), en.EnhancerSession(net, e2)
-        pairs = list(zip(float32_arrays(s1), float32_arrays(s2)))
-        assert len(pairs) == 12 + 3 * tiny_cfg.n_gru_layers
-        for a, b in pairs:
-            assert np.shares_memory(a, b)
-            assert not a.flags.writeable
+        assert s1.weights is s2.weights
+        names = [name for name, _ in en._param_shapes(tiny_cfg)]
+        assert list(s1.weights) == names
+        assert len(names) == 12 + 3 * tiny_cfg.n_gru_layers
+        for arr in s1.weights.values():
+            assert arr.dtype == np.float32
+            assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            s1.weights.gru_wh[0][0, 0] = 1.0
+            s1.weights["en_gru1.Wh"][0, 0] = 1.0
+        with pytest.raises(TypeError):
+            s1.weights["en_gru1.Wh"] = np.zeros((1, 1), dtype=np.float32)
         # the embedding term lives in each session's own GRU 1 bias
-        assert not np.shares_memory(s1._gru_b[0], s2._gru_b[0])
-        assert not np.array_equal(s1._gru_b[0], s2._gru_b[0])
+        assert not np.shares_memory(s1._gru1_b, s2._gru1_b)
+        assert not np.array_equal(s1._gru1_b, s2._gru1_b)
         assert not np.shares_memory(s1._h[0], s2._h[0])
 
     def test_later_session_sees_params_update(self, tiny_cfg):
@@ -315,7 +331,8 @@ class TestSharedWeights:
 
         second = en.EnhancerSession(net, emb[0].astype(np.float32))
         assert second.weights is not first.weights
-        assert not np.array_equal(second.weights.w_dense, first.weights.w_dense)
+        assert not np.array_equal(second.weights["en_dense_in.W"],
+                                  first.weights["en_dense_in.W"])
         gains, strengths, vad = net.forward(feats[0], emb[0])
         for t in range(12):
             v_t = second.step(feats[0, t].astype(np.float32))
@@ -371,7 +388,9 @@ class TestLoadedNet:
     def test_sessions_adopt_the_entry_arrays(self, tiny_net):
         _, entries, loaded = save_and_load(tiny_net)
         en.EnhancerSession(loaded, unit_embeddings(1, 8)[0].astype(np.float32))
-        for name, arr in loaded.float32_weights().named().items():
+        weights = loaded.float32_weights()
+        assert list(weights) == [name for name, _ in en._param_shapes(loaded.config)]
+        for name, arr in weights.items():
             assert arr is entries[name][1]
             assert not arr.flags.writeable
 
