@@ -254,14 +254,14 @@ def cmd_train_enhancer(args) -> int:
 
 def cmd_eval(args) -> int:
     from targetvoice.enhancer import lookahead_slices
-    from targetvoice.frontend import design_erb_filterbank, extract_features, feature_matrix
+    from targetvoice.frontend import DEFAULT_FILTERBANK, extract_features, feature_matrix
     from targetvoice.metrics import cosine_probe, si_snr_aligned, vad_accuracy, write_report
     from targetvoice.pipeline import enhance_audio, replay_controls
     from targetvoice.synth import compute_supervision, read_manifest
 
     embedder_net = _load_embedder(args.embedder)
     enhancer_net = _load_enhancer(args.enhancer) if args.enhancer else None
-    fb = design_erb_filterbank()
+    fb = DEFAULT_FILTERBANK
     rows = []
     for idx, row in enumerate(read_manifest(args.manifest)):
         mixture = read_wav(row["mixture"]).samples.astype(np.float64)

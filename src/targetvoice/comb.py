@@ -86,10 +86,9 @@ class CombState:
         return comb_filter_window(self._buf, self._past, period)
 
 
-def bands_to_bins(values: np.ndarray, fb: ErbFilterbank,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def bands_to_bins(values: np.ndarray, fb: ErbFilterbank) -> np.ndarray:
     """Interpolate 32 per-band values to per-bin values (triangular weights)."""
-    return np.matmul(values, fb.weights, out=out)
+    return np.matmul(values, fb.weights)
 
 
 def apply_per_band(noisy_spectrum: np.ndarray, comb_spectrum: np.ndarray,
@@ -118,12 +117,14 @@ class OverlapAddSynthesizer:
     """
 
     def __init__(self) -> None:
+        self._frame = np.empty(WINDOW)
         self._tail = np.zeros(HOP)
 
     def push(self, spectrum: np.ndarray) -> np.ndarray:
-        frame = np.fft.irfft(spectrum, n=WINDOW) * _SYNTHESIS_WINDOW
+        frame = np.fft.irfft(spectrum, n=WINDOW, out=self._frame)
+        frame *= _SYNTHESIS_WINDOW
         out = self._tail + frame[:HOP]
-        self._tail = frame[HOP:].copy()
+        self._tail[:] = frame[HOP:]
         return out
 
 

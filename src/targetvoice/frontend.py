@@ -34,12 +34,22 @@ PITCH_HISTORY = PITCH_MAX_LAG + PITCH_CORR_WINDOW
 # PITCH_HISTORY + PITCH_CORR_WINDOW - 1 lags; 2304 = 2^8 * 3^2 is that plus
 # one, already a fast FFT size, so the circular product never wraps
 PITCH_FFT_SIZE = PITCH_HISTORY + PITCH_CORR_WINDOW
-_PITCH_LAGS = np.arange(PITCH_MIN_LAG, PITCH_MAX_LAG + 1)
+_N_PITCH_LAGS = PITCH_MAX_LAG - PITCH_MIN_LAG + 1
+
+
+def _lag_slice(offset: int) -> slice:
+    """Reads a[offset - tau] for tau = PITCH_MIN_LAG..PITCH_MAX_LAG, in lag order."""
+    stop = offset - PITCH_MAX_LAG - 1
+    return slice(offset - PITCH_MIN_LAG, stop if stop >= 0 else None, -1)
+
+
 # c[k] = sum_n x[k+n] * cur[n] sits at k + 767 of the product of x with the
 # reversed window, and r(tau) reads k = 768 - tau
-_PITCH_CORR_INDEX = 2 * PITCH_CORR_WINDOW - 1 - _PITCH_LAGS
-_LAG_END = PITCH_HISTORY - _PITCH_LAGS
-_LAG_START = PITCH_CORR_WINDOW - _PITCH_LAGS
+_PITCH_CORR = _lag_slice(2 * PITCH_CORR_WINDOW - 1)
+# the lagged window x[768 - tau : 1536 - tau] has energy sq[_LAG_END] -
+# sq[_LAG_START] in the running sum of squares sq (sq[0] = 0)
+_LAG_END = _lag_slice(PITCH_HISTORY)
+_LAG_START = _lag_slice(PITCH_CORR_WINDOW)
 VOICING_THRESHOLD = 0.3
 OCTAVE_PREFERENCE = 0.85
 
@@ -139,7 +149,13 @@ def design_erb_filterbank(n_bins: int = N_BINS,
         raise ConfigurationError(
             f"n_bins={n_bins} leaves bands {missing} without a dedicated bin"
         )
+    weights.flags.writeable = False
+    centers.flags.writeable = False
     return ErbFilterbank(weights=weights, band_centers=centers)
+
+
+# the filterbank of every stream and extractor built without one
+DEFAULT_FILTERBANK = design_erb_filterbank()
 
 
 def vorbis_window(length: int = WINDOW) -> np.ndarray:
@@ -179,6 +195,70 @@ def band_energies(spectrum: np.ndarray, fb: ErbFilterbank) -> np.ndarray:
     return _band_sums(fb, power)
 
 
+_UNVOICED = PitchEstimate(None, 0.0)
+
+
+class _PitchSearch:
+    """The pitch search of one frame on buffers allocated once (see estimate_pitch).
+
+    Row 0 of the [2, 2304] transform input holds the history and row 1 the
+    reversed current window; their zero tails are never written, so one
+    rfft gives both zero-padded transforms. One instance per stream.
+    """
+
+    def __init__(self) -> None:
+        self._pair = np.zeros((2, PITCH_FFT_SIZE))
+        self._spec = np.empty((2, PITCH_FFT_SIZE // 2 + 1), dtype=np.complex128)
+        self._corr = np.empty(PITCH_FFT_SIZE)
+        self._squares = np.empty(PITCH_HISTORY)
+        self._sq = np.zeros(PITCH_HISTORY + 1)
+        self._denom = np.empty(_N_PITCH_LAGS)
+        self._r = np.empty(_N_PITCH_LAGS)
+        self._keep = np.empty(_N_PITCH_LAGS, dtype=bool)
+        self._cand = np.empty(_N_PITCH_LAGS, dtype=bool)
+
+    def __call__(self, history: np.ndarray) -> PitchEstimate:
+        """The pitch of exactly PITCH_HISTORY float64 samples."""
+        x = self._pair[0, :PITCH_HISTORY]
+        x[:] = history
+        cur = x[PITCH_CORR_WINDOW:]
+        cur_energy = float(np.dot(cur, cur))
+        if cur_energy < 1e-20:
+            return _UNVOICED
+
+        self._pair[1, :PITCH_CORR_WINDOW] = cur[::-1]
+        spec = np.fft.rfft(self._pair, out=self._spec)
+        spec[0] *= spec[1]
+        c = np.fft.irfft(spec[0], PITCH_FFT_SIZE, out=self._corr)[_PITCH_CORR]
+        sq = self._sq
+        np.add.accumulate(np.multiply(x, x, out=self._squares), out=sq[1:])
+        denom, r, keep = self._denom, self._r, self._keep
+        np.subtract(sq[_LAG_END], sq[_LAG_START], out=denom)
+        denom *= cur_energy
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.sqrt(denom, out=denom)
+            np.divide(c, denom, out=r)
+        np.greater(denom, 1e-20, out=keep)
+        np.logical_not(keep, out=keep)
+        np.copyto(r, 0.0, where=keep)
+        # the lower clip at -1 cannot change a peak that reaches the threshold
+        np.minimum(r, 1.0, out=r)
+
+        peak = float(np.maximum.reduce(r))
+        if not peak >= VOICING_THRESHOLD:  # NaN from non-finite input is unvoiced
+            return _UNVOICED
+        # the first local maximum within OCTAVE_PREFERENCE of the peak; the
+        # global maximum is one, so argmax finds a candidate
+        cand = self._cand
+        np.greater_equal(r, OCTAVE_PREFERENCE * peak, out=cand)
+        np.greater_equal(r[1:], r[:-1], out=keep[1:])
+        cand[1:] &= keep[1:]
+        np.greater_equal(r[:-1], r[1:], out=keep[:-1])
+        cand[:-1] &= keep[:-1]
+        idx = int(cand.argmax())
+        return PitchEstimate(PITCH_MIN_LAG + idx, float(r[idx]))
+
+
 def estimate_pitch(history: np.ndarray) -> PitchEstimate:
     """Search lags 96..768 for the pitch period by normalized autocorrelation.
 
@@ -190,33 +270,7 @@ def estimate_pitch(history: np.ndarray) -> PitchEstimate:
     x = np.asarray(history, dtype=np.float64)
     if x.ndim != 1 or len(x) < PITCH_HISTORY:
         raise ValueError(f"need at least {PITCH_HISTORY} samples of history")
-    x = x[-PITCH_HISTORY:]
-    cur = x[PITCH_CORR_WINDOW:]
-
-    cur_energy = float(np.dot(cur, cur))
-    if cur_energy < 1e-20:
-        return PitchEstimate(None, 0.0)
-
-    prod = np.fft.rfft(x, PITCH_FFT_SIZE) * np.fft.rfft(cur[::-1], PITCH_FFT_SIZE)
-    c = np.fft.irfft(prod, PITCH_FFT_SIZE)[_PITCH_CORR_INDEX]
-    sq = np.concatenate(([0.0], np.cumsum(x * x)))
-    lag_energy = sq[_LAG_END] - sq[_LAG_START]
-    denom = np.sqrt(cur_energy * lag_energy)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(denom > 1e-20, c / denom, 0.0)
-    r = np.clip(r, -1.0, 1.0)
-
-    peak = float(r.max())
-    if not peak >= VOICING_THRESHOLD:  # NaN from non-finite input is unvoiced
-        return PitchEstimate(None, 0.0)
-
-    is_peak = np.empty(len(r), dtype=bool)
-    is_peak[0] = r[0] >= r[1]
-    is_peak[-1] = r[-1] >= r[-2]
-    is_peak[1:-1] = (r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:])
-    candidates = np.flatnonzero(is_peak & (r >= OCTAVE_PREFERENCE * peak))
-    idx = int(candidates[0]) if len(candidates) else int(np.argmax(r))
-    return PitchEstimate(int(_PITCH_LAGS[idx]), float(r[idx]))
+    return _PitchSearch()(x[-PITCH_HISTORY:])
 
 
 def estimate_pitch_block(histories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +287,7 @@ def estimate_pitch_block(histories: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
     prod = np.fft.rfft(x, PITCH_FFT_SIZE)
     prod *= np.fft.rfft(cur[:, ::-1], PITCH_FFT_SIZE)
-    c = np.fft.irfft(prod, PITCH_FFT_SIZE)[:, _PITCH_CORR_INDEX]
+    c = np.fft.irfft(prod, PITCH_FFT_SIZE)[:, _PITCH_CORR]
     del prod
     sq = np.zeros((len(x), PITCH_HISTORY + 1))
     np.cumsum(x * x, axis=1, out=sq[:, 1:])
@@ -251,7 +305,7 @@ def estimate_pitch_block(histories: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     is_peak[:, :-1] &= r[:, :-1] >= r[:, 1:]
     # a voiced row's global maximum is a candidate, so argmax finds one
     idx = np.argmax(is_peak & (r >= OCTAVE_PREFERENCE * peak[:, None]), axis=1)
-    periods = np.where(voiced, _PITCH_LAGS[idx], 0)
+    periods = np.where(voiced, PITCH_MIN_LAG + idx, 0)
     correlations = np.where(voiced, r[np.arange(len(r)), idx], 0.0)
     return periods, correlations
 
@@ -284,6 +338,10 @@ def coherence_from_spectra(spec: np.ndarray, spec_delayed: np.ndarray,
     return np.clip(coh, 0.0, 1.0)
 
 
+_NO_COHERENCE = np.zeros(N_BANDS)
+_NO_COHERENCE.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class FrameFeatures:
     """One frame's 68-dim feature vector plus the pitch estimate behind it.
@@ -311,21 +369,23 @@ class FrameFeatures:
 def assemble_features(energies: np.ndarray, coherences: np.ndarray,
                       pitch: PitchEstimate,
                       prev_log_energy: float | None) -> FrameFeatures:
-    """Compress energies and pack the 68-dim frame vector."""
-    band_mag = np.log10(np.maximum(energies, 0.0) + ENERGY_FLOOR)
-    log_energy = float(np.log10(float(np.sum(energies)) + ENERGY_FLOOR))
+    """Compress energies and pack the 68-dim frame vector.
+
+    The three feature groups are views of one float32 vector.
+    """
+    log_energy = float(np.log10(float(np.add.reduce(energies)) + ENERGY_FLOOR))
     if pitch.voiced:
         norm_period = (pitch.period - PITCH_MIN_LAG) / (PITCH_MAX_LAG - PITCH_MIN_LAG)
     else:
         norm_period = 0.0
     delta = 0.0 if prev_log_energy is None else log_energy - prev_log_energy
-    general = np.array([norm_period, pitch.correlation, log_energy, delta])
-    return FrameFeatures(
-        band_mag=band_mag.astype(np.float32),
-        pitch_coherence=coherences.astype(np.float32),
-        general=general.astype(np.float32),
-        pitch=pitch,
-    )
+    vector = np.empty(FEATURE_DIM, dtype=np.float32)
+    band_mag, coh, general = vector[:N_BANDS], vector[N_BANDS:-4], vector[-4:]
+    band_mag[:] = np.log10(np.maximum(energies, 0.0) + ENERGY_FLOOR)
+    coh[:] = coherences
+    general[:] = (norm_period, pitch.correlation, log_energy, delta)
+    return FrameFeatures(band_mag=band_mag, pitch_coherence=coh, general=general,
+                         pitch=pitch)
 
 
 class FeatureStream:
@@ -346,9 +406,16 @@ class FeatureStream:
     """
 
     def __init__(self, fb: ErbFilterbank | None = None):
-        self.fb = fb if fb is not None else design_erb_filterbank()
+        self.fb = fb if fb is not None else DEFAULT_FILTERBANK
         # context behind the frame start, zero-primed
         self._history = np.zeros(FRAME_CONTEXT + WINDOW, dtype=np.float64)
+        # one-frame scratch: the pitch search, the frame and its pitch-lagged
+        # copy windowed and transformed together, and the interleaved
+        # products that give both powers and the cross spectrum
+        self._pitch = _PitchSearch()
+        self._windowed = np.empty((2, WINDOW))
+        self._spectra = np.empty((2, N_BINS), dtype=np.complex128)
+        self._products = np.empty((3, 2 * N_BINS))
         self._filled = FRAME_CONTEXT  # fill position inside the history buffer
         self._pending = np.zeros(0, dtype=np.float64)
         self._total = 0          # samples received
@@ -409,19 +476,34 @@ class FeatureStream:
 
     def _emit_frame(self, spectra: list[np.ndarray] | None) -> FrameFeatures:
         end = self._filled
-        frame = self._history[end - WINDOW : end]
-        spec = np.fft.rfft(frame * _ANALYSIS_WINDOW)
-        if spectra is not None:
-            spectra.append(spec)
-        energies = band_energies(spec, self.fb)
-        pitch = estimate_pitch(self._history[end - PITCH_HISTORY : end])
+        pitch = self._pitch(self._history[end - PITCH_HISTORY : end])
+        # row 0 the frame; a voiced frame adds its pitch-lagged copy as row 1
+        rows = 2 if pitch.voiced else 1
+        windowed, spec = self._windowed[:rows], self._spectra[:rows]
+        np.multiply(self._history[end - WINDOW : end], _ANALYSIS_WINDOW, out=windowed[0])
         if pitch.voiced:
             start = end - WINDOW - pitch.period
-            delayed = self._history[start : start + WINDOW]
-            spec_d = np.fft.rfft(delayed * _ANALYSIS_WINDOW)
-            coh = coherence_from_spectra(spec, spec_d, self.fb, energies)
+            np.multiply(self._history[start : start + WINDOW], _ANALYSIS_WINDOW,
+                        out=windowed[1])
+        np.fft.rfft(windowed, out=spec)
+        if spectra is not None:
+            spectra.append(spec[0].copy())
+        # interleaved re*re, im*im products whose pairs sum to each row's
+        # power and, in a third row, to the cross spectrum Re(X conj Xd)
+        flat = spec.view(np.float64)
+        products = self._products[: 2 * rows - 1]
+        np.multiply(flat, flat, out=products[:rows])
+        if pitch.voiced:
+            np.multiply(flat[0], flat[1], out=products[2])
+        sums = _band_sums(self.fb, products[:, 0::2] + products[:, 1::2])
+        energies = sums[0]
+        if pitch.voiced:
+            denom = np.sqrt(energies * sums[1])
+            with np.errstate(invalid="ignore", divide="ignore"):
+                coh = np.where(denom > 1e-20, sums[2] / denom, 0.0)
+            coh = np.clip(coh, 0.0, 1.0)
         else:
-            coh = np.zeros(N_BANDS)
+            coh = _NO_COHERENCE
         feats = assemble_features(energies, coh, pitch, self._prev_log_energy)
         self._prev_log_energy = feats.log_energy
         return feats

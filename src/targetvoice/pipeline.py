@@ -27,13 +27,13 @@ import numpy as np
 from targetvoice.comb import CombState, OverlapAddSynthesizer, apply_per_band
 from targetvoice.enhancer import EnhancerNet, EnhancerSession
 from targetvoice.frontend import (
+    DEFAULT_FILTERBANK,
     HOP,
     LOOKAHEAD_FRAMES,
     WINDOW,
     ErbFilterbank,
     FeatureStream,
     FrameFeatures,
-    design_erb_filterbank,
     vorbis_window,
 )
 
@@ -77,7 +77,7 @@ class StreamingEnhancer:
     def __init__(self, net: EnhancerNet | None = None,
                  embedding: np.ndarray | None = None,
                  fb: ErbFilterbank | None = None):
-        self.fb = fb if fb is not None else design_erb_filterbank()
+        self.fb = fb if fb is not None else DEFAULT_FILTERBANK
         if net is not None:
             if embedding is None:
                 raise ValueError("a model needs a speaker embedding")
@@ -92,6 +92,7 @@ class StreamingEnhancer:
         # pitch periods and analysis spectra of the frames awaiting their
         # look-ahead outputs
         self._frame_queue: deque[tuple[int | None, np.ndarray]] = deque()
+        self._spectra: list[np.ndarray] = []  # refilled by every hop's feature push
         self._hop_buffer = np.zeros(0)
         self.frames_processed = 0
         self.last_vad = 0.0
@@ -115,7 +116,7 @@ class StreamingEnhancer:
             self.features.restart_delta()
             return None
         if self.session is not None:
-            self.last_vad = float(self.session.step(feats.vector.astype(np.float32)))
+            self.last_vad = float(self.session.step(feats.vector))
         if len(self._frame_queue) <= LOOKAHEAD_FRAMES:
             return None  # still filling the look-ahead delay line
 
@@ -132,16 +133,15 @@ class StreamingEnhancer:
             out_spec = apply_per_band(spec, comb_spec, gains, strengths, self.fb)
         return self.ola.push(out_spec)
 
-    def _process_one_hop(self, hop: np.ndarray) -> np.ndarray:
+    def _process_one_hop(self, hop: np.ndarray, out: np.ndarray) -> None:
+        """Advance one hop; its output overwrites `out` once the delay line is full."""
         self.comb.push(hop)
-        spectra: list[np.ndarray] = []
-        frames = self.features.push(hop, spectra)
-        emitted = np.zeros(HOP)
-        for feats, spec in zip(frames, spectra):
-            out = self._advance_frame(feats, spec)
-            if out is not None:
-                emitted = out
-        return emitted
+        spectra = self._spectra
+        spectra.clear()
+        for feats, spec in zip(self.features.push(hop, spectra), spectra):
+            emitted = self._advance_frame(feats, spec)
+            if emitted is not None:
+                out[:] = emitted
 
     # -- public api ----------------------------------------------------------
 
@@ -155,14 +155,14 @@ class StreamingEnhancer:
         x = np.asarray(samples).ravel()
         held = len(self._hop_buffer)
         n_hops = (held + len(x)) // HOP
-        out = np.empty(n_hops * HOP)
+        out = np.zeros(n_hops * HOP)
         for i in range(n_hops):
             start = i * HOP - held  # negative only for a hop that completes the remainder
             if start < 0:
                 hop = np.concatenate([self._hop_buffer, x[:start + HOP]])
             else:
                 hop = np.asarray(x[start:start + HOP], dtype=np.float64)
-            out[i * HOP:(i + 1) * HOP] = self._process_one_hop(hop)
+            self._process_one_hop(hop, out[i * HOP:(i + 1) * HOP])
         if n_hops == 0:
             self._hop_buffer = np.concatenate([self._hop_buffer, x])
         else:

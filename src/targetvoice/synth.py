@@ -23,11 +23,11 @@ from scipy.signal import lfilter
 from targetvoice.audio import SAMPLE_RATE, AudioBuffer
 from targetvoice.enhancer import compute_target_gains, vad_labels_from_energy
 from targetvoice.frontend import (
+    DEFAULT_FILTERBANK,
     HOP,
     N_BANDS,
     WINDOW,
     ErbFilterbank,
-    design_erb_filterbank,
     extract_features,
     feature_matrix,
 )
@@ -278,7 +278,7 @@ def make_mixture(spec: MixtureSpec, target: AudioBuffer,
     stored components and the [0,1] gain targets stay attainable.
     Supervision targets come from the stored clean target vs. the mixture.
     """
-    fb = fb if fb is not None else design_erb_filterbank()
+    fb = fb if fb is not None else DEFAULT_FILTERBANK
     t = np.asarray(target.samples, dtype=np.float64)
     n = np.asarray(noise.samples, dtype=np.float64)
     length = min(len(t), len(n))
@@ -458,7 +458,7 @@ def embedder_crop_sets(speakers: list[ToySpeaker], crop_s: float = 6.0,
     Crops tile the speaker's train region (cycling when short); held-out
     crops come from the disjoint held-out region.
     """
-    fb = fb if fb is not None else design_erb_filterbank()
+    fb = fb if fb is not None else DEFAULT_FILTERBANK
     crop_n = int(crop_s * SAMPLE_RATE)
     train_set: dict[int, list[np.ndarray]] = {}
     heldout_set: dict[int, list[np.ndarray]] = {}
@@ -484,7 +484,7 @@ def enrollment_embeddings(speakers: list[ToySpeaker], embedder_net,
     """Per-speaker embeddings from the enrollment region (disjoint audio)."""
     from targetvoice.embedder import enroll_embedding
 
-    fb = fb if fb is not None else design_erb_filterbank()
+    fb = fb if fb is not None else DEFAULT_FILTERBANK
     return {
         spk.speaker_id: enroll_embedding(
             embedder_net,
@@ -525,7 +525,7 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
     Returns (dataset, embeddings) where embeddings maps speaker id to its
     enrollment vector.
     """
-    fb = fb if fb is not None else design_erb_filterbank()
+    fb = fb if fb is not None else DEFAULT_FILTERBANK
     embeddings = enrollment_embeddings(speakers, embedder_net, fb)
     rng = np.random.default_rng(np.random.SeedSequence([551, int(seed)]))
     specs = training_specs(n_mixtures, seed, augmented=False)
@@ -568,7 +568,7 @@ def toy_eval_mixtures(speakers: list[ToySpeaker], n_mixtures: int = 50,
     symmetric default SIR makes "enhance the louder talker" useless, so
     only genuine speaker conditioning separates the pair.
     """
-    fb = fb if fb is not None else design_erb_filterbank()
+    fb = fb if fb is not None else DEFAULT_FILTERBANK
     rng = np.random.default_rng(np.random.SeedSequence([552, int(seed)]))
     n = int(duration_s * SAMPLE_RATE)
     out = []

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from targetvoice import frontend as fe
+from targetvoice.synth import synth_speaker
 from tests.conftest import sawtooth, tone
+from tests.unfused_reference import ReferenceFeatureStream, reference_estimate_pitch
 
 # ---------------------------------------------------------------------------
 # ERB filterbank
@@ -273,6 +275,15 @@ class TestPitchCorrelationPath:
                 assert got == _scipy_reference_pitch(block[k]), f"history {start + k}"
 
 
+class TestFusedPitchSearch:
+    def test_matches_unfused_reference_on_corpus(self):
+        search = fe._PitchSearch()  # one instance: its scratch serves every history
+        for k, history in enumerate(_pitch_corpus(np.random.default_rng(2024))):
+            want = reference_estimate_pitch(history)
+            assert fe.estimate_pitch(history) == want, f"history {k}"
+            assert search(history) == want, f"history {k}"
+
+
 def test_streaming_imports_leave_scipy_signal_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
@@ -469,3 +480,64 @@ class TestFeatureStream:
         mat = fe.feature_matrix(frames)
         assert mat.shape == (len(frames), 68)
         assert mat.dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# The fused one-frame path against the unfused reference
+# ---------------------------------------------------------------------------
+
+
+def _speech(seconds: float, seed: int) -> np.ndarray:
+    audio = synth_speaker(seed, seconds).samples.astype(np.float64)
+    return audio + 0.01 * np.random.default_rng(seed).standard_normal(len(audio))
+
+
+ORACLE_SIGNALS = {
+    "speech": lambda: _speech(1.0, 5),
+    "nan_then_clean": lambda: _with_samples(_speech(1.0, 6), 9000, [np.nan] * 10),
+    "1e6": lambda: 1e6 * _speech(1.0, 7),
+    "long_silence": lambda: np.concatenate(
+        [_speech(1.0, 8)[:12000], np.zeros(48000), _speech(1.0, 9)[:12000]]),
+    "dc": lambda: np.ones(24000),
+}
+
+
+def _stream_record(stream: fe.FeatureStream, audio: np.ndarray, chunk: int):
+    spectra = []
+    frames = []
+    for i in range(0, len(audio), chunk):
+        frames.extend(stream.push(audio[i : i + chunk], spectra))
+    return frames, [spec.tobytes() for spec in spectra]
+
+
+class TestFusedFramePath:
+    @pytest.mark.parametrize("chunk", [1, 480, 733])
+    @pytest.mark.parametrize("signal", list(ORACLE_SIGNALS))
+    def test_byte_identical_to_unfused_reference(self, signal, chunk):
+        audio = ORACLE_SIGNALS[signal]()
+        with np.errstate(all="ignore"):
+            frames, spectra = _stream_record(fe.FeatureStream(), audio, chunk)
+            ref_frames, ref_spectra = _stream_record(ReferenceFeatureStream(), audio, chunk)
+        assert len(frames) == (len(audio) - 960) // 480 + 1
+        assert [f.pitch for f in frames] == [f.pitch for f in ref_frames]
+        assert _frame_bytes(frames) == _frame_bytes(ref_frames)
+        assert spectra == ref_spectra
+        if signal != "dc":
+            assert any(f.pitch.voiced for f in frames)  # the coherence path runs
+
+    def test_scratch_holds_no_poison(self):
+        # a NaN reaches every scratch buffer of the one-frame path; once it
+        # has left the history the stream agrees with one that never saw it
+        burst = _with_samples(_speech(1.0, 10)[:9600], 4800, [np.nan] * 10)
+        clean = _speech(1.0, 11)
+        poisoned, fresh = fe.FeatureStream(), fe.FeatureStream()
+        with np.errstate(all="ignore"):
+            before = [f for i in range(0, len(burst), 480)
+                      for f in poisoned.push(burst[i : i + 480])]
+        after = [f for i in range(0, len(clean), 480) for f in poisoned.push(clean[i : i + 480])]
+        want = [f for i in range(0, len(clean), 480) for f in fresh.push(clean[i : i + 480])]
+        assert not np.all(np.isfinite(fe.feature_matrix(before)))
+        # after[0] straddles the two signals, so after[j + 1] is fresh frame j;
+        # from fresh frame 2 on a frame's 1728-sample context lies inside `clean`
+        assert len(after) == len(want) + 1
+        assert _frame_bytes(after[3:]) == _frame_bytes(want[2:])

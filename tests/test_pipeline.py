@@ -12,6 +12,7 @@ from targetvoice.comb import (
     comb_filter_window,
 )
 from targetvoice.frontend import (
+    DEFAULT_FILTERBANK,
     HOP,
     PITCH_MAX_LAG,
     WINDOW,
@@ -20,8 +21,14 @@ from targetvoice.frontend import (
     vorbis_window,
 )
 from targetvoice.metrics import si_snr
-from targetvoice.pipeline import StreamingEnhancer, enhance_audio, replay_controls
+from targetvoice.pipeline import (
+    ControlReplay,
+    StreamingEnhancer,
+    enhance_audio,
+    replay_controls,
+)
 from tests.conftest import tone
+from tests.unfused_reference import use_reference_paths
 
 
 def frame_periods(frames):
@@ -290,3 +297,82 @@ class TestSharedWeights:
             solo = StreamingEnhancer(net, embs[k]).process(clips[k])
             assert np.all(np.isfinite(solo))
             np.testing.assert_array_equal(np.concatenate(outs[k]), solo)
+
+    def test_engines_without_filterbank_share_one(self, toy_model):
+        net, emb = toy_model
+        engines = [StreamingEnhancer(), StreamingEnhancer(net, emb)]
+        for eng in engines:
+            assert eng.fb is eng.features.fb is DEFAULT_FILTERBANK
+        assert engines[0].fb.weights is engines[1].fb.weights
+        with pytest.raises(ValueError):
+            DEFAULT_FILTERBANK.weights[0, 0] = 0.5
+
+    @pytest.mark.parametrize("mode", ["identity", "model"])
+    def test_interleaved_engines_keep_their_own_scratch(self, toy_model, mode):
+        # two engines stepped hop by hop, one fed a NaN, each give exactly
+        # the bytes they give alone
+        net, emb = toy_model
+        model = (net, emb) if mode == "model" else ()
+        n_hops = 100
+        clips = [sy.synth_speaker(seed, 1.0).samples[: n_hops * HOP].astype(np.float64)
+                 for seed in (3, 4)]
+        clips[1][n_hops * HOP // 3] = np.nan
+        engines = [StreamingEnhancer(*model) for _ in clips]
+        outs = [[], []]
+        with np.errstate(all="ignore"):
+            for h in range(n_hops):
+                for k, eng in enumerate(engines):
+                    outs[k].append(eng.process(clips[k][h * HOP : (h + 1) * HOP]))
+            solos = [StreamingEnhancer(*model).process(clip) for clip in clips]
+        assert np.all(np.isfinite(solos[0]))
+        assert not np.all(np.isfinite(solos[1]))
+        for k in range(2):
+            assert np.concatenate(outs[k]).tobytes() == solos[k].tobytes()
+
+
+def _speech_with_nan(seed: int) -> np.ndarray:
+    x = sy.synth_speaker(seed, 1.0).samples.astype(np.float64)
+    x += 0.01 * np.random.default_rng(seed).standard_normal(len(x))
+    x[30000:30010] = np.nan
+    return x
+
+
+class TestUnfusedReference:
+    """The engine matches the unfused frontend and overlap-add byte for byte."""
+
+    @staticmethod
+    def _run(engine, x, chunk):
+        outs = [engine.process(x[i : i + chunk]) for i in range(0, len(x), chunk)]
+        return np.concatenate(outs + [engine.flush()]).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 480, 733])
+    @pytest.mark.parametrize("mode", ["identity", "replay", "model"])
+    def test_engine_output_byte_identical(self, toy_model, mode, chunk):
+        net, emb = toy_model
+        x = sy.synth_speaker(21, 1.0).samples.astype(np.float64)
+        if chunk == 1:
+            x = x[:24000]
+        n = len(extract_features(x))
+        rng = np.random.default_rng(4)
+        gains, strengths = rng.uniform(0.0, 1.0, (2, n, 32))
+
+        def build():
+            if mode == "model":
+                return StreamingEnhancer(net, emb)
+            engine = StreamingEnhancer()
+            if mode == "replay":
+                engine.session = ControlReplay(gains, strengths)
+            return engine
+
+        got = self._run(build(), x, chunk)
+        assert got == self._run(use_reference_paths(build()), x, chunk)
+
+    @pytest.mark.parametrize("mode", ["identity", "model"])
+    def test_nan_stream_byte_identical(self, toy_model, mode):
+        net, emb = toy_model
+        model = (net, emb) if mode == "model" else ()
+        x = _speech_with_nan(22)
+        with np.errstate(all="ignore"):
+            got = self._run(StreamingEnhancer(*model), x, HOP)
+            want = self._run(use_reference_paths(StreamingEnhancer(*model)), x, HOP)
+        assert got == want
