@@ -117,14 +117,12 @@ class OverlapAddSynthesizer:
     """
 
     def __init__(self) -> None:
-        self._frame = np.empty(WINDOW)
         self._tail = np.zeros(HOP)
 
     def push(self, spectrum: np.ndarray) -> np.ndarray:
-        frame = np.fft.irfft(spectrum, n=WINDOW, out=self._frame)
-        frame *= _SYNTHESIS_WINDOW
+        frame = np.fft.irfft(spectrum, n=WINDOW) * _SYNTHESIS_WINDOW
         out = self._tail + frame[:HOP]
-        self._tail[:] = frame[HOP:]
+        self._tail = frame[HOP:].copy()
         return out
 
 

@@ -208,8 +208,6 @@ class _PitchSearch:
 
     def __init__(self) -> None:
         self._pair = np.zeros((2, PITCH_FFT_SIZE))
-        self._spec = np.empty((2, PITCH_FFT_SIZE // 2 + 1), dtype=np.complex128)
-        self._corr = np.empty(PITCH_FFT_SIZE)
         self._squares = np.empty(PITCH_HISTORY)
         self._sq = np.zeros(PITCH_HISTORY + 1)
         self._denom = np.empty(_N_PITCH_LAGS)
@@ -227,9 +225,9 @@ class _PitchSearch:
             return _UNVOICED
 
         self._pair[1, :PITCH_CORR_WINDOW] = cur[::-1]
-        spec = np.fft.rfft(self._pair, out=self._spec)
+        spec = np.fft.rfft(self._pair)
         spec[0] *= spec[1]
-        c = np.fft.irfft(spec[0], PITCH_FFT_SIZE, out=self._corr)[_PITCH_CORR]
+        c = np.fft.irfft(spec[0], PITCH_FFT_SIZE)[_PITCH_CORR]
         sq = self._sq
         np.add.accumulate(np.multiply(x, x, out=self._squares), out=sq[1:])
         denom, r, keep = self._denom, self._r, self._keep
@@ -331,7 +329,11 @@ def coherence_from_spectra(spec: np.ndarray, spec_delayed: np.ndarray,
     if e_cur is None:
         e_cur = band_energies(spec, fb)
     e_del = band_energies(spec_delayed, fb)
-    num = _band_sums(fb, cross)
+    return _coherence(_band_sums(fb, cross), e_cur, e_del)
+
+
+def _coherence(num: np.ndarray, e_cur: np.ndarray, e_del: np.ndarray) -> np.ndarray:
+    """Band cross sums over sqrt(e_cur * e_del), clamped to [0, 1]; 0 without energy."""
     denom = np.sqrt(e_cur * e_del)
     with np.errstate(invalid="ignore", divide="ignore"):
         coh = np.where(denom > 1e-20, num / denom, 0.0)
@@ -410,11 +412,10 @@ class FeatureStream:
         # context behind the frame start, zero-primed
         self._history = np.zeros(FRAME_CONTEXT + WINDOW, dtype=np.float64)
         # one-frame scratch: the pitch search, the frame and its pitch-lagged
-        # copy windowed and transformed together, and the interleaved
-        # products that give both powers and the cross spectrum
+        # copy windowed for one transform, and the interleaved products that
+        # give both powers and the cross spectrum
         self._pitch = _PitchSearch()
         self._windowed = np.empty((2, WINDOW))
-        self._spectra = np.empty((2, N_BINS), dtype=np.complex128)
         self._products = np.empty((3, 2 * N_BINS))
         self._filled = FRAME_CONTEXT  # fill position inside the history buffer
         self._pending = np.zeros(0, dtype=np.float64)
@@ -479,15 +480,15 @@ class FeatureStream:
         pitch = self._pitch(self._history[end - PITCH_HISTORY : end])
         # row 0 the frame; a voiced frame adds its pitch-lagged copy as row 1
         rows = 2 if pitch.voiced else 1
-        windowed, spec = self._windowed[:rows], self._spectra[:rows]
+        windowed = self._windowed[:rows]
         np.multiply(self._history[end - WINDOW : end], _ANALYSIS_WINDOW, out=windowed[0])
         if pitch.voiced:
             start = end - WINDOW - pitch.period
             np.multiply(self._history[start : start + WINDOW], _ANALYSIS_WINDOW,
                         out=windowed[1])
-        np.fft.rfft(windowed, out=spec)
+        spec = np.fft.rfft(windowed)
         if spectra is not None:
-            spectra.append(spec[0].copy())
+            spectra.append(spec[0])
         # interleaved re*re, im*im products whose pairs sum to each row's
         # power and, in a third row, to the cross spectrum Re(X conj Xd)
         flat = spec.view(np.float64)
@@ -497,13 +498,7 @@ class FeatureStream:
             np.multiply(flat[0], flat[1], out=products[2])
         sums = _band_sums(self.fb, products[:, 0::2] + products[:, 1::2])
         energies = sums[0]
-        if pitch.voiced:
-            denom = np.sqrt(energies * sums[1])
-            with np.errstate(invalid="ignore", divide="ignore"):
-                coh = np.where(denom > 1e-20, sums[2] / denom, 0.0)
-            coh = np.clip(coh, 0.0, 1.0)
-        else:
-            coh = _NO_COHERENCE
+        coh = _coherence(sums[2], energies, sums[1]) if pitch.voiced else _NO_COHERENCE
         feats = assemble_features(energies, coh, pitch, self._prev_log_energy)
         self._prev_log_energy = feats.log_energy
         return feats

@@ -92,7 +92,6 @@ class StreamingEnhancer:
         # pitch periods and analysis spectra of the frames awaiting their
         # look-ahead outputs
         self._frame_queue: deque[tuple[int | None, np.ndarray]] = deque()
-        self._spectra: list[np.ndarray] = []  # refilled by every hop's feature push
         self._hop_buffer = np.zeros(0)
         self.frames_processed = 0
         self.last_vad = 0.0
@@ -133,15 +132,16 @@ class StreamingEnhancer:
             out_spec = apply_per_band(spec, comb_spec, gains, strengths, self.fb)
         return self.ola.push(out_spec)
 
-    def _process_one_hop(self, hop: np.ndarray, out: np.ndarray) -> None:
-        """Advance one hop; its output overwrites `out` once the delay line is full."""
+    def _process_one_hop(self, hop: np.ndarray) -> np.ndarray:
         self.comb.push(hop)
-        spectra = self._spectra
-        spectra.clear()
-        for feats, spec in zip(self.features.push(hop, spectra), spectra):
-            emitted = self._advance_frame(feats, spec)
-            if emitted is not None:
-                out[:] = emitted
+        spectra: list[np.ndarray] = []
+        frames = self.features.push(hop, spectra)
+        emitted = np.zeros(HOP)
+        for feats, spec in zip(frames, spectra):
+            out = self._advance_frame(feats, spec)
+            if out is not None:
+                emitted = out
+        return emitted
 
     # -- public api ----------------------------------------------------------
 
@@ -155,14 +155,14 @@ class StreamingEnhancer:
         x = np.asarray(samples).ravel()
         held = len(self._hop_buffer)
         n_hops = (held + len(x)) // HOP
-        out = np.zeros(n_hops * HOP)
+        out = np.empty(n_hops * HOP)
         for i in range(n_hops):
             start = i * HOP - held  # negative only for a hop that completes the remainder
             if start < 0:
                 hop = np.concatenate([self._hop_buffer, x[:start + HOP]])
             else:
                 hop = np.asarray(x[start:start + HOP], dtype=np.float64)
-            self._process_one_hop(hop, out[i * HOP:(i + 1) * HOP])
+            out[i * HOP:(i + 1) * HOP] = self._process_one_hop(hop)
         if n_hops == 0:
             self._hop_buffer = np.concatenate([self._hop_buffer, x])
         else:

@@ -338,7 +338,7 @@ def _speech_with_nan(seed: int) -> np.ndarray:
 
 
 class TestUnfusedReference:
-    """The engine matches the unfused frontend and overlap-add byte for byte."""
+    """The engine matches the unfused frontend byte for byte."""
 
     @staticmethod
     def _run(engine, x, chunk):

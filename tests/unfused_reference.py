@@ -1,17 +1,16 @@
-"""The one-frame frontend and overlap-add as written before they were fused.
+"""The one-frame frontend as written before it was fused.
 
-Kept as the oracle that `FeatureStream._emit_frame`, `estimate_pitch`,
-`assemble_features` and `OverlapAddSynthesizer.push` must match byte for
-byte: the pitch search transforms the history and the window apart and
-gathers the correlation and the lag energies by index arrays, the
-voiced-frame coherence transforms the lagged window on its own and sums
-each band product separately, and every step allocates its results.
+Kept as the oracle that `FeatureStream._emit_frame`, `estimate_pitch` and
+`assemble_features` must match byte for byte: the pitch search transforms
+the history and the window apart and gathers the correlation and the lag
+energies by index arrays, the voiced-frame coherence transforms the lagged
+window on its own and sums each band product separately, and every step
+allocates its results.
 """
 
 import numpy as np
 
 from targetvoice import frontend as fe
-from targetvoice.comb import OverlapAddSynthesizer
 
 _LAGS = np.arange(fe.PITCH_MIN_LAG, fe.PITCH_MAX_LAG + 1)
 _CORR_INDEX = 2 * fe.PITCH_CORR_WINDOW - 1 - _LAGS
@@ -96,17 +95,8 @@ class ReferenceFeatureStream(fe.FeatureStream):
         return feats
 
 
-class ReferenceOverlapAdd(OverlapAddSynthesizer):
-    def push(self, spectrum):
-        frame = np.fft.irfft(spectrum, n=fe.WINDOW) * _WINDOW
-        out = self._tail + frame[: fe.HOP]
-        self._tail = frame[fe.HOP :].copy()
-        return out
-
-
 def use_reference_paths(engine):
-    """Give a freshly built StreamingEnhancer the unfused frontend and overlap-add."""
+    """Give a freshly built StreamingEnhancer the unfused frontend."""
     engine.features = ReferenceFeatureStream(engine.fb)
     engine.features.push(np.zeros(fe.HOP))  # the engine's timeline padding
-    engine.ola = ReferenceOverlapAdd()
     return engine
