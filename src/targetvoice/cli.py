@@ -281,8 +281,7 @@ def cmd_eval(args) -> int:
             emb = enroll_embedding(embedder_net,
                                    feature_matrix(extract_features(enroll, fb)))
             out = enhance_audio(mixture, enhancer_net, emb, fb)
-            feats = feature_matrix(extract_features(mixture, fb))
-            _, _, vad = enhancer_net.forward(feats, emb)
+            _, _, vad = enhancer_net.forward(targets.features, emb)
             out_t, lab_t = lookahead_slices(len(vad), len(targets.vad))
             acc, _, _ = vad_accuracy(vad[out_t], targets.vad[lab_t])
             vad_acc = float(acc)

@@ -19,17 +19,15 @@ from targetvoice.frontend import (
     HOP,
     LOOKAHEAD_FRAMES,
     PITCH_MAX_LAG,
+    VORBIS_WINDOW,
     WINDOW,
     ErbFilterbank,
-    vorbis_window,
 )
 
 COMB_TAPS = np.array([0.125, 0.25, 0.25, 0.25, 0.125])
 # forward taps may only reach into the buffered look-ahead: LOOKAHEAD_FRAMES
 # hops past the end of the current window
 COMB_MAX_LEAD = LOOKAHEAD_FRAMES * HOP
-
-_SYNTHESIS_WINDOW = vorbis_window(WINDOW)
 
 
 def comb_filter_window(context: np.ndarray, window_start: int,
@@ -120,7 +118,7 @@ class OverlapAddSynthesizer:
         self._tail = np.zeros(HOP)
 
     def push(self, spectrum: np.ndarray) -> np.ndarray:
-        frame = np.fft.irfft(spectrum, n=WINDOW) * _SYNTHESIS_WINDOW
+        frame = np.fft.irfft(spectrum, n=WINDOW) * VORBIS_WINDOW
         out = self._tail + frame[:HOP]
         self._tail = frame[HOP:].copy()
         return out

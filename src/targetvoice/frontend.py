@@ -60,8 +60,8 @@ LOG_FLOOR = float(np.log10(ENERGY_FLOOR))
 # window reaches back one maximum pitch lag before the frame
 FRAME_CONTEXT = PITCH_MAX_LAG
 
-# frames computed together when one push completes several; bounds the
-# block temporaries (under 2 MB at 32) whatever the length of the push
+# the most frames computed together when one push completes several; bounds
+# a stream's scratch (3.7 MiB at 32) whatever the length of the push
 BLOCK_FRAMES = 32
 
 
@@ -106,8 +106,7 @@ def erb_rate_to_hz(erb):
     return (np.power(10.0, np.asarray(erb, dtype=np.float64) / 21.4) - 1.0) / 0.00437
 
 
-def design_erb_filterbank(n_bins: int = N_BINS,
-                          sample_rate: int = SAMPLE_RATE) -> ErbFilterbank:
+def design_erb_filterbank(n_bins: int = N_BINS) -> ErbFilterbank:
     """Build the 32-band triangular filterbank on the ERB-rate scale.
 
     Band centers sit at uniform steps on the ERB-rate scale from DC to
@@ -121,12 +120,10 @@ def design_erb_filterbank(n_bins: int = N_BINS,
         If n_bins < 64 or too coarse to give every band a dedicated bin
         (a bin where that band holds the largest weight).
     """
-    if sample_rate != SAMPLE_RATE:
-        raise ConfigurationError(f"sample_rate must be {SAMPLE_RATE}")
     if n_bins < 64:
         raise ConfigurationError(f"n_bins must be >= 64, got {n_bins}")
 
-    nyquist = sample_rate / 2.0
+    nyquist = SAMPLE_RATE / 2.0
     erb_top = hz_to_erb_rate(nyquist)
     centers = erb_rate_to_hz(np.linspace(0.0, erb_top, N_BANDS))
     centers[0] = 0.0
@@ -165,7 +162,9 @@ def vorbis_window(length: int = WINDOW) -> np.ndarray:
     return np.sin(0.5 * np.pi * inner * inner)
 
 
-_ANALYSIS_WINDOW = vorbis_window(WINDOW)
+# the analysis and synthesis window of every frame
+VORBIS_WINDOW = vorbis_window(WINDOW)
+VORBIS_WINDOW.flags.writeable = False
 
 
 def analyze_frame(window_samples: np.ndarray) -> np.ndarray:
@@ -173,7 +172,7 @@ def analyze_frame(window_samples: np.ndarray) -> np.ndarray:
     x = np.asarray(window_samples, dtype=np.float64)
     if x.shape != (WINDOW,):
         raise ValueError(f"expected exactly {WINDOW} samples, got {x.shape}")
-    return np.fft.rfft(x * _ANALYSIS_WINDOW)
+    return np.fft.rfft(x * VORBIS_WINDOW)
 
 
 def _band_sums(fb: ErbFilterbank, values: np.ndarray) -> np.ndarray:
@@ -199,39 +198,50 @@ _UNVOICED = PitchEstimate(None, 0.0)
 
 
 class _PitchSearch:
-    """The pitch search of one frame on buffers allocated once (see estimate_pitch).
+    """The pitch search of k frames on buffers allocated once (see estimate_pitch).
 
-    Row 0 of the [2, 2304] transform input holds the history and row 1 the
+    Row i of the [rows, 2, 2304] transform input holds history i and its
     reversed current window; their zero tails are never written, so one
-    rfft gives both zero-padded transforms. One instance per stream.
+    rfft gives every zero-padded transform. One instance per stream, sized
+    to the most rows it is called with.
     """
 
-    def __init__(self) -> None:
-        self._pair = np.zeros((2, PITCH_FFT_SIZE))
-        self._squares = np.empty(PITCH_HISTORY)
-        self._sq = np.zeros(PITCH_HISTORY + 1)
-        self._denom = np.empty(_N_PITCH_LAGS)
-        self._r = np.empty(_N_PITCH_LAGS)
-        self._keep = np.empty(_N_PITCH_LAGS, dtype=bool)
-        self._cand = np.empty(_N_PITCH_LAGS, dtype=bool)
+    def __init__(self, rows: int = 1) -> None:
+        self._pair = np.zeros((rows, 2, PITCH_FFT_SIZE))
+        self._squares = np.empty((rows, PITCH_HISTORY))
+        sq = np.zeros((rows, PITCH_HISTORY + 1))  # running sums of squares
+        self._denom = np.empty((rows, _N_PITCH_LAGS))
+        # r(tau) between two -inf guards, so that each lag's neighbours are
+        # one slice away
+        guarded = np.full((rows, _N_PITCH_LAGS + 2), -np.inf)
+        self._bound = np.empty((rows, _N_PITCH_LAGS))
+        self._keep = np.empty((rows, _N_PITCH_LAGS), dtype=bool)
+        # the views each call reads and writes, taken once
+        self._x = self._pair[:, 0, :PITCH_HISTORY]
+        self._cur = self._x[:, PITCH_CORR_WINDOW:]
+        self._reversed = self._pair[:, 1, :PITCH_CORR_WINDOW]
+        self._sums = sq[:, 1:]
+        self._lag_end, self._lag_start = sq[:, _LAG_END], sq[:, _LAG_START]
+        self._r = guarded[:, 1:-1]
+        self._left, self._right = guarded[:, :-2], guarded[:, 2:]
 
-    def __call__(self, history: np.ndarray) -> PitchEstimate:
-        """The pitch of exactly PITCH_HISTORY float64 samples."""
-        x = self._pair[0, :PITCH_HISTORY]
-        x[:] = history
-        cur = x[PITCH_CORR_WINDOW:]
-        cur_energy = float(np.dot(cur, cur))
-        if cur_energy < 1e-20:
-            return _UNVOICED
+    def __call__(self, histories: np.ndarray) -> tuple[list[int], list[float]]:
+        """The pitch of each row of a [k, PITCH_HISTORY] float64 array.
 
-        self._pair[1, :PITCH_CORR_WINDOW] = cur[::-1]
-        spec = np.fft.rfft(self._pair)
-        spec[0] *= spec[1]
-        c = np.fft.irfft(spec[0], PITCH_FFT_SIZE)[_PITCH_CORR]
-        sq = self._sq
-        np.add.accumulate(np.multiply(x, x, out=self._squares), out=sq[1:])
-        denom, r, keep = self._denom, self._r, self._keep
-        np.subtract(sq[_LAG_END], sq[_LAG_START], out=denom)
+        Returns each row's period in samples (0 when unvoiced) and its
+        correlation (0.0 when unvoiced).
+        """
+        k = len(histories)
+        x, cur = self._x[:k], self._cur[:k]
+        x[:] = histories
+        cur_energy = np.matmul(cur[:, None, :], cur[:, :, None])[:, 0]  # np.dot per row, [k, 1]
+        self._reversed[:k] = cur[:, ::-1]
+        spec = np.fft.rfft(self._pair[:k])
+        spec[:, 0] *= spec[:, 1]
+        c = np.fft.irfft(spec[:, 0], PITCH_FFT_SIZE)[:, _PITCH_CORR]
+        np.add.accumulate(np.multiply(x, x, out=self._squares[:k]), axis=1, out=self._sums[:k])
+        denom, keep, r = self._denom[:k], self._keep[:k], self._r[:k]
+        np.subtract(self._lag_end[:k], self._lag_start[:k], out=denom)
         denom *= cur_energy
         with np.errstate(invalid="ignore", divide="ignore"):
             np.sqrt(denom, out=denom)
@@ -242,19 +252,25 @@ class _PitchSearch:
         # the lower clip at -1 cannot change a peak that reaches the threshold
         np.minimum(r, 1.0, out=r)
 
-        peak = float(np.maximum.reduce(r))
-        if not peak >= VOICING_THRESHOLD:  # NaN from non-finite input is unvoiced
-            return _UNVOICED
-        # the first local maximum within OCTAVE_PREFERENCE of the peak; the
-        # global maximum is one, so argmax finds a candidate
-        cand = self._cand
-        np.greater_equal(r, OCTAVE_PREFERENCE * peak, out=cand)
-        np.greater_equal(r[1:], r[:-1], out=keep[1:])
-        cand[1:] &= keep[1:]
-        np.greater_equal(r[:-1], r[1:], out=keep[:-1])
-        cand[:-1] &= keep[:-1]
-        idx = int(cand.argmax())
-        return PitchEstimate(PITCH_MIN_LAG + idx, float(r[idx]))
+        peak = r.max(axis=1, keepdims=True)
+        # the first local maximum within OCTAVE_PREFERENCE of the peak: r at
+        # least both neighbours and the threshold (a NaN among them fails the
+        # comparison, as it fails each test on its own); a voiced row's global
+        # maximum is one, so argmax finds a candidate
+        bound = self._bound[:k]
+        np.maximum(self._left[:k], self._right[:k], out=bound)
+        np.maximum(bound, OCTAVE_PREFERENCE * peak, out=bound)
+        idx = np.greater_equal(r, bound, out=keep).argmax(axis=1)
+
+        # one decision per row, in Python numbers: a silent window, or a NaN
+        # peak from non-finite input, is unvoiced
+        periods, correlations = [], []
+        for row, (i, p, e) in enumerate(zip(idx.tolist(), peak[:, 0].tolist(),
+                                            cur_energy[:, 0].tolist())):
+            voiced = p >= VOICING_THRESHOLD and e >= 1e-20
+            periods.append(PITCH_MIN_LAG + i if voiced else 0)
+            correlations.append(float(r[row, i]) if voiced else 0.0)
+        return periods, correlations
 
 
 def estimate_pitch(history: np.ndarray) -> PitchEstimate:
@@ -268,44 +284,12 @@ def estimate_pitch(history: np.ndarray) -> PitchEstimate:
     x = np.asarray(history, dtype=np.float64)
     if x.ndim != 1 or len(x) < PITCH_HISTORY:
         raise ValueError(f"need at least {PITCH_HISTORY} samples of history")
-    return _PitchSearch()(x[-PITCH_HISTORY:])
+    periods, correlations = _PitchSearch()(x[None, -PITCH_HISTORY:])
+    return _pitch_estimate(periods[0], correlations[0])
 
 
-def estimate_pitch_block(histories: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """estimate_pitch over the rows of a [k, 1536] array, bit for bit.
-
-    Returns each row's period in samples (0 when unvoiced) and its
-    correlation (0.0 when unvoiced).
-    """
-    x = np.asarray(histories, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != PITCH_HISTORY:
-        raise ValueError(f"need rows of exactly {PITCH_HISTORY} samples, got {x.shape}")
-    cur = x[:, PITCH_CORR_WINDOW:]
-    cur_energy = (cur[:, None, :] @ cur[:, :, None])[:, 0, 0]  # equals np.dot
-
-    prod = np.fft.rfft(x, PITCH_FFT_SIZE)
-    prod *= np.fft.rfft(cur[:, ::-1], PITCH_FFT_SIZE)
-    c = np.fft.irfft(prod, PITCH_FFT_SIZE)[:, _PITCH_CORR]
-    del prod
-    sq = np.zeros((len(x), PITCH_HISTORY + 1))
-    np.cumsum(x * x, axis=1, out=sq[:, 1:])
-    lag_energy = sq[:, _LAG_END] - sq[:, _LAG_START]
-    del sq
-    with np.errstate(invalid="ignore", divide="ignore"):
-        denom = np.sqrt(cur_energy[:, None] * lag_energy)
-        r = np.where(denom > 1e-20, c / denom, 0.0)
-    np.clip(r, -1.0, 1.0, out=r)
-
-    peak = r.max(axis=1)
-    voiced = (cur_energy >= 1e-20) & (peak >= VOICING_THRESHOLD)
-    is_peak = np.ones(r.shape, dtype=bool)
-    is_peak[:, 1:] = r[:, 1:] >= r[:, :-1]
-    is_peak[:, :-1] &= r[:, :-1] >= r[:, 1:]
-    # a voiced row's global maximum is a candidate, so argmax finds one
-    idx = np.argmax(is_peak & (r >= OCTAVE_PREFERENCE * peak[:, None]), axis=1)
-    periods = np.where(voiced, PITCH_MIN_LAG + idx, 0)
-    correlations = np.where(voiced, r[np.arange(len(r)), idx], 0.0)
-    return periods, correlations
+def _pitch_estimate(period: int, correlation: float) -> PitchEstimate:
+    return PitchEstimate(period, correlation) if period else _UNVOICED
 
 
 def pitch_coherence(window_samples: np.ndarray, delayed_samples: np.ndarray,
@@ -340,10 +324,6 @@ def _coherence(num: np.ndarray, e_cur: np.ndarray, e_del: np.ndarray) -> np.ndar
     return np.clip(coh, 0.0, 1.0)
 
 
-_NO_COHERENCE = np.zeros(N_BANDS)
-_NO_COHERENCE.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class FrameFeatures:
     """One frame's 68-dim feature vector plus the pitch estimate behind it.
@@ -369,25 +349,31 @@ class FrameFeatures:
 
 
 def assemble_features(energies: np.ndarray, coherences: np.ndarray,
-                      pitch: PitchEstimate,
-                      prev_log_energy: float | None) -> FrameFeatures:
-    """Compress energies and pack the 68-dim frame vector.
+                      periods: list[int], correlations: list[float],
+                      prev_log_energy: float | None) -> list[FrameFeatures]:
+    """Compress k frames' [k, 32] energies and pack their 68-dim vectors.
 
-    The three feature groups are views of one float32 vector.
+    `periods` are in samples (0 when unvoiced). Each frame's log-energy
+    delta subtracts the previous frame's stored (float32) log energy; the
+    first frame's subtracts `prev_log_energy`, or reads 0 when that is None.
+    Each frame's three feature groups are views of one float32 row.
     """
-    log_energy = float(np.log10(float(np.add.reduce(energies)) + ENERGY_FLOOR))
-    if pitch.voiced:
-        norm_period = (pitch.period - PITCH_MIN_LAG) / (PITCH_MAX_LAG - PITCH_MIN_LAG)
-    else:
-        norm_period = 0.0
-    delta = 0.0 if prev_log_energy is None else log_energy - prev_log_energy
-    vector = np.empty(FEATURE_DIM, dtype=np.float32)
-    band_mag, coh, general = vector[:N_BANDS], vector[N_BANDS:-4], vector[-4:]
-    band_mag[:] = np.log10(np.maximum(energies, 0.0) + ENERGY_FLOOR)
-    coh[:] = coherences
-    general[:] = (norm_period, pitch.correlation, log_energy, delta)
-    return FrameFeatures(band_mag=band_mag, pitch_coherence=coh, general=general,
-                         pitch=pitch)
+    log_energy = np.log10(np.add.reduce(energies, axis=1) + ENERGY_FLOOR)
+    vectors = np.empty((len(energies), FEATURE_DIM), dtype=np.float32)
+    vectors[:, :N_BANDS] = np.log10(np.maximum(energies, 0.0) + ENERGY_FLOOR)
+    vectors[:, N_BANDS:-4] = coherences
+    # the four general features are a few scalars per frame
+    frames, general = [], []
+    previous = prev_log_energy
+    stored = log_energy.astype(np.float32).tolist()  # as the vectors hold them
+    for v, p, r, e, e32 in zip(vectors, periods, correlations, log_energy.tolist(), stored):
+        norm = (p - PITCH_MIN_LAG) / (PITCH_MAX_LAG - PITCH_MIN_LAG) if p else 0.0
+        general.append((norm, r, e, 0.0 if previous is None else e - previous))
+        previous = e32
+        frames.append(FrameFeatures(band_mag=v[:N_BANDS], pitch_coherence=v[N_BANDS:-4],
+                                    general=v[-4:], pitch=_pitch_estimate(p, r)))
+    vectors[:, -4:] = general
+    return frames
 
 
 class FeatureStream:
@@ -409,20 +395,33 @@ class FeatureStream:
 
     def __init__(self, fb: ErbFilterbank | None = None):
         self.fb = fb if fb is not None else DEFAULT_FILTERBANK
-        # context behind the frame start, zero-primed
-        self._history = np.zeros(FRAME_CONTEXT + WINDOW, dtype=np.float64)
-        # one-frame scratch: the pitch search, the frame and its pitch-lagged
-        # copy windowed for one transform, and the interleaved products that
-        # give both powers and the cross spectrum
-        self._pitch = _PitchSearch()
-        self._windowed = np.empty((2, WINDOW))
-        self._products = np.empty((3, 2 * N_BINS))
-        self._filled = FRAME_CONTEXT  # fill position inside the history buffer
-        self._pending = np.zeros(0, dtype=np.float64)
-        self._total = 0          # samples received
-        self._absorbed = 0       # samples moved from pending into history
-        self._next_frame = 0     # next frame index to emit
+        # the framing buffer: FRAME_CONTEXT samples before the next frame's
+        # start, zero-primed, then every sample received since
+        self._buf = np.zeros(FRAME_CONTEXT)
+        self._fill = FRAME_CONTEXT
+        self._reserve(1)
         self._prev_log_energy: float | None = None
+
+    def _reserve(self, rows: int) -> None:
+        """Size the framing buffer and the kernel scratch to `rows` frames."""
+        self._capacity = FRAME_CONTEXT + (rows - 1) * HOP + WINDOW
+        # the buffer ends in one window of zeros that framing never writes:
+        # an unvoiced frame's pitch-lagged copy, which gives it zero coherence
+        buf = np.zeros(self._capacity + WINDOW)
+        buf[: self._fill] = self._buf[: self._fill]
+        self._buf = buf
+        # every window of the buffer, and each frame's pitch history, as views
+        self._windows = sliding_window_view(buf, WINDOW)
+        self._frame_starts = list(range(FRAME_CONTEXT, FRAME_CONTEXT + rows * HOP, HOP))
+        self._histories = sliding_window_view(buf, PITCH_HISTORY)[
+            FRAME_CONTEXT + WINDOW - PITCH_HISTORY :: HOP][:rows]
+        # the pitch search; the frames and their pitch-lagged copies windowed
+        # for one transform; and the interleaved products that give both
+        # powers and the cross spectra
+        self._pitch = _PitchSearch(rows)
+        self._windowed = np.empty((2 * rows, WINDOW))
+        self._products = np.empty((3 * rows, 2 * N_BINS))
+        self._rows = rows
 
     def push(self, samples: np.ndarray,
              spectra: list[np.ndarray] | None = None) -> list[FrameFeatures]:
@@ -430,136 +429,62 @@ class FeatureStream:
 
         When `spectra` is given, each returned frame's analysis spectrum
         (rfft of the windowed frame, 481 bins) is appended to it in order.
-        A push that completes several frames computes them in blocks of
-        BLOCK_FRAMES, with the same results as one frame at a time.
+        The frames are computed up to BLOCK_FRAMES at a time, with the same
+        results as one frame at a time.
         """
         chunk = np.asarray(samples).ravel()
-        if chunk.dtype != np.float32:  # float32 widens exactly where it is read
-            chunk = chunk.astype(np.float64, copy=False)
-        if len(self._pending):
-            self._pending = np.concatenate([self._pending, chunk])
-        else:
-            self._pending = chunk
-        self._total += len(chunk)
-
-        due = max(0, (self._total - WINDOW) // HOP + 1 - self._next_frame)
+        n = len(chunk)
+        due = (self._fill + n - FRAME_CONTEXT - WINDOW) // HOP + 1
+        if due > self._rows:
+            self._reserve(min(due, BLOCK_FRAMES))
         out: list[FrameFeatures] = []
-        if due == 1:
-            self._absorb(self._next_frame * HOP + WINDOW - self._absorbed)
-            out.append(self._emit_frame(spectra))
-            self._next_frame += 1
-        elif due > 1:
-            buf = np.empty(FRAME_CONTEXT + (min(due, BLOCK_FRAMES) - 1) * HOP + WINDOW)
-            while due > 0:
-                count = min(due, BLOCK_FRAMES)
-                out.extend(self._emit_block(buf, count, spectra))
-                due -= count
-        # what is left may view the caller's array: hold a copy, not the array
-        self._pending = self._pending.copy()
-        return out
+        pos = 0
+        while True:
+            take = min(n - pos, self._capacity - self._fill)
+            self._buf[self._fill : self._fill + take] = chunk[pos : pos + take]
+            self._fill += take
+            pos += take
+            k = (self._fill - FRAME_CONTEXT - WINDOW) // HOP + 1
+            if k > 0:
+                out.extend(self._emit(k, spectra))
+                used = k * HOP
+                self._buf[: self._fill - used] = self._buf[used : self._fill]
+                self._fill -= used
+            if pos == n:  # otherwise the buffer filled up and the frames made room
+                return out
 
     def restart_delta(self) -> None:
         """Give the next frame the log-energy delta of a first frame: 0."""
         self._prev_log_energy = None
 
-    def _absorb(self, n: int) -> None:
-        take, self._pending = self._pending[:n], self._pending[n:]
-        if len(take) != n:
-            raise AssertionError("internal framing accounting is wrong")
-        room = len(self._history) - self._filled
-        if n > room:
-            shift = n - room
-            self._history[:-shift] = self._history[shift:]
-            self._filled -= shift
-        self._history[self._filled : self._filled + n] = take
-        self._filled += n
-        self._absorbed += n
-
-    def _emit_frame(self, spectra: list[np.ndarray] | None) -> FrameFeatures:
-        end = self._filled
-        pitch = self._pitch(self._history[end - PITCH_HISTORY : end])
-        # row 0 the frame; a voiced frame adds its pitch-lagged copy as row 1
-        rows = 2 if pitch.voiced else 1
-        windowed = self._windowed[:rows]
-        np.multiply(self._history[end - WINDOW : end], _ANALYSIS_WINDOW, out=windowed[0])
-        if pitch.voiced:
-            start = end - WINDOW - pitch.period
-            np.multiply(self._history[start : start + WINDOW], _ANALYSIS_WINDOW,
-                        out=windowed[1])
+    def _emit(self, k: int, spectra: list[np.ndarray] | None) -> list[FrameFeatures]:
+        """The first k frames of the framing buffer."""
+        periods, correlations = self._pitch(self._histories[:k])
+        # rows 0..k-1 the frames, rows k..2k-1 their pitch-lagged copies (an
+        # unvoiced frame's is the zero window at the end of the buffer)
+        frame_starts = self._frame_starts[:k]
+        lag_starts = [start - period if period else self._capacity
+                      for start, period in zip(frame_starts, periods)]
+        windowed = self._windowed[: 2 * k]
+        # (an index array: numpy gathers with it faster than with a list)
+        np.multiply(self._windows[np.array(frame_starts + lag_starts)], VORBIS_WINDOW,
+                    out=windowed)
         spec = np.fft.rfft(windowed)
-        if spectra is not None:
-            spectra.append(spec[0])
+        if spectra is not None:  # a copy: the lagged rows need not outlive the push
+            spectra.extend(spec[:k].copy())
         # interleaved re*re, im*im products whose pairs sum to each row's
-        # power and, in a third row, to the cross spectrum Re(X conj Xd)
+        # power and, in the last k rows, to the cross spectra Re(X conj Xd)
         flat = spec.view(np.float64)
-        products = self._products[: 2 * rows - 1]
-        np.multiply(flat, flat, out=products[:rows])
-        if pitch.voiced:
-            np.multiply(flat[0], flat[1], out=products[2])
+        products = self._products[: 3 * k]
+        np.multiply(flat, flat, out=products[: 2 * k])
+        np.multiply(flat[:k], flat[k:], out=products[2 * k :])
         sums = _band_sums(self.fb, products[:, 0::2] + products[:, 1::2])
-        energies = sums[0]
-        coh = _coherence(sums[2], energies, sums[1]) if pitch.voiced else _NO_COHERENCE
-        feats = assemble_features(energies, coh, pitch, self._prev_log_energy)
-        self._prev_log_energy = feats.log_energy
-        return feats
-
-    def _emit_block(self, buf: np.ndarray, count: int,
-                    spectra: list[np.ndarray] | None) -> list[FrameFeatures]:
-        """The next `count` frames at once, bit for bit as _emit_frame."""
-        # buf holds the stream from FRAME_CONTEXT before the first frame's
-        # start to the last frame's end
-        end = self._next_frame * HOP + (count - 1) * HOP + WINDOW
-        buf = buf[: FRAME_CONTEXT + (count - 1) * HOP + WINDOW]
-        kept = len(buf) - (end - self._absorbed)
-        buf[:kept] = self._history[self._filled - kept : self._filled]
-        buf[kept:] = self._pending[: end - self._absorbed]
-        self._pending = self._pending[end - self._absorbed :]
-        self._history[:] = buf[-len(self._history) :]
-        self._filled = len(self._history)
-        self._absorbed = end
-        self._next_frame += count
-
-        windows = sliding_window_view(buf, WINDOW)
-        spec = np.fft.rfft(windows[FRAME_CONTEXT::HOP] * _ANALYSIS_WINDOW)
-        if spectra is not None:
-            spectra.extend(spec)
-        energies = band_energies(spec, self.fb)
-        histories = sliding_window_view(buf, PITCH_HISTORY)
-        periods, correlations = estimate_pitch_block(
-            histories[FRAME_CONTEXT + WINDOW - PITCH_HISTORY :: HOP])
-        voiced = np.flatnonzero(periods)
-        coh = np.zeros((count, N_BANDS))
-        if len(voiced):
-            starts = FRAME_CONTEXT + voiced * HOP - periods[voiced]
-            spec_d = np.fft.rfft(windows[starts] * _ANALYSIS_WINDOW)
-            coh[voiced] = coherence_from_spectra(spec[voiced], spec_d, self.fb,
-                                                 energies[voiced])
-        return self._assemble_block(energies, coh, periods, correlations)
-
-    def _assemble_block(self, energies: np.ndarray, coh: np.ndarray,
-                        periods: np.ndarray,
-                        correlations: np.ndarray) -> list[FrameFeatures]:
-        """assemble_features over a block, carrying the log-energy delta."""
-        band_mag = np.log10(np.maximum(energies, 0.0) + ENERGY_FLOOR)
-        log_energy = np.log10(energies.sum(axis=1) + ENERGY_FLOOR)
-        # each delta subtracts the previous frame's stored (float32) energy
-        previous = log_energy.astype(np.float32).astype(np.float64)
-        delta = np.empty_like(log_energy)
-        delta[1:] = log_energy[1:] - previous[:-1]
-        delta[0] = (0.0 if self._prev_log_energy is None
-                    else log_energy[0] - self._prev_log_energy)
-        norm_period = np.where(periods > 0, (periods - PITCH_MIN_LAG)
-                               / (PITCH_MAX_LAG - PITCH_MIN_LAG), 0.0)
-        general = np.stack([norm_period, correlations, log_energy, delta], axis=1)
-        band_mag = band_mag.astype(np.float32)
-        coh = coh.astype(np.float32)
-        general = general.astype(np.float32)
-        self._prev_log_energy = float(general[-1, 2])
-        return [
-            FrameFeatures(band_mag=band_mag[t], pitch_coherence=coh[t], general=general[t],
-                          pitch=PitchEstimate(p, r) if p else PitchEstimate(None, 0.0))
-            for t, (p, r) in enumerate(zip(periods.tolist(), correlations.tolist()))
-        ]
+        energies = sums[:k]
+        coh = _coherence(sums[2 * k :], energies, sums[k : 2 * k])
+        frames = assemble_features(energies, coh, periods, correlations,
+                                   self._prev_log_energy)
+        self._prev_log_energy = frames[-1].log_energy
+        return frames
 
 
 def extract_features(audio: np.ndarray,

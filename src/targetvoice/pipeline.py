@@ -30,14 +30,11 @@ from targetvoice.frontend import (
     DEFAULT_FILTERBANK,
     HOP,
     LOOKAHEAD_FRAMES,
-    WINDOW,
+    VORBIS_WINDOW,
     ErbFilterbank,
     FeatureStream,
     FrameFeatures,
-    vorbis_window,
 )
-
-_WINDOW = vorbis_window(WINDOW)
 
 
 class ControlReplay:
@@ -126,7 +123,7 @@ class StreamingEnhancer:
             gains, strengths = self.session.gains, self.session.strengths
             if period is not None and float(np.max(strengths)) > 1e-6:
                 combed = self.comb.filter_window(period)
-                comb_spec = np.fft.rfft(combed * _WINDOW)
+                comb_spec = np.fft.rfft(combed * VORBIS_WINDOW)
             else:
                 comb_spec = spec
             out_spec = apply_per_band(spec, comb_spec, gains, strengths, self.fb)

@@ -255,6 +255,7 @@ class SupervisionTargets:
     gains: np.ndarray      # [T, 32] ideal ratio masks
     strengths: np.ndarray  # [T, 32] clean-frame pitch coherence
     vad: np.ndarray        # [T] target-active labels {0, 1}
+    features: np.ndarray   # [T', 68] the mixture's feature matrix, T' >= T
 
 
 @dataclass
@@ -336,7 +337,8 @@ def compute_supervision(clean: np.ndarray, mixture: np.ndarray,
         strengths[idx] = clean_frames[idx].pitch_coherence
         clean_log_e[idx] = clean_frames[idx].log_energy
     vad = vad_labels_from_energy(clean_log_e)
-    return SupervisionTargets(gains=gains, strengths=strengths, vad=vad)
+    return SupervisionTargets(gains=gains, strengths=strengths, vad=vad,
+                              features=feature_matrix(mix_frames))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +544,7 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
                                    AudioBuffer(interf), AudioBuffer(noise), fb=fb)
         except MixtureError:
             continue  # silent slice (rare); skip
-        feats = feature_matrix(extract_features(example.mixture.samples, fb))
+        feats = example.targets.features
         t = min(len(feats), len(example.targets.vad))
         dataset.append({
             "features": feats[:t].astype(np.float64),

@@ -200,6 +200,17 @@ class TestEval:
         # oracle masks recover SI-SNR on these easy mixtures
         assert summary["median_si_snr_out"] > summary["median_si_snr_in"]
 
+    def test_model_eval_scores_vad(self, tmp_path, mix_dir, embedder_weights,
+                                   enhancer_weights):
+        out = tmp_path / "report.jsonl"
+        rc = main(["eval", "--manifest", os.path.join(mix_dir, "manifest.jsonl"),
+                   "--embedder", embedder_weights, "--enhancer", enhancer_weights,
+                   "--mode", "model", "--out", str(out)])
+        assert rc == EXIT_OK
+        rows = [r for r in map(json.loads, open(out)) if not r.get("summary")]
+        assert len(rows) == 2
+        assert all(0.0 <= row["vad_acc"] <= 1.0 for row in rows)
+
     def test_eval_deterministic(self, tmp_path, mix_dir, embedder_weights):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):

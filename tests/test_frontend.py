@@ -63,10 +63,6 @@ class TestFilterbank:
         with pytest.raises(fe.ConfigurationError, match="dedicated"):
             fe.design_erb_filterbank(n_bins=64)
 
-    def test_wrong_rate_rejected(self):
-        with pytest.raises(fe.ConfigurationError):
-            fe.design_erb_filterbank(sample_rate=44100)
-
 
 # ---------------------------------------------------------------------------
 # Frame transform
@@ -267,21 +263,25 @@ class TestPitchCorrelationPath:
 
     def test_block_kernel_matches_scipy_correlate_exactly(self):
         histories = np.stack(list(_pitch_corpus(np.random.default_rng(2024))))
+        search = fe._PitchSearch(fe.BLOCK_FRAMES)
         for start in range(0, len(histories), fe.BLOCK_FRAMES):
             block = histories[start : start + fe.BLOCK_FRAMES]
-            periods, correlations = fe.estimate_pitch_block(block)
-            for k, (period, corr) in enumerate(zip(periods.tolist(), correlations.tolist())):
-                got = fe.PitchEstimate(period or None, corr)
+            for k, got in enumerate(_row_estimates(search, block)):
                 assert got == _scipy_reference_pitch(block[k]), f"history {start + k}"
+
+
+def _row_estimates(search, histories: np.ndarray) -> list[fe.PitchEstimate]:
+    periods, correlations = search(histories)
+    return [fe.PitchEstimate(period or None, corr) for period, corr in zip(periods, correlations)]
 
 
 class TestFusedPitchSearch:
     def test_matches_unfused_reference_on_corpus(self):
-        search = fe._PitchSearch()  # one instance: its scratch serves every history
+        search = fe._PitchSearch()  # one instance: its one-row scratch serves every history
         for k, history in enumerate(_pitch_corpus(np.random.default_rng(2024))):
             want = reference_estimate_pitch(history)
             assert fe.estimate_pitch(history) == want, f"history {k}"
-            assert search(history) == want, f"history {k}"
+            assert _row_estimates(search, history[None]) == [want], f"history {k}"
 
 
 def test_streaming_imports_leave_scipy_signal_unloaded():
@@ -483,7 +483,7 @@ class TestFeatureStream:
 
 
 # ---------------------------------------------------------------------------
-# The fused one-frame path against the unfused reference
+# The row kernel against the unfused one-frame reference
 # ---------------------------------------------------------------------------
 
 
@@ -511,7 +511,8 @@ def _stream_record(stream: fe.FeatureStream, audio: np.ndarray, chunk: int):
 
 
 class TestFusedFramePath:
-    @pytest.mark.parametrize("chunk", [1, 480, 733])
+    # 24000-sample pushes complete 32 frames and then 18 at once
+    @pytest.mark.parametrize("chunk", [1, 480, 733, 24000])
     @pytest.mark.parametrize("signal", list(ORACLE_SIGNALS))
     def test_byte_identical_to_unfused_reference(self, signal, chunk):
         audio = ORACLE_SIGNALS[signal]()
@@ -526,18 +527,48 @@ class TestFusedFramePath:
             assert any(f.pitch.voiced for f in frames)  # the coherence path runs
 
     def test_scratch_holds_no_poison(self):
-        # a NaN reaches every scratch buffer of the one-frame path; once it
-        # has left the history the stream agrees with one that never saw it
-        burst = _with_samples(_speech(1.0, 10)[:9600], 4800, [np.nan] * 10)
-        clean = _speech(1.0, 11)
-        poisoned, fresh = fe.FeatureStream(), fe.FeatureStream()
+        # a NaN reaches every scratch buffer of the kernel; once it has left
+        # the history the stream agrees with one that never saw it. Pushes
+        # of one frame on one-row scratch; then, on scratch that a first
+        # 33-frame push sized to 32 rows, pushes of 1, of 20, and of 40
+        # (32 + 8) frames
+        for chunk, primed in ((480, False), (480, True), (9600, True), (19200, True)):
+            burst = _with_samples(_speech(1.0, 10)[:9600], 4800, [np.nan] * 10)
+            clean = _speech(1.0, 11)
+            poisoned, fresh = fe.FeatureStream(), fe.FeatureStream()
+            if primed:
+                assert len(poisoned.push(_speech(1.0, 13)[: 34 * 480])) == 33
+            with np.errstate(all="ignore"):
+                before = [f for i in range(0, len(burst), chunk)
+                          for f in poisoned.push(burst[i : i + chunk])]
+            after = [f for i in range(0, len(clean), chunk)
+                     for f in poisoned.push(clean[i : i + chunk])]
+            want = [f for i in range(0, len(clean), chunk)
+                    for f in fresh.push(clean[i : i + chunk])]
+            assert not np.all(np.isfinite(fe.feature_matrix(before)))
+            # after[0] straddles the two signals, so after[j + 1] is fresh
+            # frame j; from fresh frame 2 on a frame's 1728-sample context
+            # lies inside `clean`
+            assert len(after) == len(want) + 1
+            assert _frame_bytes(after[3:]) == _frame_bytes(want[2:]), (chunk, primed)
+
+    def test_block_pushes_match_hop_by_hop(self):
+        # pushes that complete 1, 2, 31, 32, 33 and 65 frames, a NaN burst
+        # inside the 32-frame push, then clean audio in blocks again
+        audio = _with_samples(_speech(2.0, 12), 45 * 480 + 100, [np.nan] * 10)
+        sizes = [960] + [k * 480 for k in (2, 31, 32, 33, 65, 1, 32)]
+        cuts = np.cumsum(sizes)
+        assert cuts[-1] <= len(audio)
         with np.errstate(all="ignore"):
-            before = [f for i in range(0, len(burst), 480)
-                      for f in poisoned.push(burst[i : i + 480])]
-        after = [f for i in range(0, len(clean), 480) for f in poisoned.push(clean[i : i + 480])]
-        want = [f for i in range(0, len(clean), 480) for f in fresh.push(clean[i : i + 480])]
-        assert not np.all(np.isfinite(fe.feature_matrix(before)))
-        # after[0] straddles the two signals, so after[j + 1] is fresh frame j;
-        # from fresh frame 2 on a frame's 1728-sample context lies inside `clean`
-        assert len(after) == len(want) + 1
-        assert _frame_bytes(after[3:]) == _frame_bytes(want[2:])
+            blocks = fe.FeatureStream()
+            spectra = []
+            frames = []
+            for push, chunk in enumerate(np.split(audio[: cuts[-1]], cuts[:-1])):
+                got = blocks.push(chunk, spectra)
+                assert len(got) == [1, 2, 31, 32, 33, 65, 1, 32][push]
+                frames.extend(got)
+            ref_frames, ref_spectra = _stream_record(fe.FeatureStream(), audio[: cuts[-1]], 480)
+        assert not np.all(np.isfinite(fe.feature_matrix(frames)))
+        assert np.all(np.isfinite(fe.feature_matrix(frames[-40:])))  # clean again
+        assert _frame_bytes(frames) == _frame_bytes(ref_frames)
+        assert [spec.tobytes() for spec in spectra] == ref_spectra

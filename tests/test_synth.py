@@ -5,7 +5,7 @@ import pytest
 
 from targetvoice import synth as sy
 from targetvoice.audio import AudioBuffer
-from targetvoice.frontend import extract_features
+from targetvoice.frontend import extract_features, feature_matrix
 
 
 def energy(x):
@@ -92,6 +92,9 @@ class TestMakeMixture:
         assert np.all((t.gains >= 0) & (t.gains <= 1))
         assert np.all((t.strengths >= 0) & (t.strengths <= 1))
         assert set(np.unique(t.vad)) <= {0.0, 1.0}
+        # the mixture's features, as the supervision computed them
+        want = feature_matrix(extract_features(ex.mixture.samples, fb))
+        assert t.features.tobytes() == want.tobytes() and len(t.features) == len(t.vad)
 
     def test_nonfinite_spec_rejected(self):
         with pytest.raises(sy.MixtureError, match="finite"):

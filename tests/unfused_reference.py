@@ -1,6 +1,6 @@
 """The one-frame frontend as written before it was fused.
 
-Kept as the oracle that `FeatureStream._emit_frame`, `estimate_pitch` and
+Kept as the oracle that `FeatureStream`, `estimate_pitch` and
 `assemble_features` must match byte for byte: the pitch search transforms
 the history and the window apart and gathers the correlation and the lag
 energies by index arrays, the voiced-frame coherence transforms the lagged
@@ -71,20 +71,43 @@ def reference_assemble_features(energies, coherences, pitch, prev_log_energy):
     )
 
 
-class ReferenceFeatureStream(fe.FeatureStream):
-    """FeatureStream whose one-frame path is the unfused reference."""
+class ReferenceFeatureStream:
+    """The streaming frontend computed one frame at a time by the reference code.
 
-    def _emit_frame(self, spectra):
-        end = self._filled
-        frame = self._history[end - fe.WINDOW : end]
+    It keeps the received stream from FRAME_CONTEXT samples before the next
+    frame's start (zero-primed, as FeatureStream is) and shares no code with
+    FeatureStream's framing or kernel.
+    """
+
+    def __init__(self, fb=None):
+        self.fb = fb if fb is not None else fe.DEFAULT_FILTERBANK
+        self._history = np.zeros(fe.FRAME_CONTEXT)
+        self._prev_log_energy = None
+
+    def push(self, samples, spectra=None):
+        chunk = np.asarray(samples, dtype=np.float64).ravel()
+        self._history = np.concatenate([self._history, chunk])
+        frames = []
+        while len(self._history) >= fe.FRAME_CONTEXT + fe.WINDOW:
+            frames.append(self._frame(self._history[: fe.FRAME_CONTEXT + fe.WINDOW], spectra))
+            self._history = self._history[fe.HOP:]
+        return frames
+
+    def restart_delta(self):
+        self._prev_log_energy = None
+
+    def _frame(self, context, spectra):
+        """The frame ending at the end of its FRAME_CONTEXT + WINDOW samples."""
+        end = len(context)
+        frame = context[end - fe.WINDOW : end]
         spec = np.fft.rfft(frame * _WINDOW)
         if spectra is not None:
             spectra.append(spec)
         energies = fe.band_energies(spec, self.fb)
-        pitch = reference_estimate_pitch(self._history[end - fe.PITCH_HISTORY : end])
+        pitch = reference_estimate_pitch(context[end - fe.PITCH_HISTORY : end])
         if pitch.voiced:
             start = end - fe.WINDOW - pitch.period
-            delayed = self._history[start : start + fe.WINDOW]
+            delayed = context[start : start + fe.WINDOW]
             spec_d = np.fft.rfft(delayed * _WINDOW)
             coh = fe.coherence_from_spectra(spec, spec_d, self.fb, energies)
         else:
