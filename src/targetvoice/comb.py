@@ -118,9 +118,12 @@ class OverlapAddSynthesizer:
         self._tail = np.zeros(HOP)
 
     def push(self, spectrum: np.ndarray) -> np.ndarray:
-        frame = np.fft.irfft(spectrum, n=WINDOW) * VORBIS_WINDOW
-        out = self._tail + frame[:HOP]
-        self._tail = frame[HOP:].copy()
+        frame = np.fft.irfft(spectrum, n=WINDOW)
+        frame *= VORBIS_WINDOW
+        # the first half returns with the tail added; the second half,
+        # which the returned view does not reach, is the next tail
+        out = np.add(self._tail, frame[:HOP], out=frame[:HOP])
+        self._tail = frame[HOP:]
         return out
 
 

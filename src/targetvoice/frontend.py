@@ -210,11 +210,11 @@ class _PitchSearch:
         self._pair = np.zeros((rows, 2, PITCH_FFT_SIZE))
         self._squares = np.empty((rows, PITCH_HISTORY))
         sq = np.zeros((rows, PITCH_HISTORY + 1))  # running sums of squares
+        # the denominators of r(tau), then each lag's bound in the peak test
         self._denom = np.empty((rows, _N_PITCH_LAGS))
         # r(tau) between two -inf guards, so that each lag's neighbours are
         # one slice away
         guarded = np.full((rows, _N_PITCH_LAGS + 2), -np.inf)
-        self._bound = np.empty((rows, _N_PITCH_LAGS))
         self._keep = np.empty((rows, _N_PITCH_LAGS), dtype=bool)
         # the views each call reads and writes, taken once
         self._x = self._pair[:, 0, :PITCH_HISTORY]
@@ -243,21 +243,19 @@ class _PitchSearch:
         denom, keep, r = self._denom[:k], self._keep[:k], self._r[:k]
         np.subtract(self._lag_end[:k], self._lag_start[:k], out=denom)
         denom *= cur_energy
-        with np.errstate(invalid="ignore", divide="ignore"):
-            np.sqrt(denom, out=denom)
-            np.divide(c, denom, out=r)
-        np.greater(denom, 1e-20, out=keep)
-        np.logical_not(keep, out=keep)
-        np.copyto(r, 0.0, where=keep)
+        np.sqrt(denom, out=denom)  # a product of sums of squares: never negative
+        # r is 0 where the denominator is at most 1e-20 or NaN
+        r.fill(0.0)
+        np.divide(c, denom, out=r, where=np.greater(denom, 1e-20, out=keep))
         # the lower clip at -1 cannot change a peak that reaches the threshold
         np.minimum(r, 1.0, out=r)
 
-        peak = r.max(axis=1, keepdims=True)
+        peak = np.maximum.reduce(r, axis=1, keepdims=True)
         # the first local maximum within OCTAVE_PREFERENCE of the peak: r at
         # least both neighbours and the threshold (a NaN among them fails the
         # comparison, as it fails each test on its own); a voiced row's global
         # maximum is one, so argmax finds a candidate
-        bound = self._bound[:k]
+        bound = denom
         np.maximum(self._left[:k], self._right[:k], out=bound)
         np.maximum(bound, OCTAVE_PREFERENCE * peak, out=bound)
         idx = np.greater_equal(r, bound, out=keep).argmax(axis=1)
@@ -313,67 +311,90 @@ def coherence_from_spectra(spec: np.ndarray, spec_delayed: np.ndarray,
     if e_cur is None:
         e_cur = band_energies(spec, fb)
     e_del = band_energies(spec_delayed, fb)
-    return _coherence(_band_sums(fb, cross), e_cur, e_del)
+    return _coherence(_band_sums(fb, cross), e_cur, e_del, np.empty(e_del.shape))
 
 
-def _coherence(num: np.ndarray, e_cur: np.ndarray, e_del: np.ndarray) -> np.ndarray:
-    """Band cross sums over sqrt(e_cur * e_del), clamped to [0, 1]; 0 without energy."""
-    denom = np.sqrt(e_cur * e_del)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coh = np.where(denom > 1e-20, num / denom, 0.0)
-    return np.clip(coh, 0.0, 1.0)
+def _coherence(num: np.ndarray, e_cur: np.ndarray, e_del: np.ndarray,
+               out: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """Band cross sums over sqrt(e_cur * e_del), clamped to [0, 1]; 0 without energy.
+
+    Writes `out` and returns it; overwrites `e_del` with the denominators.
+    `keep` is optional boolean scratch of the same shape.
+    """
+    denom = np.sqrt(np.multiply(e_cur, e_del, out=e_del), out=e_del)
+    out.fill(0.0)
+    np.divide(num, denom, out=out, where=np.greater(denom, 1e-20, out=keep))
+    return out.clip(0.0, 1.0, out=out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameFeatures:
     """One frame's 68-dim feature vector plus the pitch estimate behind it.
 
-    band_mag:        32 log10-compressed band energies (floor -9)
-    pitch_coherence: 32 values in [0, 1]
-    general:         [normalized period, pitch correlation,
-                      frame log-energy, log-energy delta]
+    vector: the read-only float32 row of
+      band_mag:        32 log10-compressed band energies (floor -9)
+      pitch_coherence: 32 values in [0, 1]
+      general:         [normalized period, pitch correlation,
+                        frame log-energy, log-energy delta]
     """
 
-    band_mag: np.ndarray
-    pitch_coherence: np.ndarray
-    general: np.ndarray
+    vector: np.ndarray
     pitch: PitchEstimate
 
     @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.band_mag, self.pitch_coherence, self.general])
+    def band_mag(self) -> np.ndarray:
+        return self.vector[:N_BANDS]
+
+    @property
+    def pitch_coherence(self) -> np.ndarray:
+        return self.vector[N_BANDS:-4]
+
+    @property
+    def general(self) -> np.ndarray:
+        return self.vector[-4:]
 
     @property
     def log_energy(self) -> float:
-        return float(self.general[2])
+        return float(self.vector[-2])
 
 
-def assemble_features(energies: np.ndarray, coherences: np.ndarray,
-                      periods: list[int], correlations: list[float],
+# the columns of a frame block (see assemble_features): the frame energy,
+# then the 68 features in order; the first 33 are log-compressed together
+_BLOCK_WIDTH = 1 + FEATURE_DIM
+_BANDS = slice(1, 1 + N_BANDS)
+_COHERENCES = slice(1 + N_BANDS, 1 + 2 * N_BANDS)
+
+
+def assemble_features(block: np.ndarray, periods: list[int], correlations: list[float],
                       prev_log_energy: float | None) -> list[FrameFeatures]:
-    """Compress k frames' [k, 32] energies and pack their 68-dim vectors.
+    """Compress k frames' energies and pack their 68-dim vectors.
 
-    `periods` are in samples (0 when unvoiced). Each frame's log-energy
-    delta subtracts the previous frame's stored (float32) log energy; the
-    first frame's subtracts `prev_log_energy`, or reads 0 when that is None.
-    Each frame's three feature groups are views of one float32 row.
+    `block` is a [k, 69] float64 array holding per frame its summed band
+    energy, its 32 band energies clipped at 0 and its 32 coherences (the
+    column slices 0, _BANDS and _COHERENCES); the rest of each row is
+    written here, and columns 1-68 become the frames' read-only float32
+    vectors. `periods` are in samples (0 when unvoiced). Each frame's
+    log-energy delta subtracts the previous frame's stored (float32) log
+    energy; the first frame's subtracts `prev_log_energy`, or reads 0 when
+    that is None.
     """
-    log_energy = np.log10(np.add.reduce(energies, axis=1) + ENERGY_FLOOR)
-    vectors = np.empty((len(energies), FEATURE_DIM), dtype=np.float32)
-    vectors[:, :N_BANDS] = np.log10(np.maximum(energies, 0.0) + ENERGY_FLOOR)
-    vectors[:, N_BANDS:-4] = coherences
+    levels = block[:, : 1 + N_BANDS]
+    levels += ENERGY_FLOOR
+    np.log10(levels, out=levels)
     # the four general features are a few scalars per frame
-    frames, general = [], []
+    general = []
     previous = prev_log_energy
+    log_energy = block[:, 0]
     stored = log_energy.astype(np.float32).tolist()  # as the vectors hold them
-    for v, p, r, e, e32 in zip(vectors, periods, correlations, log_energy.tolist(), stored):
+    for p, r, e, e32 in zip(periods, correlations, log_energy.tolist(), stored):
         norm = (p - PITCH_MIN_LAG) / (PITCH_MAX_LAG - PITCH_MIN_LAG) if p else 0.0
         general.append((norm, r, e, 0.0 if previous is None else e - previous))
         previous = e32
-        frames.append(FrameFeatures(band_mag=v[:N_BANDS], pitch_coherence=v[N_BANDS:-4],
-                                    general=v[-4:], pitch=_pitch_estimate(p, r)))
-    vectors[:, -4:] = general
-    return frames
+    block[:, -4:] = general
+    vectors = block[:, 1:].astype(np.float32)
+    vectors.flags.writeable = False
+    return [FrameFeatures(v, _pitch_estimate(p, r))
+            for v, p, r in zip(vectors, periods, correlations)]
 
 
 class FeatureStream:
@@ -421,6 +442,9 @@ class FeatureStream:
         self._pitch = _PitchSearch(rows)
         self._windowed = np.empty((2 * rows, WINDOW))
         self._products = np.empty((3 * rows, 2 * N_BINS))
+        # the frames' energies, coherences and features (see assemble_features)
+        self._block = np.empty((rows, _BLOCK_WIDTH))
+        self._keep = np.empty((rows, N_BANDS), dtype=bool)
         self._rows = rows
 
     def push(self, samples: np.ndarray,
@@ -435,7 +459,7 @@ class FeatureStream:
         chunk = np.asarray(samples).ravel()
         n = len(chunk)
         due = (self._fill + n - FRAME_CONTEXT - WINDOW) // HOP + 1
-        if due > self._rows:
+        if min(due, BLOCK_FRAMES) > self._rows:
             self._reserve(min(due, BLOCK_FRAMES))
         out: list[FrameFeatures] = []
         pos = 0
@@ -459,6 +483,7 @@ class FeatureStream:
 
     def _emit(self, k: int, spectra: list[np.ndarray] | None) -> list[FrameFeatures]:
         """The first k frames of the framing buffer."""
+        block = self._block[:k]
         periods, correlations = self._pitch(self._histories[:k])
         # rows 0..k-1 the frames, rows k..2k-1 their pitch-lagged copies (an
         # unvoiced frame's is the zero window at the end of the buffer)
@@ -480,9 +505,11 @@ class FeatureStream:
         np.multiply(flat[:k], flat[k:], out=products[2 * k :])
         sums = _band_sums(self.fb, products[:, 0::2] + products[:, 1::2])
         energies = sums[:k]
-        coh = _coherence(sums[2 * k :], energies, sums[k : 2 * k])
-        frames = assemble_features(energies, coh, periods, correlations,
-                                   self._prev_log_energy)
+        np.add.reduce(energies, axis=1, out=block[:, 0])
+        np.maximum(energies, 0.0, out=block[:, _BANDS])
+        _coherence(sums[2 * k :], energies, sums[k : 2 * k], block[:, _COHERENCES],
+                   self._keep[:k])
+        frames = assemble_features(block, periods, correlations, self._prev_log_energy)
         self._prev_log_energy = frames[-1].log_energy
         return frames
 

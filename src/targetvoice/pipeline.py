@@ -66,7 +66,10 @@ class StreamingEnhancer:
     is exact from the first sample; that frame gets no model step. Model
     weights are shared, read-only; every mutable buffer lives in this
     object. `session` supplies the per-frame controls: an EnhancerSession,
-    a ControlReplay, or None (identity).
+    a ControlReplay, or None (identity). Only a hop processed while
+    `session` is set enters the comb ring, which only the controls read: a
+    session set mid-stream combs against silence for the samples before
+    it until the ring has refilled, nine hops later.
     """
 
     DELAY_SAMPLES = (LOOKAHEAD_FRAMES + 1) * HOP  # 40 ms stream delay
@@ -129,11 +132,12 @@ class StreamingEnhancer:
             out_spec = apply_per_band(spec, comb_spec, gains, strengths, self.fb)
         return self.ola.push(out_spec)
 
-    def _process_one_hop(self, hop: np.ndarray) -> np.ndarray:
-        self.comb.push(hop)
+    def _process_one_hop(self, hop: np.ndarray) -> np.ndarray | None:
+        if self.session is not None:
+            self.comb.push(hop)
         spectra: list[np.ndarray] = []
         frames = self.features.push(hop, spectra)
-        emitted = np.zeros(HOP)
+        emitted = None  # silence until the look-ahead delay line is full
         for feats, spec in zip(frames, spectra):
             out = self._advance_frame(feats, spec)
             if out is not None:
@@ -159,7 +163,8 @@ class StreamingEnhancer:
                 hop = np.concatenate([self._hop_buffer, x[:start + HOP]])
             else:
                 hop = np.asarray(x[start:start + HOP], dtype=np.float64)
-            out[i * HOP:(i + 1) * HOP] = self._process_one_hop(hop)
+            emitted = self._process_one_hop(hop)
+            out[i * HOP:(i + 1) * HOP] = 0.0 if emitted is None else emitted
         if n_hops == 0:
             self._hop_buffer = np.concatenate([self._hop_buffer, x])
         else:

@@ -344,6 +344,16 @@ class TestAssembleFeatures:
             assert f.pitch_coherence.shape == (32,)
             assert f.general.shape == (4,)
 
+    def test_vector_is_the_frames_read_only_row(self):
+        frames = fe.extract_features(np.random.default_rng(1).standard_normal(4800))
+        for f in frames:
+            assert f.vector.dtype == np.float32 and not f.vector.flags.writeable
+            for part in (f.band_mag, f.pitch_coherence, f.general):
+                assert np.shares_memory(part, f.vector)
+            assert f.log_energy == float(f.vector[-2])
+        with pytest.raises(ValueError):
+            frames[0].vector[0] = 0.0
+
     def test_silent_frame_at_floor(self):
         frames = fe.extract_features(np.zeros(4800))
         f = frames[0]
@@ -499,7 +509,21 @@ ORACLE_SIGNALS = {
     "long_silence": lambda: np.concatenate(
         [_speech(1.0, 8)[:12000], np.zeros(48000), _speech(1.0, 9)[:12000]]),
     "dc": lambda: np.ones(24000),
+    "silence_mix": lambda: _silence_mix(13),
 }
+
+
+def _silence_mix(seed: int) -> np.ndarray:
+    # digital silence of assorted lengths and offsets: whole silent pushes
+    # at one frame and at 32, silent rows inside a block, a NaN just before
+    # silence, and a stretch of -0.0
+    x = _speech(2.0, seed)
+    x[4000:4500] = 0.0        # shorter than a window
+    x[9000:30000] = 0.0       # 40-odd silent windows
+    x[29990] = np.nan         # inside the context of the first frames after
+    x[40000:52000] = -0.0
+    x[60000:78000] = 0.0
+    return x
 
 
 def _stream_record(stream: fe.FeatureStream, audio: np.ndarray, chunk: int):

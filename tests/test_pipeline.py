@@ -1,5 +1,7 @@
 """Streaming engine: identity reconstruction, latency, look-ahead wiring."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from targetvoice.frontend import (
     HOP,
     PITCH_MAX_LAG,
     WINDOW,
+    FeatureStream,
     extract_features,
     feature_matrix,
     vorbis_window,
@@ -158,6 +161,18 @@ class TestStreamTiming:
         assert len(out) == len(x)
         assert peak <= 2 * x.size * 8 + (1 << 20)
 
+    @pytest.mark.parametrize("mode", ["identity", "model"])
+    def test_mutating_returned_hops_leaves_later_output(self, toy_model, mode):
+        model = toy_model if mode == "model" else ()
+        x = sy.synth_speaker(6, 1.0).samples[: 40 * HOP].astype(np.float64)
+        scribbled, clean = StreamingEnhancer(*model), StreamingEnhancer(*model)
+        for chunk in (HOP, 3 * HOP, 733):
+            for i in range(0, len(x), chunk):
+                got = scribbled.process(x[i : i + chunk])
+                want = clean.process(x[i : i + chunk])
+                assert got.tobytes() == want.tobytes()
+                got[:] = np.nan
+
     def test_flush_completes_output(self):
         engine = StreamingEnhancer()
         x = 0.2 * np.random.default_rng(5).standard_normal(7000)
@@ -232,6 +247,31 @@ class TestModelPath:
         x = 0.3 * np.random.default_rng(9).standard_normal(24000)
         y = enhance_audio(x, silencer, emb)
         assert float(np.max(np.abs(y))) < 1e-6
+
+    def test_session_set_mid_stream_fills_the_comb_ring_from_then_on(self):
+        # Only hops processed while controls are set enter the comb ring: a
+        # session assigned after n hops combs against silence for earlier
+        # samples, and once the ring has refilled (ceil(len/HOP) hops, plus
+        # one for the overlap-add tail) the output is that of an engine
+        # that had the same controls all along.
+        x = sy.synth_speaker(26, 1.0).samples.astype(np.float64)
+        hops, n = len(x) // HOP, 20
+        gains, strengths = np.random.default_rng(7).uniform(0.0, 1.0, (2, hops, 32))
+        late, early = StreamingEnhancer(), StreamingEnhancer()
+        # the late session's step s is the early one's step s + n - 1 (the
+        # first frame, the straddle frame, takes no step)
+        early.session = ControlReplay(np.concatenate([gains[: n - 1], gains]),
+                                      np.concatenate([strengths[: n - 1], strengths]))
+        refill = -(-len(late.comb._buf) // HOP) + 1
+        got, want = [], []
+        for i in range(hops):
+            if i == n:
+                assert not late.comb._buf.any()  # never pushed
+                late.session = ControlReplay(gains, strengths)
+            got.append(late.process(x[i * HOP : (i + 1) * HOP]).tobytes())
+            want.append(early.process(x[i * HOP : (i + 1) * HOP]).tobytes())
+        assert got[n : n + refill] != want[n : n + refill]
+        assert got[n + refill :] == want[n + refill :]
 
 
 class TestApplyBandControls:
@@ -338,7 +378,7 @@ def _speech_with_nan(seed: int) -> np.ndarray:
 
 
 class TestUnfusedReference:
-    """The engine matches the unfused frontend byte for byte."""
+    """The engine matches the unfused frontend and overlap-add byte for byte."""
 
     @staticmethod
     def _run(engine, x, chunk):
@@ -376,3 +416,22 @@ class TestUnfusedReference:
             got = self._run(StreamingEnhancer(*model), x, HOP)
             want = self._run(use_reference_paths(StreamingEnhancer(*model)), x, HOP)
         assert got == want
+
+
+def test_ordinary_streams_raise_no_warnings(toy_model):
+    # speech, a NaN burst and digital silence, with every warning an error
+    speech = sy.synth_speaker(24, 1.0).samples.astype(np.float64)
+    signals = [speech, _speech_with_nan(25), np.zeros(24000),
+               np.concatenate([speech[:12000], np.zeros(12000), speech[12000:]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in signals:
+            stream = FeatureStream()
+            for i in range(0, len(x), HOP):
+                stream.push(x[i : i + HOP], [])
+            extract_features(x)
+            for model in ((), toy_model):
+                engine = StreamingEnhancer(*model)
+                for i in range(0, len(x), 733):
+                    engine.process(x[i : i + 733])
+                engine.flush()

@@ -1,10 +1,11 @@
-"""The one-frame frontend as written before it was fused.
+"""The one-frame frontend and overlap-add as written before they were fused.
 
-Kept as the oracle that `FeatureStream`, `estimate_pitch` and
-`assemble_features` must match byte for byte: the pitch search transforms
-the history and the window apart and gathers the correlation and the lag
-energies by index arrays, the voiced-frame coherence transforms the lagged
-window on its own and sums each band product separately, and every step
+Kept as the oracle that `FeatureStream`, `estimate_pitch`,
+`assemble_features` and `OverlapAddSynthesizer` must match byte for byte:
+the pitch search transforms the history and the window apart and gathers
+the correlation and the lag energies by index arrays, the voiced-frame
+coherence transforms the lagged window on its own and sums each band
+product separately, the overlap-add copies its tail, and every step
 allocates its results.
 """
 
@@ -63,12 +64,9 @@ def reference_assemble_features(energies, coherences, pitch, prev_log_energy):
         norm_period = 0.0
     delta = 0.0 if prev_log_energy is None else log_energy - prev_log_energy
     general = np.array([norm_period, pitch.correlation, log_energy, delta])
-    return fe.FrameFeatures(
-        band_mag=band_mag.astype(np.float32),
-        pitch_coherence=coherences.astype(np.float32),
-        general=general.astype(np.float32),
-        pitch=pitch,
-    )
+    vector = np.concatenate([band_mag.astype(np.float32), coherences.astype(np.float32),
+                             general.astype(np.float32)])
+    return fe.FrameFeatures(vector=vector, pitch=pitch)
 
 
 class ReferenceFeatureStream:
@@ -118,8 +116,22 @@ class ReferenceFeatureStream:
         return feats
 
 
+class ReferenceOverlapAdd:
+    """Overlap-add on freshly allocated frames."""
+
+    def __init__(self):
+        self._tail = np.zeros(fe.HOP)
+
+    def push(self, spectrum):
+        frame = np.fft.irfft(spectrum, n=fe.WINDOW) * _WINDOW
+        out = self._tail + frame[: fe.HOP]
+        self._tail = frame[fe.HOP :].copy()
+        return out
+
+
 def use_reference_paths(engine):
-    """Give a freshly built StreamingEnhancer the unfused frontend."""
+    """Give a freshly built StreamingEnhancer the unfused frontend and overlap-add."""
     engine.features = ReferenceFeatureStream(engine.fb)
     engine.features.push(np.zeros(fe.HOP))  # the engine's timeline padding
+    engine.ola = ReferenceOverlapAdd()
     return engine
