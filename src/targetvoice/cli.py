@@ -1,9 +1,9 @@
 """Command-line surface wiring the modules into reproducible workflows.
 
-Every command is a pure function of its arguments and seed, writes a
-resolved-config sidecar next to its main output, and never mutates its
-inputs. Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric
-failure.
+Every command is a pure function of its arguments (`--seed` among them for
+the commands that draw random numbers), writes a resolved-config sidecar
+next to its main output, and never mutates its inputs. Exit codes: 0
+success, 2 usage error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -133,12 +133,11 @@ def cmd_enhance(args) -> int:
 
 def cmd_mix(args) -> int:
     from targetvoice.synth import (
-        _random_slice,
         build_toy_speakers,
+        draw_sources,
         evaluation_specs,
         make_mixture,
         manifest_row,
-        synth_noise,
         training_specs,
     )
 
@@ -149,17 +148,13 @@ def cmd_mix(args) -> int:
     else:
         specs = training_specs(args.n, args.seed, augmented=args.augment)
     rng = np.random.default_rng(np.random.SeedSequence([973, args.seed]))
-    n_samples = int(args.duration * SAMPLE_RATE)
+    regions = [spk.train_audio for spk in speakers]
 
     manifest_path = os.path.join(args.out_dir, "manifest.jsonl")
     rows = []
     for k, spec in enumerate(specs):
-        a, b = rng.choice(len(speakers), size=2, replace=False)
-        target = _random_slice(rng, speakers[a].train_audio, n_samples)
-        interf = _random_slice(rng, speakers[b].train_audio, n_samples)
-        noise = synth_noise(int(rng.integers(2 ** 31)), args.duration).samples
-        example = make_mixture(spec, AudioBuffer(target),
-                       AudioBuffer(interf), AudioBuffer(noise))
+        a, _, target, interf, noise = draw_sources(rng, regions, args.duration)
+        example = make_mixture(spec, target, interf, noise)
         paths = {
             "mixture": os.path.join(args.out_dir, f"mix_{k:04d}.wav"),
             "target": os.path.join(args.out_dir, f"target_{k:04d}.wav"),
@@ -267,16 +262,17 @@ def cmd_eval(args) -> int:
         mixture = read_wav(row["mixture"]).samples.astype(np.float64)
         target = read_wav(row["target"]).samples.astype(np.float64)
         interf = read_wav(row["interferer"]).samples.astype(np.float64)
-        targets = compute_supervision(target, mixture, fb)
 
         vad_acc = None
         if args.mode == "oracle":
+            targets = compute_supervision(target, mixture, fb)
             out = replay_controls(mixture, targets.gains, targets.strengths, fb)
         elif args.mode == "model":
             if enhancer_net is None:
                 raise DataError("--mode model needs --enhancer weights")
             from targetvoice.embedder import enroll_embedding
 
+            targets = compute_supervision(target, mixture, fb)
             enroll = read_wav(row["enrollment"]).samples
             emb = enroll_embedding(embedder_net,
                                    feature_matrix(extract_features(enroll, fb)))
@@ -354,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("audio")
     p.add_argument("--weights", required=True, help="embedder weight file")
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("enhance", help="extract the enrolled speaker from a mixture")
@@ -364,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--identity", action="store_true",
                    help="debug: bypass the model (gains 1, strengths 0)")
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(func=cmd_enhance)
 
     p = sub.add_parser("mix", help="synthesize an evaluation/training mixture set")
@@ -401,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["identity", "oracle", "model"],
                    default="oracle")
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", help="real-time factor benchmark")

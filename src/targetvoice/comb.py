@@ -75,10 +75,6 @@ class CombState:
         self._buf[:-HOP] = self._buf[HOP:]
         self._buf[-HOP:] = x
 
-    def window_samples(self) -> np.ndarray:
-        """The current 960-sample analysis window."""
-        return self._buf[self._past : self._past + WINDOW]
-
     def filter_window(self, period: int | None) -> np.ndarray:
         """Comb-filter the current window; pass-through when unvoiced."""
         return comb_filter_window(self._buf, self._past, period)

@@ -27,6 +27,12 @@ from targetvoice.neural import (
 from targetvoice.weights_io import check_shapes, read_meta
 
 MIN_EMBED_FRAMES = 50  # 0.5 s
+ENROLL_CROP_FRAMES = 599  # 6 s
+
+# GE2E batches: speakers per batch, utterances per speaker; Adam's step size
+GE2E_SPEAKERS = 8
+GE2E_UTTERANCES = 4
+EMBEDDER_LR = 1e-3
 
 GE2E_W_INIT = 10.0
 GE2E_B_INIT = -5.0
@@ -127,21 +133,20 @@ def embed_utterance(net: EmbedderNet, features: np.ndarray) -> np.ndarray:
     return net.forward_batch(features[None])[0]
 
 
-def enroll_embedding(net: EmbedderNet, features: np.ndarray,
-                     crop_frames: int = 599) -> np.ndarray:
+def enroll_embedding(net: EmbedderNet, features: np.ndarray) -> np.ndarray:
     """Average embeddings of non-overlapping crops and re-normalize.
 
-    Enrollment audio longer than one crop (6 s by default) contributes one
-    embedding per full crop; shorter audio is embedded whole.
+    Enrollment audio longer than one crop (ENROLL_CROP_FRAMES, 6 s)
+    contributes one embedding per full crop; shorter audio is embedded whole.
     """
     features = np.asarray(features, dtype=np.float64)
     total = features.shape[0]
     if total < MIN_EMBED_FRAMES:
         raise ValueError(f"enrollment too short: {total} frames")
-    n_crops = max(1, total // crop_frames)
+    n_crops = max(1, total // ENROLL_CROP_FRAMES)
     embs = []
     for i in range(n_crops):
-        crop = features[i * crop_frames : (i + 1) * crop_frames]
+        crop = features[i * ENROLL_CROP_FRAMES : (i + 1) * ENROLL_CROP_FRAMES]
         if crop.shape[0] < MIN_EMBED_FRAMES:
             break
         embs.append(embed_utterance(net, crop))
@@ -233,9 +238,6 @@ def ge2e_loss(embeddings: np.ndarray, w: float, b: float):
 @dataclass
 class EmbedderTrainConfig:
     steps: int = 200
-    speakers_per_batch: int = 8
-    utterances_per_speaker: int = 4
-    lr: float = 1e-3
     seed: int = 0
     eval_every: int = 50
     model: EmbedderConfig = EmbedderConfig.toy()
@@ -268,10 +270,10 @@ def train_embedder(train_set: dict, heldout_set: dict,
     params = dict(net.params())
     params["ge2e.w"] = w
     params["ge2e.b"] = b
-    opt = Adam(params, lr=config.lr)
+    opt = Adam(params, lr=EMBEDDER_LR)
 
-    n_spk = min(config.speakers_per_batch, len(speakers))
-    n_utt = config.utterances_per_speaker
+    n_spk = min(GE2E_SPEAKERS, len(speakers))
+    n_utt = GE2E_UTTERANCES
     history = []
     losses = []
     for step in range(1, config.steps + 1):

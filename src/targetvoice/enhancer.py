@@ -254,11 +254,10 @@ def compute_target_gains(clean_band_e: np.ndarray,
     return np.minimum(1.0, np.sqrt(clean / np.maximum(noisy, 1e-12)))
 
 
-def vad_labels_from_energy(clean_log_energy: np.ndarray,
-                           gate_db: float = VAD_ENERGY_GATE_DB) -> np.ndarray:
-    """1 where the clean frame is within gate_db of the utterance peak."""
+def vad_labels_from_energy(clean_log_energy: np.ndarray) -> np.ndarray:
+    """1 where the clean frame is within 40 dB of the utterance peak."""
     log_e = np.asarray(clean_log_energy, dtype=np.float64)
-    threshold = log_e.max() - gate_db / 10.0  # log10 energy units
+    threshold = log_e.max() - VAD_ENERGY_GATE_DB / 10.0  # log10 energy units
     return (log_e > threshold).astype(np.float64)
 
 
@@ -278,7 +277,7 @@ def lookahead_slices(n_outputs: int, n_labels: int) -> tuple[slice, slice]:
 
 
 def gain_strength_loss(pred_gains, pred_strengths, target_gains,
-                       target_strengths, frame_weights=None):
+                       target_strengths):
     """Band-summed, frame-averaged loss on gains (power-compressed) and strengths.
 
     L = mean_t [ sum_b (g^gamma - ghat^gamma)^2 + sum_b (r - rhat)^2 ],
@@ -291,42 +290,32 @@ def gain_strength_loss(pred_gains, pred_strengths, target_gains,
     if g_hat.shape != g.shape or r_hat.shape != r.shape:
         raise ValueError("prediction/target shapes differ")
 
-    n_frames = int(np.prod(g_hat.shape[:-1])) or 1
-    if frame_weights is None:
-        weights = np.ones(g_hat.shape[:-1])
-    else:
-        weights = np.asarray(frame_weights, dtype=np.float64)
-    norm = max(float(weights.sum()), 1.0)
-    wex = weights[..., None]
+    norm = max(float(math.prod(g_hat.shape[:-1])), 1.0)  # the frame count
 
     gh = np.power(np.maximum(g_hat, _POW_EPS), GAIN_LOSS_EXPONENT)
     gt = np.power(np.maximum(g, 0.0), GAIN_LOSS_EXPONENT)
     diff_g = gh - gt
     diff_r = r_hat - r
-    loss = float(np.sum(wex * (diff_g ** 2 + diff_r ** 2)) / norm)
+    loss = float(np.sum(diff_g ** 2 + diff_r ** 2) / norm)
 
-    d_gh = 2.0 * diff_g * wex / norm
+    d_gh = 2.0 * diff_g / norm
     d_g_hat = d_gh * GAIN_LOSS_EXPONENT * np.power(
         np.maximum(g_hat, _POW_EPS), GAIN_LOSS_EXPONENT - 1.0
     )
-    d_r_hat = 2.0 * diff_r * wex / norm
+    d_r_hat = 2.0 * diff_r / norm
     return loss, d_g_hat, d_r_hat
 
 
-def vad_loss(pred_vad, labels, frame_weights=None):
+def vad_loss(pred_vad, labels):
     """Frame-averaged binary cross-entropy; predictions clamped to
     [1e-7, 1 - 1e-7]. Returns (loss, d_pred)."""
     p = np.clip(np.asarray(pred_vad, dtype=np.float64), BCE_CLAMP, 1.0 - BCE_CLAMP)
     y = np.asarray(labels, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError("prediction/label shapes differ")
-    if frame_weights is None:
-        weights = np.ones_like(p)
-    else:
-        weights = np.asarray(frame_weights, dtype=np.float64)
-    norm = max(float(weights.sum()), 1.0)
-    loss = float(np.sum(weights * -(y * np.log(p) + (1 - y) * np.log(1 - p))) / norm)
-    d_pred = weights * (p - y) / (p * (1.0 - p)) / norm
+    norm = max(float(p.size), 1.0)
+    loss = float(np.sum(-(y * np.log(p) + (1 - y) * np.log(1 - p))) / norm)
+    d_pred = (p - y) / (p * (1.0 - p)) / norm
     # zero gradient where the raw prediction sat outside the clamp
     raw = np.asarray(pred_vad, dtype=np.float64)
     d_pred = np.where((raw > BCE_CLAMP) & (raw < 1.0 - BCE_CLAMP), d_pred, 0.0)
@@ -344,7 +333,6 @@ class EnhancerTrainConfig:
     batch_size: int = 4
     lr: float = 1e-3
     seed: int = 0
-    vad_weight: float = VAD_LOSS_WEIGHT
     log_every: int = 100
     model: EnhancerConfig = field(
         default_factory=lambda: EnhancerConfig.preset("toy")
@@ -382,14 +370,14 @@ def train_enhancer_toy(dataset: list, config: EnhancerTrainConfig, log=None):
         gs_loss, d_g, d_r = gain_strength_loss(
             gains[:, out], strengths[:, out], t_gain[:, lab], t_str[:, lab])
         v_loss, d_v = vad_loss(vad[:, out], t_vad[:, lab])
-        loss = gs_loss + config.vad_weight * v_loss
+        loss = gs_loss + VAD_LOSS_WEIGHT * v_loss
 
         d_gains = np.zeros_like(gains)
         d_strengths = np.zeros_like(strengths)
         d_vad = np.zeros_like(vad)
         d_gains[:, out] = d_g
         d_strengths[:, out] = d_r
-        d_vad[:, out] = config.vad_weight * d_v
+        d_vad[:, out] = VAD_LOSS_WEIGHT * d_v
         net.backward(d_gains, d_strengths, d_vad)
         opt.step(net.grads())
 

@@ -65,10 +65,6 @@ FRAME_CONTEXT = PITCH_MAX_LAG
 BLOCK_FRAMES = 32
 
 
-class ConfigurationError(ValueError):
-    """Raised when a filterbank layout cannot be realized."""
-
-
 @dataclass(frozen=True)
 class PitchEstimate:
     """Pitch period in samples (None when unvoiced) and its correlation."""
@@ -106,46 +102,30 @@ def erb_rate_to_hz(erb):
     return (np.power(10.0, np.asarray(erb, dtype=np.float64) / 21.4) - 1.0) / 0.00437
 
 
-def design_erb_filterbank(n_bins: int = N_BINS) -> ErbFilterbank:
+def design_erb_filterbank() -> ErbFilterbank:
     """Build the 32-band triangular filterbank on the ERB-rate scale.
 
     Band centers sit at uniform steps on the ERB-rate scale from DC to
-    Nyquist; each spectrum bin is split between its two surrounding bands
-    by linear interpolation, so the band weights sum to exactly 1 at every
-    bin and each band's profile is triangular.
-
-    Raises
-    ------
-    ConfigurationError
-        If n_bins < 64 or too coarse to give every band a dedicated bin
-        (a bin where that band holds the largest weight).
+    Nyquist; each of the 481 spectrum bins is split between its two
+    surrounding bands by linear interpolation, so the band weights sum to
+    exactly 1 at every bin and each band's profile is triangular.
     """
-    if n_bins < 64:
-        raise ConfigurationError(f"n_bins must be >= 64, got {n_bins}")
-
     nyquist = SAMPLE_RATE / 2.0
     erb_top = hz_to_erb_rate(nyquist)
     centers = erb_rate_to_hz(np.linspace(0.0, erb_top, N_BANDS))
     centers[0] = 0.0
     centers[-1] = nyquist
 
-    freqs = np.linspace(0.0, nyquist, n_bins)
-    weights = np.zeros((N_BANDS, n_bins), dtype=np.float64)
+    freqs = np.linspace(0.0, nyquist, N_BINS)
+    weights = np.zeros((N_BANDS, N_BINS), dtype=np.float64)
     # each bin's frequency lies between two adjacent centers; split linearly
     upper = np.searchsorted(centers, freqs, side="left").clip(1, N_BANDS - 1)
     lower = upper - 1
     span = centers[upper] - centers[lower]
     frac = (freqs - centers[lower]) / span
-    cols = np.arange(n_bins)
+    cols = np.arange(N_BINS)
     weights[lower, cols] += 1.0 - frac
     weights[upper, cols] += frac
-
-    dedicated = np.argmax(weights, axis=0)
-    missing = sorted(set(range(N_BANDS)) - set(dedicated.tolist()))
-    if missing:
-        raise ConfigurationError(
-            f"n_bins={n_bins} leaves bands {missing} without a dedicated bin"
-        )
     weights.flags.writeable = False
     centers.flags.writeable = False
     return ErbFilterbank(weights=weights, band_centers=centers)
@@ -155,15 +135,15 @@ def design_erb_filterbank(n_bins: int = N_BINS) -> ErbFilterbank:
 DEFAULT_FILTERBANK = design_erb_filterbank()
 
 
-def vorbis_window(length: int = WINDOW) -> np.ndarray:
-    """Squared-sine window; w[n]^2 + w[n + L/2]^2 == 1 (Princen-Bradley)."""
-    n = np.arange(length)
-    inner = np.sin(np.pi * (n + 0.5) / length)
+def vorbis_window() -> np.ndarray:
+    """Squared-sine window of 960 samples; w[n]^2 + w[n + 480]^2 == 1 (Princen-Bradley)."""
+    n = np.arange(WINDOW)
+    inner = np.sin(np.pi * (n + 0.5) / WINDOW)
     return np.sin(0.5 * np.pi * inner * inner)
 
 
 # the analysis and synthesis window of every frame
-VORBIS_WINDOW = vorbis_window(WINDOW)
+VORBIS_WINDOW = vorbis_window()
 VORBIS_WINDOW.flags.writeable = False
 
 
@@ -290,23 +270,15 @@ def _pitch_estimate(period: int, correlation: float) -> PitchEstimate:
     return PitchEstimate(period, correlation) if period else _UNVOICED
 
 
-def pitch_coherence(window_samples: np.ndarray, delayed_samples: np.ndarray,
-                    fb: ErbFilterbank) -> np.ndarray:
-    """Per-band normalized correlation between a frame and its pitch-lagged copy.
-
-    Both frames are analysis-windowed and transformed; coherence in band b is
-    the band-weighted real cross-spectrum normalized by the band energies,
-    clamped to [0, 1]. Bands without energy read 0.
-    """
-    spec = analyze_frame(window_samples)
-    spec_d = analyze_frame(delayed_samples)
-    return coherence_from_spectra(spec, spec_d, fb)
-
-
 def coherence_from_spectra(spec: np.ndarray, spec_delayed: np.ndarray,
                            fb: ErbFilterbank,
                            e_cur: np.ndarray | None = None) -> np.ndarray:
-    """Coherence of two spectra; `e_cur` is band_energies(spec) if known."""
+    """Per-band normalized correlation between a frame and its pitch-lagged copy.
+
+    Coherence in band b is the band-weighted real cross-spectrum of the two
+    spectra normalized by their band energies, clamped to [0, 1]; bands
+    without energy read 0. `e_cur` is band_energies(spec) if known.
+    """
     cross = spec.real * spec_delayed.real + spec.imag * spec_delayed.imag
     if e_cur is None:
         e_cur = band_energies(spec, fb)

@@ -23,6 +23,7 @@ from targetvoice.frontend import HOP, SAMPLE_RATE, extract_features, feature_mat
 
 SI_SNR_CAP_DB = 60.0
 ALIGN_MAX_SHIFT = 2400
+VAD_THRESHOLD = 0.5
 
 
 class MetricError(ValueError):
@@ -34,8 +35,7 @@ class MetricError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def si_snr(estimate: np.ndarray, reference: np.ndarray,
-           cap_db: float = SI_SNR_CAP_DB) -> float:
+def si_snr(estimate: np.ndarray, reference: np.ndarray) -> float:
     """Scale-invariant SNR in dB: project the estimate onto the reference.
 
     Invariant to positive scaling of the estimate; a perfect (scaled) match
@@ -52,16 +52,15 @@ def si_snr(estimate: np.ndarray, reference: np.ndarray,
     residual = est - proj
     p = float(np.dot(proj, proj))
     r = float(np.dot(residual, residual))
-    if r <= 0.0 or (p > 0 and 10.0 * np.log10(p / r) >= cap_db):
-        return cap_db
+    if r <= 0.0 or (p > 0 and 10.0 * np.log10(p / r) >= SI_SNR_CAP_DB):
+        return SI_SNR_CAP_DB
     if p <= 0.0:
-        return -cap_db
+        return -SI_SNR_CAP_DB
     return float(10.0 * np.log10(p / r))
 
 
-def align_signals(estimate: np.ndarray, reference: np.ndarray,
-                  max_shift: int = ALIGN_MAX_SHIFT):
-    """Latency-compensate by cross-correlation over +-max_shift samples.
+def align_signals(estimate: np.ndarray, reference: np.ndarray):
+    """Latency-compensate by cross-correlation over +-ALIGN_MAX_SHIFT samples.
 
     Returns (estimate', reference') trimmed to their aligned overlap.
     """
@@ -71,7 +70,7 @@ def align_signals(estimate: np.ndarray, reference: np.ndarray,
     est, ref = est[:n], ref[:n]
     corr = correlate(est, ref, mode="full", method="fft")
     lags = np.arange(-n + 1, n)
-    valid = np.abs(lags) <= max_shift
+    valid = np.abs(lags) <= ALIGN_MAX_SHIFT
     best = int(lags[valid][np.argmax(corr[valid])])
     if best >= 0:  # estimate lags reference by `best`
         est_a, ref_a = est[best:], ref[: n - best]
@@ -157,14 +156,13 @@ def eer(scores: np.ndarray, labels: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def vad_accuracy(pred: np.ndarray, labels: np.ndarray,
-                 threshold: float = 0.5):
-    """Accuracy / precision / recall at a threshold; ties count as active."""
+def vad_accuracy(pred: np.ndarray, labels: np.ndarray):
+    """Accuracy / precision / recall at VAD_THRESHOLD; ties count as active."""
     p = np.asarray(pred, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64) > 0.5
     if p.shape != y.shape:
         raise MetricError(f"length mismatch: {p.shape} vs {y.shape}")
-    active = p >= threshold
+    active = p >= VAD_THRESHOLD
     tp = int(np.sum(active & y))
     tn = int(np.sum(~active & ~y))
     fp = int(np.sum(active & ~y))

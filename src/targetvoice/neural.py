@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 GRAD_CLIP_NORM = 5.0
 
 
@@ -21,9 +24,9 @@ class ShapeError(ValueError):
 
 
 def xavier_uniform(rng: np.random.Generator, n_in: int, n_out: int,
-                   shape, dtype=np.float64) -> np.ndarray:
+                   shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 class Unfilled:
@@ -331,12 +334,9 @@ class GRU(Layer):
 class Adam:
     """Adam with global gradient-norm clipping (lr 1e-3, clip 5.0)."""
 
-    def __init__(self, named_params: dict[str, np.ndarray], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 clip_norm: float = GRAD_CLIP_NORM):
+    def __init__(self, named_params: dict[str, np.ndarray], lr: float = 1e-3):
         self.params = named_params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.clip_norm = clip_norm
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in named_params.items()}
         self.v = {k: np.zeros_like(v) for k, v in named_params.items()}
         self.t = 0
@@ -348,21 +348,21 @@ class Adam:
             total += float(np.sum(g * g))
         norm = float(np.sqrt(total))
         scale = 1.0
-        if self.clip_norm and norm > self.clip_norm:
-            scale = self.clip_norm / (norm + 1e-12)
+        if norm > GRAD_CLIP_NORM:
+            scale = GRAD_CLIP_NORM / (norm + 1e-12)
 
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for key, p in self.params.items():
             g = named_grads[key] * scale
             m = self.m[key]
             v = self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         return norm
 
 

@@ -136,13 +136,9 @@ class StreamingEnhancer:
         if self.session is not None:
             self.comb.push(hop)
         spectra: list[np.ndarray] = []
-        frames = self.features.push(hop, spectra)
-        emitted = None  # silence until the look-ahead delay line is full
-        for feats, spec in zip(frames, spectra):
-            out = self._advance_frame(feats, spec)
-            if out is not None:
-                emitted = out
-        return emitted
+        # past the straddle push, every hop completes exactly one frame
+        (feats,) = self.features.push(hop, spectra)
+        return self._advance_frame(feats, spectra[0])
 
     # -- public api ----------------------------------------------------------
 

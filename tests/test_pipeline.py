@@ -48,7 +48,7 @@ def apply_band_controls(audio, gains, strengths, periods, fb):
     nearest frame's controls and pitch period. Output aligns with the input
     and has the same length.
     """
-    window_fn = vorbis_window(WINDOW)
+    window_fn = vorbis_window()
     x = np.asarray(audio, dtype=np.float64)
     n_frames = gains.shape[0]
 

@@ -5,6 +5,7 @@ import pytest
 
 from targetvoice import synth as sy
 from targetvoice.audio import AudioBuffer
+from targetvoice.enhancer import compute_target_gains, vad_labels_from_energy
 from targetvoice.frontend import extract_features, feature_matrix
 
 
@@ -95,6 +96,30 @@ class TestMakeMixture:
         # the mixture's features, as the supervision computed them
         want = feature_matrix(extract_features(ex.mixture.samples, fb))
         assert t.features.tobytes() == want.tobytes() and len(t.features) == len(t.vad)
+
+    @pytest.mark.parametrize("spec", [
+        sy.MixtureSpec(0.0, 5.0, 1),
+        sy.MixtureSpec(-5.0, None, 2),
+        sy.MixtureSpec(20.0, -3.0, 3, sy.AugmentSpec(lowpass_hz=4000.0, tilt_db_per_octave=-4.0)),
+    ])
+    def test_supervision_matches_per_frame_loop(self, fb, components, spec):
+        target, interf, noise = components
+        ex = sy.make_mixture(spec, target, None if spec.sir_db is None else interf,
+                             noise, fb=fb)
+        clean_frames = extract_features(ex.clean_target.samples, fb)
+        mix_frames = extract_features(ex.mixture.samples, fb)
+        n = min(len(clean_frames), len(mix_frames))
+        gains, strengths, log_e = np.zeros((n, 32)), np.zeros((n, 32)), np.zeros(n)
+        for i in range(n):
+            clean_e = 10.0 ** clean_frames[i].band_mag.astype(np.float64)
+            mix_e = 10.0 ** mix_frames[i].band_mag.astype(np.float64)
+            gains[i] = compute_target_gains(clean_e, mix_e)
+            strengths[i] = clean_frames[i].pitch_coherence
+            log_e[i] = clean_frames[i].log_energy
+        t = ex.targets
+        assert t.gains.tobytes() == gains.tobytes()
+        assert t.strengths.tobytes() == strengths.tobytes()
+        assert t.vad.tobytes() == vad_labels_from_energy(log_e).tobytes()
 
     def test_nonfinite_spec_rejected(self):
         with pytest.raises(sy.MixtureError, match="finite"):

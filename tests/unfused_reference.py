@@ -17,7 +17,7 @@ _LAGS = np.arange(fe.PITCH_MIN_LAG, fe.PITCH_MAX_LAG + 1)
 _CORR_INDEX = 2 * fe.PITCH_CORR_WINDOW - 1 - _LAGS
 _LAG_END = fe.PITCH_HISTORY - _LAGS
 _LAG_START = fe.PITCH_CORR_WINDOW - _LAGS
-_WINDOW = fe.vorbis_window(fe.WINDOW)
+_WINDOW = fe.vorbis_window()
 
 
 def reference_estimate_pitch(history: np.ndarray) -> fe.PitchEstimate:
