@@ -20,7 +20,7 @@ from targetvoice.frontend import (
     WINDOW,
     ErbFilterbank,
     FeatureStream,
-    FrameFeatures,
+    Frames,
     PitchEstimate,
     design_erb_filterbank,
     extract_features,
@@ -31,7 +31,7 @@ __all__ = [
     "AudioBuffer",
     "ErbFilterbank",
     "FeatureStream",
-    "FrameFeatures",
+    "Frames",
     "PitchEstimate",
     "StreamingEnhancer",
     "design_erb_filterbank",

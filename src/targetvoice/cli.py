@@ -70,7 +70,7 @@ def _load_enhancer(path):
 
 def cmd_enroll(args) -> int:
     from targetvoice.embedder import enroll_embedding
-    from targetvoice.frontend import extract_features, feature_matrix
+    from targetvoice.frontend import extract_features
 
     audio = read_wav(args.audio)
     if audio.duration < MIN_ENROLL_S:
@@ -78,8 +78,7 @@ def cmd_enroll(args) -> int:
             f"enrollment too short: {audio.duration:.2f} s, need >= {MIN_ENROLL_S} s"
         )
     net = _load_embedder(args.weights)
-    feats = feature_matrix(extract_features(audio.samples))
-    emb = enroll_embedding(net, feats)
+    emb = enroll_embedding(net, extract_features(audio.samples).features)
     if not np.all(np.isfinite(emb)):
         raise NumericError("embedding contains non-finite values")
     save_embedding(args.out, emb)
@@ -249,42 +248,42 @@ def cmd_train_enhancer(args) -> int:
 
 def cmd_eval(args) -> int:
     from targetvoice.enhancer import lookahead_slices
-    from targetvoice.frontend import DEFAULT_FILTERBANK, extract_features, feature_matrix
+    from targetvoice.frontend import extract_features
     from targetvoice.metrics import cosine_probe, si_snr_aligned, vad_accuracy, write_report
     from targetvoice.pipeline import enhance_audio, replay_controls
     from targetvoice.synth import compute_supervision, read_manifest
 
     embedder_net = _load_embedder(args.embedder)
     enhancer_net = _load_enhancer(args.enhancer) if args.enhancer else None
-    fb = DEFAULT_FILTERBANK
     rows = []
     for idx, row in enumerate(read_manifest(args.manifest)):
         mixture = read_wav(row["mixture"]).samples.astype(np.float64)
         target = read_wav(row["target"]).samples.astype(np.float64)
         interf = read_wav(row["interferer"]).samples.astype(np.float64)
+        target_feats = extract_features(target).features
 
         vad_acc = None
         if args.mode == "oracle":
-            targets = compute_supervision(target, mixture, fb)
-            out = replay_controls(mixture, targets.gains, targets.strengths, fb)
+            targets = compute_supervision(target_feats, extract_features(mixture).features)
+            out = replay_controls(mixture, targets.gains, targets.strengths)
         elif args.mode == "model":
             if enhancer_net is None:
                 raise DataError("--mode model needs --enhancer weights")
             from targetvoice.embedder import enroll_embedding
 
-            targets = compute_supervision(target, mixture, fb)
+            targets = compute_supervision(target_feats, extract_features(mixture).features)
             enroll = read_wav(row["enrollment"]).samples
-            emb = enroll_embedding(embedder_net,
-                                   feature_matrix(extract_features(enroll, fb)))
-            out = enhance_audio(mixture, enhancer_net, emb, fb)
+            emb = enroll_embedding(embedder_net, extract_features(enroll).features)
+            out = enhance_audio(mixture, enhancer_net, emb)
             _, _, vad = enhancer_net.forward(targets.features, emb)
             out_t, lab_t = lookahead_slices(len(vad), len(targets.vad))
             acc, _, _ = vad_accuracy(vad[out_t], targets.vad[lab_t])
             vad_acc = float(acc)
         else:  # identity
-            out = enhance_audio(mixture, None, None, fb)
+            out = enhance_audio(mixture)
 
-        probe = cosine_probe(out, target, interf, embedder_net)
+        probe = cosine_probe(extract_features(out).features, target_feats,
+                             extract_features(interf).features, embedder_net)
         entry = {
             "index": idx,
             "si_snr_in": si_snr_aligned(mixture, target),

@@ -6,6 +6,11 @@ triangular ERB-rate filterbank, 32 per-band pitch coherences, and 4
 general features (normalized pitch period, pitch correlation, frame
 log-energy, log-energy delta).
 
+Frames are rows: FeatureStream.push and extract_features return one
+read-only Frames record per call, whose fields hold each completed frame's
+features, pitch period and correlation, and analysis spectrum as one row
+of an array per field.
+
 The analysis/synthesis window is the squared-sine (Vorbis) window, which
 satisfies the Princen-Bradley condition at 50% overlap so the identity
 pipeline reconstructs its input exactly.
@@ -13,6 +18,7 @@ pipeline reconstructs its input exactly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,9 +180,6 @@ def band_energies(spectrum: np.ndarray, fb: ErbFilterbank) -> np.ndarray:
     return _band_sums(fb, power)
 
 
-_UNVOICED = PitchEstimate(None, 0.0)
-
-
 class _PitchSearch:
     """The pitch search of k frames on buffers allocated once (see estimate_pitch).
 
@@ -262,12 +265,8 @@ def estimate_pitch(history: np.ndarray) -> PitchEstimate:
     x = np.asarray(history, dtype=np.float64)
     if x.ndim != 1 or len(x) < PITCH_HISTORY:
         raise ValueError(f"need at least {PITCH_HISTORY} samples of history")
-    periods, correlations = _PitchSearch()(x[None, -PITCH_HISTORY:])
-    return _pitch_estimate(periods[0], correlations[0])
-
-
-def _pitch_estimate(period: int, correlation: float) -> PitchEstimate:
-    return PitchEstimate(period, correlation) if period else _UNVOICED
+    (period,), (correlation,) = _PitchSearch()(x[None, -PITCH_HISTORY:])
+    return PitchEstimate(period or None, correlation)
 
 
 def coherence_from_spectra(spec: np.ndarray, spec_delayed: np.ndarray,
@@ -301,33 +300,40 @@ def _coherence(num: np.ndarray, e_cur: np.ndarray, e_del: np.ndarray,
 
 @dataclass(frozen=True, slots=True)
 class FrameFeatures:
-    """One frame's 68-dim feature vector plus the pitch estimate behind it.
+    """One row of a Frames record: its feature row and its pitch estimate.
 
-    vector: the read-only float32 row of
-      band_mag:        32 log10-compressed band energies (floor -9)
-      pitch_coherence: 32 values in [0, 1]
-      general:         [normalized period, pitch correlation,
-                        frame log-energy, log-energy delta]
+    Iterating a record yields these, for the benchmark's voiced share
+    (bench/inputs.py), which reads `pitch.voiced`; until the benchmark reads
+    `Frames.periods` instead. Everything else reads the record's fields.
     """
 
     vector: np.ndarray
     pitch: PitchEstimate
 
-    @property
-    def band_mag(self) -> np.ndarray:
-        return self.vector[:N_BANDS]
 
-    @property
-    def pitch_coherence(self) -> np.ndarray:
-        return self.vector[N_BANDS:-4]
+@dataclass(frozen=True)
+class Frames:
+    """The frames of one push or of one file, one read-only row each.
 
-    @property
-    def general(self) -> np.ndarray:
-        return self.vector[-4:]
+    features:     [k, 68] float32; per row 32 log10-compressed band
+                  energies (floor -9), 32 pitch coherences in [0, 1], and
+                  the general features [normalized period, pitch
+                  correlation, frame log-energy, log-energy delta]
+    periods:      [k] int64 pitch periods in samples, 0 when unvoiced
+    correlations: [k] float64 pitch correlations, 0 when unvoiced
+    spectra:      [k, 481] complex128 analysis spectra (rfft of the
+                  windowed frame)
+    """
 
-    @property
-    def log_energy(self) -> float:
-        return float(self.vector[-2])
+    features: np.ndarray
+    periods: np.ndarray
+    correlations: np.ndarray
+    spectra: np.ndarray
+
+    def __iter__(self) -> Iterator[FrameFeatures]:
+        for vector, period, correlation in zip(self.features, self.periods.tolist(),
+                                               self.correlations.tolist()):
+            yield FrameFeatures(vector, PitchEstimate(period or None, correlation))
 
 
 # the columns of a frame block (see assemble_features): the frame energy,
@@ -338,17 +344,17 @@ _COHERENCES = slice(1 + N_BANDS, 1 + 2 * N_BANDS)
 
 
 def assemble_features(block: np.ndarray, periods: list[int], correlations: list[float],
-                      prev_log_energy: float | None) -> list[FrameFeatures]:
-    """Compress k frames' energies and pack their 68-dim vectors.
+                      prev_log_energy: float | None) -> np.ndarray:
+    """Compress k frames' energies and complete their 68 feature columns.
 
     `block` is a [k, 69] float64 array holding per frame its summed band
     energy, its 32 band energies clipped at 0 and its 32 coherences (the
     column slices 0, _BANDS and _COHERENCES); the rest of each row is
-    written here, and columns 1-68 become the frames' read-only float32
-    vectors. `periods` are in samples (0 when unvoiced). Each frame's
-    log-energy delta subtracts the previous frame's stored (float32) log
-    energy; the first frame's subtracts `prev_log_energy`, or reads 0 when
-    that is None.
+    written here, and columns 1-68, returned as a view, are the frames'
+    features. `periods` are in samples (0 when unvoiced). Each frame's
+    log-energy delta subtracts the previous frame's log energy as a float32
+    feature holds it; the first frame's subtracts `prev_log_energy`, or
+    reads 0 when that is None.
     """
     levels = block[:, : 1 + N_BANDS]
     levels += ENERGY_FLOOR
@@ -357,26 +363,23 @@ def assemble_features(block: np.ndarray, periods: list[int], correlations: list[
     general = []
     previous = prev_log_energy
     log_energy = block[:, 0]
-    stored = log_energy.astype(np.float32).tolist()  # as the vectors hold them
+    stored = log_energy.astype(np.float32).tolist()  # as the features hold them
     for p, r, e, e32 in zip(periods, correlations, log_energy.tolist(), stored):
         norm = (p - PITCH_MIN_LAG) / (PITCH_MAX_LAG - PITCH_MIN_LAG) if p else 0.0
         general.append((norm, r, e, 0.0 if previous is None else e - previous))
         previous = e32
     block[:, -4:] = general
-    vectors = block[:, 1:].astype(np.float32)
-    vectors.flags.writeable = False
-    return [FrameFeatures(v, _pitch_estimate(p, r))
-            for v, p, r in zip(vectors, periods, correlations)]
+    return block[:, 1:]
 
 
 class FeatureStream:
     """Streaming feature extractor for one audio session.
 
-    Frame t covers input samples [t*480, t*480 + 960); its features are
-    returned from push() the moment that window is complete.  Missing
-    history at stream start is treated as silence, so chunking never
-    changes the output: pushing a file sample-by-sample produces
-    bit-identical features to one big push.
+    Frame t covers input samples [t*480, t*480 + 960); its row is returned
+    from push() the moment that window is complete.  Missing history at
+    stream start is treated as silence, so chunking never changes the
+    output: pushing a file sample-by-sample produces bit-identical rows to
+    one big push.
 
     The 30 ms look-ahead is not a feature-side delay: the enhancer engine
     consumes features up to frame t+3 before finalizing its output for
@@ -419,22 +422,21 @@ class FeatureStream:
         self._keep = np.empty((rows, N_BANDS), dtype=bool)
         self._rows = rows
 
-    def push(self, samples: np.ndarray,
-             spectra: list[np.ndarray] | None = None) -> list[FrameFeatures]:
-        """Feed samples; return every frame whose window is now complete.
+    def push(self, samples: np.ndarray) -> Frames:
+        """Feed samples; return the frames whose windows are now complete.
 
-        When `spectra` is given, each returned frame's analysis spectrum
-        (rfft of the windowed frame, 481 bins) is appended to it in order.
         The frames are computed up to BLOCK_FRAMES at a time, with the same
-        results as one frame at a time.
+        results as one frame at a time, into one record for the push.
         """
         chunk = np.asarray(samples).ravel()
         n = len(chunk)
-        due = (self._fill + n - FRAME_CONTEXT - WINDOW) // HOP + 1
+        due = max((self._fill + n - FRAME_CONTEXT - WINDOW) // HOP + 1, 0)
         if min(due, BLOCK_FRAMES) > self._rows:
             self._reserve(min(due, BLOCK_FRAMES))
-        out: list[FrameFeatures] = []
-        pos = 0
+        out = Frames(np.empty((due, FEATURE_DIM), dtype=np.float32),
+                     np.empty(due, dtype=np.int64), np.empty(due),
+                     np.empty((due, N_BINS), dtype=complex))
+        done = pos = 0
         while True:
             take = min(n - pos, self._capacity - self._fill)
             self._buf[self._fill : self._fill + take] = chunk[pos : pos + take]
@@ -442,21 +444,27 @@ class FeatureStream:
             pos += take
             k = (self._fill - FRAME_CONTEXT - WINDOW) // HOP + 1
             if k > 0:
-                out.extend(self._emit(k, spectra))
+                self._emit(k, out, done)
+                done += k
                 used = k * HOP
                 self._buf[: self._fill - used] = self._buf[used : self._fill]
                 self._fill -= used
             if pos == n:  # otherwise the buffer filled up and the frames made room
+                for field in (out.features, out.periods, out.correlations, out.spectra):
+                    field.flags.writeable = False
                 return out
 
     def restart_delta(self) -> None:
         """Give the next frame the log-energy delta of a first frame: 0."""
         self._prev_log_energy = None
 
-    def _emit(self, k: int, spectra: list[np.ndarray] | None) -> list[FrameFeatures]:
-        """The first k frames of the framing buffer."""
+    def _emit(self, k: int, out: Frames, at: int) -> None:
+        """Write the first k frames of the framing buffer to rows at.. of `out`."""
+        rows = slice(at, at + k)
         block = self._block[:k]
         periods, correlations = self._pitch(self._histories[:k])
+        out.periods[rows] = periods
+        out.correlations[rows] = correlations
         # rows 0..k-1 the frames, rows k..2k-1 their pitch-lagged copies (an
         # unvoiced frame's is the zero window at the end of the buffer)
         frame_starts = self._frame_starts[:k]
@@ -467,8 +475,7 @@ class FeatureStream:
         np.multiply(self._windows[np.array(frame_starts + lag_starts)], VORBIS_WINDOW,
                     out=windowed)
         spec = np.fft.rfft(windowed)
-        if spectra is not None:  # a copy: the lagged rows need not outlive the push
-            spectra.extend(spec[:k].copy())
+        out.spectra[rows] = spec[:k]
         # interleaved re*re, im*im products whose pairs sum to each row's
         # power and, in the last k rows, to the cross spectra Re(X conj Xd)
         flat = spec.view(np.float64)
@@ -481,19 +488,19 @@ class FeatureStream:
         np.maximum(energies, 0.0, out=block[:, _BANDS])
         _coherence(sums[2 * k :], energies, sums[k : 2 * k], block[:, _COHERENCES],
                    self._keep[:k])
-        frames = assemble_features(block, periods, correlations, self._prev_log_energy)
-        self._prev_log_energy = frames[-1].log_energy
-        return frames
+        features = out.features[rows]
+        features[:] = assemble_features(block, periods, correlations, self._prev_log_energy)
+        self._prev_log_energy = float(features[-1, -2])
 
 
-def extract_features(audio: np.ndarray,
-                     fb: ErbFilterbank | None = None) -> list[FrameFeatures]:
-    """Whole-file feature extraction; identical to streaming the same samples."""
+def extract_features(audio: np.ndarray, fb: ErbFilterbank | None = None) -> Frames:
+    """Whole-file feature extraction; identical to streaming the same samples.
+
+    `fb` (DEFAULT_FILTERBANK if None) stays while the benchmark passes one.
+    """
     return FeatureStream(fb).push(np.asarray(audio))
 
 
-def feature_matrix(frames: list[FrameFeatures]) -> np.ndarray:
-    """Stack frame features into a [T, 68] float32 matrix."""
-    if not frames:
-        return np.zeros((0, FEATURE_DIM), dtype=np.float32)
-    return np.stack([f.vector for f in frames]).astype(np.float32)
+def feature_matrix(frames: Frames) -> np.ndarray:
+    """The record's [T, 68] float32 features; kept while the benchmark calls it."""
+    return frames.features

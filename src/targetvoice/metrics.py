@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import correlate
 
-from targetvoice.frontend import HOP, SAMPLE_RATE, extract_features, feature_matrix
+from targetvoice.frontend import HOP, SAMPLE_RATE
 
 SI_SNR_CAP_DB = 60.0
 ALIGN_MAX_SHIFT = 2400
@@ -95,22 +95,18 @@ class ProbeResult:
     cos_interference: float
 
 
-def cosine_probe(output_audio: np.ndarray, target_ref: np.ndarray,
-                 interf_ref: np.ndarray, embedder_net) -> ProbeResult:
+def cosine_probe(output: np.ndarray, target: np.ndarray,
+                 interferer: np.ndarray, embedder_net) -> ProbeResult:
     """Embed the processed output and both ground-truth references.
 
-    All three signals use the same frozen embedder; an ideal personalized
-    system scores cos_target near 1 and cos_interference near 0.
+    Each argument is a signal's [T, 68] feature matrix (Frames.features).
+    All three use the same frozen embedder; an ideal personalized system
+    scores cos_target near 1 and cos_interference near 0.
     """
     from targetvoice.embedder import embed_utterance
 
-    def embed(audio):
-        feats = feature_matrix(extract_features(np.asarray(audio)))
-        return embed_utterance(embedder_net, feats)
-
-    e_out = embed(output_audio)
-    e_tgt = embed(target_ref)
-    e_int = embed(interf_ref)
+    e_out, e_tgt, e_int = (embed_utterance(embedder_net, feats)
+                           for feats in (output, target, interferer))
     return ProbeResult(
         cos_target=float(np.dot(e_out, e_tgt)),
         cos_interference=float(np.dot(e_out, e_int)),

@@ -1,12 +1,14 @@
 """The streaming enhancement engine: features -> model -> comb -> resynthesis.
 
-Per 10 ms hop of input the engine extracts one feature frame, advances the
-enhancer one step, and applies that step's gains and pitch-filter
-strengths to the frame three hops behind it — the model has consumed
-features up to frame t+3 before the output for frame t is synthesized,
-which realizes the 30 ms look-ahead as a delay line at the feature/output
-boundary. The model sees exactly the frames of extract_features(); the
-straddle frame in front of them (see StreamingEnhancer) is synthesis-only.
+Per 10 ms hop of input the engine pushes one hop into its FeatureStream,
+which returns a one-row Frames record; the model steps on the row's
+features, and the row's pitch period and analysis spectrum wait in a
+three-frame queue. Each step's gains and pitch-filter strengths apply to
+the frame three hops behind it — the model has consumed features up to
+frame t+3 before the output for frame t is synthesized, which realizes the
+30 ms look-ahead as a delay line at the feature/output boundary. The model
+sees exactly the rows of extract_features(); the straddle frame in front
+of them (see StreamingEnhancer) is synthesis-only.
 
 Stream timing: process() returns 480 output samples per 480 input samples
 with a fixed 1920-sample (40 ms) delay — 10 ms from the synthesis overlap
@@ -33,7 +35,6 @@ from targetvoice.frontend import (
     VORBIS_WINDOW,
     ErbFilterbank,
     FeatureStream,
-    FrameFeatures,
 )
 
 
@@ -69,7 +70,8 @@ class StreamingEnhancer:
     a ControlReplay, or None (identity). Only a hop processed while
     `session` is set enters the comb ring, which only the controls read: a
     session set mid-stream combs against silence for the samples before
-    it until the ring has refilled, nine hops later.
+    it until the ring has refilled, nine hops later. `fb`
+    (DEFAULT_FILTERBANK if None) stays while the benchmark passes one.
     """
 
     DELAY_SAMPLES = (LOOKAHEAD_FRAMES + 1) * HOP  # 40 ms stream delay
@@ -89,33 +91,36 @@ class StreamingEnhancer:
         self.features.push(np.zeros(HOP))  # timeline padding
         self.comb = CombState()
         self.ola = OverlapAddSynthesizer()
-        # pitch periods and analysis spectra of the frames awaiting their
-        # look-ahead outputs
-        self._frame_queue: deque[tuple[int | None, np.ndarray]] = deque()
+        # pitch period (0 when unvoiced) and analysis spectrum row of each
+        # frame awaiting its look-ahead output
+        self._frame_queue: deque[tuple[int, np.ndarray]] = deque()
         self._hop_buffer = np.zeros(0)
         self.frames_processed = 0
         self.last_vad = 0.0
 
     # -- internals ----------------------------------------------------------
 
-    def _advance_frame(self, feats: FrameFeatures,
-                       spec: np.ndarray) -> np.ndarray | None:
-        """Run one feature frame through the model; synthesize frame t-3.
+    def _process_one_hop(self, hop: np.ndarray) -> np.ndarray | None:
+        """Push one hop, completing frame t, through the model; synthesize frame t-3.
 
         When feature frame t completes, the comb ring's current window is
         exactly frame t-3, whose analysis spectrum waits at the head of the
         queue — the model step that just consumed frame t supplies that
         older frame's gains and strengths.
         """
+        if self.session is not None:
+            self.comb.push(hop)
+        # past the straddle push, every hop completes exactly one frame
+        frame = self.features.push(hop)
         self.frames_processed += 1
-        self._frame_queue.append((feats.pitch.period, spec))
+        self._frame_queue.append((int(frame.periods[0]), frame.spectra[0]))
         if self.frames_processed == 1:
             # the straddle frame: the model's frame 0 is the next one, whose
             # log-energy delta reads 0 as in extract_features
             self.features.restart_delta()
             return None
         if self.session is not None:
-            self.last_vad = float(self.session.step(feats.vector))
+            self.last_vad = float(self.session.step(frame.features[0]))
         if len(self._frame_queue) <= LOOKAHEAD_FRAMES:
             return None  # still filling the look-ahead delay line
 
@@ -124,21 +129,13 @@ class StreamingEnhancer:
             out_spec = spec
         else:
             gains, strengths = self.session.gains, self.session.strengths
-            if period is not None and float(np.max(strengths)) > 1e-6:
+            if period and float(np.max(strengths)) > 1e-6:
                 combed = self.comb.filter_window(period)
                 comb_spec = np.fft.rfft(combed * VORBIS_WINDOW)
             else:
                 comb_spec = spec
             out_spec = apply_per_band(spec, comb_spec, gains, strengths, self.fb)
         return self.ola.push(out_spec)
-
-    def _process_one_hop(self, hop: np.ndarray) -> np.ndarray | None:
-        if self.session is not None:
-            self.comb.push(hop)
-        spectra: list[np.ndarray] = []
-        # past the straddle push, every hop completes exactly one frame
-        (feats,) = self.features.push(hop, spectra)
-        return self._advance_frame(feats, spectra[0])
 
     # -- public api ----------------------------------------------------------
 

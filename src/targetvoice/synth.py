@@ -23,14 +23,12 @@ from scipy.signal import lfilter
 from targetvoice.audio import SAMPLE_RATE, AudioBuffer
 from targetvoice.enhancer import compute_target_gains, vad_labels_from_energy
 from targetvoice.frontend import (
-    DEFAULT_FILTERBANK,
     HOP,
     N_BANDS,
     N_BINS,
     WINDOW,
     ErbFilterbank,
     extract_features,
-    feature_matrix,
 )
 
 LOWPASS_MIN_HZ = 3000.0
@@ -290,8 +288,8 @@ def make_mixture(spec: MixtureSpec, target: AudioBuffer,
     component, so the stored mixture equals the sample-exact sum of the
     stored components and the [0,1] gain targets stay attainable.
     Supervision targets come from the stored clean target vs. the mixture.
+    `fb` (DEFAULT_FILTERBANK if None) stays while the benchmark passes one.
     """
-    fb = fb if fb is not None else DEFAULT_FILTERBANK
     t = np.asarray(target.samples, dtype=np.float64)
     n = np.asarray(noise.samples, dtype=np.float64)
     length = min(len(t), len(n))
@@ -322,7 +320,8 @@ def make_mixture(spec: MixtureSpec, target: AudioBuffer,
     n32 = n_scaled.astype(np.float32)
     i32 = None if i_scaled is None else i_scaled.astype(np.float32)
     mixture = t32 + n32 if i32 is None else t32 + i32 + n32
-    targets = compute_supervision(t32, mixture, fb)
+    targets = compute_supervision(extract_features(t32, fb).features,
+                                  extract_features(mixture, fb).features)
     return MixtureExample(
         mixture=AudioBuffer(mixture),
         clean_target=AudioBuffer(t32),
@@ -333,20 +332,22 @@ def make_mixture(spec: MixtureSpec, target: AudioBuffer,
     )
 
 
-def compute_supervision(clean: np.ndarray, mixture: np.ndarray,
-                        fb: ErbFilterbank) -> SupervisionTargets:
-    """Frame-aligned training targets from the stored components."""
-    mix_feats = feature_matrix(extract_features(mixture, fb))
-    clean_feats = feature_matrix(extract_features(clean, fb))[: len(mix_feats)]
-    n_frames = len(clean_feats)
+def compute_supervision(clean: np.ndarray, mixture: np.ndarray) -> SupervisionTargets:
+    """Frame-aligned training targets from the clean target's and the mixture's features.
+
+    Both are [T, 68] feature matrices (Frames.features) of the stored
+    components.
+    """
+    clean = clean[: len(mixture)]
+    n_frames = len(clean)
     # columns: 32 log10 band energies, 32 coherences, then the general features
-    clean_e = 10.0 ** clean_feats[:, :N_BANDS].astype(np.float64)
-    mix_e = 10.0 ** mix_feats[:n_frames, :N_BANDS].astype(np.float64)
+    clean_e = 10.0 ** clean[:, :N_BANDS].astype(np.float64)
+    mix_e = 10.0 ** mixture[:n_frames, :N_BANDS].astype(np.float64)
     return SupervisionTargets(
         gains=compute_target_gains(clean_e, mix_e),
-        strengths=clean_feats[:, N_BANDS : 2 * N_BANDS].astype(np.float64),
-        vad=vad_labels_from_energy(clean_feats[:, -2]),
-        features=mix_feats,
+        strengths=clean[:, N_BANDS : 2 * N_BANDS].astype(np.float64),
+        vad=vad_labels_from_energy(clean[:, -2]),
+        features=mixture,
     )
 
 
@@ -456,13 +457,12 @@ def embedder_crop_sets(speakers: list[ToySpeaker],
     Crops tile the speaker's train region (cycling when short); held-out
     crops come from the disjoint held-out region.
     """
-    fb = fb if fb is not None else DEFAULT_FILTERBANK
     crop_n = int(CROP_S * SAMPLE_RATE)
     train_set: dict[int, list[np.ndarray]] = {}
     heldout_set: dict[int, list[np.ndarray]] = {}
     for spk in speakers:
-        feats = feature_matrix(extract_features(spk.train_audio, fb))
-        hfeats = feature_matrix(extract_features(spk.heldout_audio, fb))
+        feats = extract_features(spk.train_audio, fb).features
+        hfeats = extract_features(spk.heldout_audio, fb).features
         crop_t = (crop_n - WINDOW) // HOP + 1
         train_set[spk.speaker_id] = [
             feats[i * crop_t // 2 : i * crop_t // 2 + crop_t]
@@ -482,11 +482,10 @@ def enrollment_embeddings(speakers: list[ToySpeaker], embedder_net,
     """Per-speaker embeddings from the enrollment region (disjoint audio)."""
     from targetvoice.embedder import enroll_embedding
 
-    fb = fb if fb is not None else DEFAULT_FILTERBANK
     return {
         spk.speaker_id: enroll_embedding(
             embedder_net,
-            feature_matrix(extract_features(spk.enroll_audio, fb)),
+            extract_features(spk.enroll_audio, fb).features,
         )
         for spk in speakers
     }
@@ -537,7 +536,6 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
     Returns (dataset, embeddings) where embeddings maps speaker id to its
     enrollment vector.
     """
-    fb = fb if fb is not None else DEFAULT_FILTERBANK
     embeddings = enrollment_embeddings(speakers, embedder_net, fb)
     rng = np.random.default_rng(np.random.SeedSequence([551, int(seed)]))
     specs = training_specs(n_mixtures, seed, augmented=False)
@@ -575,7 +573,6 @@ def toy_eval_mixtures(speakers: list[ToySpeaker], n_mixtures: int = 50,
     symmetric default SIR makes "enhance the louder talker" useless, so
     only genuine speaker conditioning separates the pair.
     """
-    fb = fb if fb is not None else DEFAULT_FILTERBANK
     rng = np.random.default_rng(np.random.SeedSequence([552, int(seed)]))
     regions = [spk.heldout_audio for spk in speakers]
     out = []

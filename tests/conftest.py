@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from targetvoice.frontend import design_erb_filterbank
+from targetvoice.frontend import Frames, design_erb_filterbank
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,12 @@ def tone(freq_hz: float, duration_s: float, amplitude: float = 0.5) -> np.ndarra
 def sawtooth(freq_hz: float, n_samples: int) -> np.ndarray:
     phase = np.arange(n_samples) * freq_hz / 48000.0
     return 2.0 * (phase % 1.0) - 1.0
+
+
+def concat_frames(records) -> Frames:
+    """The records of consecutive pushes as one record."""
+    return Frames(*(np.concatenate([getattr(r, name) for r in records])
+                    for name in ("features", "periods", "correlations", "spectra")))
 
 
 def finite_difference_params(loss_fn, params: dict, grads: dict,

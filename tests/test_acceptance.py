@@ -79,7 +79,7 @@ def test_criterion_1_feature_space_constants(fbank):
     t0 = time.perf_counter()
     frames = fe.extract_features(0.1 * np.random.default_rng(0).standard_normal(9600))
     checks = [
-        ("feature dim == 68", frames[0].vector.shape == (68,), "68"),
+        ("feature dim == 68", frames.features.shape[1:] == (68,), "68"),
         ("band count == 32", fbank.n_bands == 32, "32"),
         ("hop == 10 ms", fe.HOP == 480 and fe.HOP / fe.SAMPLE_RATE == 0.01, "480"),
         ("look-ahead == 30 ms",
@@ -290,7 +290,8 @@ def test_criterion_6_oracle_mask_separation(toy_speakers, embedder_bundle, fbank
         out = replay_controls(mix, example.targets.gains,
                               np.zeros_like(example.targets.strengths), fbank)
         gains_db.append(mt.si_snr_aligned(out, ref) - mt.si_snr_aligned(mix, ref))
-        probe = mt.cosine_probe(out, ref, example.interferer.samples, net_e)
+        probe = mt.cosine_probe(*(fe.extract_features(x).features
+                                  for x in (out, ref, example.interferer.samples)), net_e)
         cos_t.append(probe.cos_target)
         cos_i.append(probe.cos_interference)
 
@@ -354,7 +355,7 @@ def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
         out_b = enhance_audio(mix, net_h, embeddings[spk_b], fbank)
         if mt.si_snr_aligned(out_a, ref) > mt.si_snr_aligned(out_b, ref):
             wins += 1
-        feats = fe.feature_matrix(fe.extract_features(mix, fbank))
+        feats = fe.extract_features(mix, fbank).features
         _, _, vad = net_h.forward(feats, embeddings[spk_a])
         out_t, lab_t = en.lookahead_slices(len(vad), len(example.targets.vad))
         vad = vad[out_t]
@@ -362,9 +363,9 @@ def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
         active_total += int(active.sum())
         active_correct += int(np.sum(vad[active] >= 0.5))
         # personalization: the VAD must stay low when only the interferer talks
-        interf_frames = fe.extract_features(
-            example.interferer.samples.astype(np.float64), fbank)
-        interf_log_e = np.array([f.log_energy for f in interf_frames[lab_t]])
+        interf_feats = fe.extract_features(
+            example.interferer.samples.astype(np.float64), fbank).features
+        interf_log_e = interf_feats[lab_t, -2].astype(np.float64)
         interf_active = en.vad_labels_from_energy(interf_log_e) > 0.5
         vad_target_only.extend(vad[active[: len(interf_active)] & ~interf_active])
         vad_interf_only.extend(vad[interf_active & ~active[: len(interf_active)]])
@@ -441,14 +442,13 @@ def test_criterion_9_determinism(toy_speakers, fbank, tmp_path):
 
     # features (batch and sample-by-sample streaming)
     audio = mix_a.mixture.samples
-    feats_a = fe.feature_matrix(fe.extract_features(audio, fbank))
-    feats_b = fe.feature_matrix(fe.extract_features(audio, fbank))
+    feats_a = fe.extract_features(audio, fbank).features
+    feats_b = fe.extract_features(audio, fbank).features
     stream = fe.FeatureStream(fbank)
-    streamed = []
-    for i in range(0, len(audio), 733):
-        streamed.extend(stream.push(audio[i : i + 733]))
+    streamed = np.concatenate([stream.push(audio[i : i + 733]).features
+                               for i in range(0, len(audio), 733)])
     features_ok = (np.array_equal(feats_a, feats_b)
-                   and np.array_equal(feats_a, fe.feature_matrix(streamed)))
+                   and np.array_equal(feats_a, streamed))
 
     # trained weights: short runs, bit-identical serialized bytes
     train_set, heldout_set = sy.embedder_crop_sets(toy_speakers, n_train=6,

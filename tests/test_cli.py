@@ -211,6 +211,31 @@ class TestEval:
         assert len(rows) == 2
         assert all(0.0 <= row["vad_acc"] <= 1.0 for row in rows)
 
+    @pytest.mark.parametrize("mode, calls", [("identity", 6), ("oracle", 8), ("model", 10)])
+    def test_eval_featurizes_each_signal_once(self, tmp_path, mix_dir, embedder_weights,
+                                              enhancer_weights, monkeypatch, mode, calls):
+        # whole-file pushes (extract_features), counted on the class so that
+        # every import of it counts; the engine pushes one hop at a time.
+        # Per row: the output, the target and the interferer, for the probe;
+        # the mixture, for the oracle and model supervision, which reuses the
+        # target's features; the enrollment, for the model
+        from targetvoice.frontend import HOP, FeatureStream
+
+        whole = []
+        push = FeatureStream.push
+
+        def counting(stream, samples):
+            if len(samples) > HOP:
+                whole.append(len(samples))
+            return push(stream, samples)
+
+        monkeypatch.setattr(FeatureStream, "push", counting)
+        rc = main(["eval", "--manifest", os.path.join(mix_dir, "manifest.jsonl"),
+                   "--embedder", embedder_weights, "--enhancer", enhancer_weights,
+                   "--mode", mode, "--out", str(tmp_path / "report.jsonl")])
+        assert rc == EXIT_OK
+        assert len(whole) == calls
+
     def test_eval_deterministic(self, tmp_path, mix_dir, embedder_weights):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):

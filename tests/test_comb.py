@@ -112,15 +112,12 @@ class TestApplyPerBand:
 
         clean = sawtooth(100.0, 48000)
         noisy = clean + 1.0 * np.random.default_rng(7).standard_normal(48000)
-        frames = fe.extract_features(noisy, fb)
-        n = len(frames)
-        out = replay_controls(noisy, np.ones((n, 32)), np.ones((n, 32)), fb)
-        out_frames = fe.extract_features(out, fb)
+        def coherences(x):
+            return fe.extract_features(x, fb).features[10 : n - 10, 32:64]
 
-        clean_frames = fe.extract_features(clean, fb)
-        before = np.stack([f.pitch_coherence for f in frames[10 : n - 10]])
-        after = np.stack([f.pitch_coherence for f in out_frames[10 : n - 10]])
-        clean_coh = np.stack([f.pitch_coherence for f in clean_frames[10 : n - 10]])
+        n = len(fe.extract_features(noisy, fb).features)
+        out = replay_controls(noisy, np.ones((n, 32)), np.ones((n, 32)), fb)
+        before, after, clean_coh = coherences(noisy), coherences(out), coherences(clean)
         voiced_bands = clean_coh.mean(axis=0) > 0.5
         assert voiced_bands.any()
         assert np.all(after.mean(axis=0)[voiced_bands]

@@ -10,8 +10,12 @@ import pytest
 
 from targetvoice import frontend as fe
 from targetvoice.synth import synth_speaker
-from tests.conftest import sawtooth, tone
-from tests.unfused_reference import ReferenceFeatureStream, reference_estimate_pitch
+from tests.conftest import concat_frames, sawtooth, tone
+from tests.unfused_reference import (
+    ReferenceFeatureStream,
+    reference_estimate_pitch,
+    stack_frames,
+)
 
 # ---------------------------------------------------------------------------
 # ERB filterbank
@@ -337,49 +341,51 @@ class TestPitchCoherence:
 # ---------------------------------------------------------------------------
 
 
+# the feature columns: 32 band magnitudes, 32 coherences, 4 general features
+BAND_MAG, COHERENCE, GENERAL = slice(0, 32), slice(32, 64), slice(64, 68)
+
+
 class TestAssembleFeatures:
     def test_dimensionality_is_68(self, fb):
         frames = fe.extract_features(np.random.default_rng(0).standard_normal(9600))
-        assert frames
-        for f in frames:
-            assert f.vector.shape == (68,)
-            assert f.band_mag.shape == (32,)
-            assert f.pitch_coherence.shape == (32,)
-            assert f.general.shape == (4,)
+        n = (9600 - 960) // 480 + 1
+        assert frames.features.shape == (n, 68)
+        assert frames.periods.shape == frames.correlations.shape == (n,)
+        assert frames.spectra.shape == (n, 481)
 
     def test_vector_is_the_frames_read_only_row(self):
         frames = fe.extract_features(np.random.default_rng(1).standard_normal(4800))
-        for f in frames:
-            assert f.vector.dtype == np.float32 and not f.vector.flags.writeable
-            for part in (f.band_mag, f.pitch_coherence, f.general):
-                assert np.shares_memory(part, f.vector)
-            assert f.log_energy == float(f.vector[-2])
+        for field, dtype in ((frames.features, np.float32), (frames.periods, np.int64),
+                             (frames.correlations, np.float64),
+                             (frames.spectra, np.complex128)):
+            assert field.dtype == dtype and not field.flags.writeable
         with pytest.raises(ValueError):
-            frames[0].vector[0] = 0.0
+            frames.features[0, 0] = 0.0
+        # iteration (the benchmark's per-frame view) yields rows, not copies
+        for t, f in enumerate(frames):
+            assert np.shares_memory(f.vector, frames.features[t])
 
     def test_silent_frame_at_floor(self):
-        frames = fe.extract_features(np.zeros(4800))
-        f = frames[0]
-        np.testing.assert_allclose(f.band_mag, fe.LOG_FLOOR, atol=1e-6)
-        assert np.all(f.pitch_coherence == 0)
-        assert f.general[0] == 0.0
+        f = fe.extract_features(np.zeros(4800)).features[0]
+        np.testing.assert_allclose(f[BAND_MAG], fe.LOG_FLOOR, atol=1e-6)
+        assert np.all(f[COHERENCE] == 0)
+        assert f[GENERAL][0] == 0.0
 
     def test_amplitude_doubling_shifts_log_by_constant(self, fb):
         rng = np.random.default_rng(8)
         x = 0.2 * rng.standard_normal(9600)
-        lo = fe.extract_features(x)[6]
-        hi = fe.extract_features(2.0 * x)[6]
-        shift = hi.band_mag.astype(np.float64) - lo.band_mag.astype(np.float64)
+        lo = fe.extract_features(x).features[6, BAND_MAG]
+        hi = fe.extract_features(2.0 * x).features[6, BAND_MAG]
+        shift = hi.astype(np.float64) - lo.astype(np.float64)
         np.testing.assert_allclose(shift, np.log10(4.0), atol=1e-5)
 
     def test_normalized_period_range(self):
         frames = fe.extract_features(sawtooth(100.0, 48000))
-        voiced = [f for f in frames if f.pitch.voiced]
-        assert voiced
-        for f in voiced:
-            assert 0.0 <= f.general[0] <= 1.0
+        norm = frames.features[frames.periods > 0, GENERAL][:, 0]
+        assert len(norm)
+        assert np.all((0.0 <= norm) & (norm <= 1.0))
         # 100 Hz -> period 480 -> (480-96)/672
-        assert voiced[5].general[0] == pytest.approx((480 - 96) / 672, abs=0.01)
+        assert norm[5] == pytest.approx((480 - 96) / 672, abs=0.01)
 
     @pytest.mark.parametrize("signal", [
         np.ones(9600),
@@ -387,8 +393,7 @@ class TestAssembleFeatures:
         0.7 + 0.3 * np.sign(np.sin(2 * np.pi * 233 * np.arange(9600) / 48000)),
     ], ids=["dc", "square", "square_with_offset"])
     def test_features_finite_for_hostile_inputs(self, signal):
-        for f in fe.extract_features(signal):
-            assert np.all(np.isfinite(f.vector))
+        assert np.all(np.isfinite(fe.extract_features(signal).features))
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +429,12 @@ STREAM_SIGNALS = {
 }
 
 
-def _frame_bytes(frames) -> list[bytes]:
-    # bytes, not ==: NaN features never compare equal
-    return [f.vector.tobytes() + np.array([f.pitch.period or 0, f.pitch.correlation]).tobytes()
-            for f in frames]
+def _frame_bytes(frames: fe.Frames) -> list[bytes]:
+    # each row's features, period, correlation and spectrum; bytes, not ==:
+    # NaN features never compare equal
+    return [b"".join(row) for row in zip(
+        map(bytes, frames.features), map(bytes, frames.periods),
+        map(bytes, frames.correlations), map(bytes, frames.spectra))]
 
 
 class TestFeatureStream:
@@ -440,11 +447,8 @@ class TestFeatureStream:
         audio = STREAM_SIGNALS[signal]()
         with np.errstate(all="ignore"):
             ref = fe.extract_features(audio)
-            stream = fe.FeatureStream()
-            got = []
-            for i in range(0, len(audio), chunk):
-                got.extend(stream.push(audio[i : i + chunk]))
-        assert len(got) == len(ref) == (len(audio) - 960) // 480 + 1
+            got = _stream_record(fe.FeatureStream(), audio, chunk)
+        assert len(got.features) == len(ref.features) == (len(audio) - 960) // 480 + 1
         assert _frame_bytes(got) == _frame_bytes(ref)
 
     def test_whole_file_memory_bounded(self):
@@ -459,8 +463,10 @@ class TestFeatureStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(frames) == 2999
-        assert peak < 2 * audio.size * 8 + 2 * 2 ** 20
+        assert len(frames.features) == 2999
+        outputs = sum(field.nbytes for field in (frames.features, frames.periods,
+                                                  frames.correlations, frames.spectra))
+        assert peak < outputs + audio.size * 8 + 2 * 2 ** 20
 
     def test_emission_timing(self):
         # frame t emerges exactly when its window (t*480 + 960) is buffered
@@ -468,30 +474,28 @@ class TestFeatureStream:
         audio = 0.1 * np.random.default_rng(0).standard_normal(4800)
         emitted = []
         for i, sample in enumerate(audio):
-            frames = stream.push(np.array([sample]))
-            for _ in frames:
-                emitted.append(i + 1)
+            emitted.extend([i + 1] * len(stream.push(np.array([sample])).features))
         expected = [t * 480 + 960 for t in range(len(emitted))]
         assert emitted == expected
 
     def test_push_hands_out_each_frames_analysis_spectrum(self):
         audio = 0.3 * np.random.default_rng(5).standard_normal(4800)
         stream = fe.FeatureStream()
-        spectra = []
-        frames = stream.push(audio[:1000], spectra) + stream.push(audio[1000:], spectra)
-        assert len(spectra) == len(frames) == 9
+        spectra = np.concatenate([stream.push(audio[:1000]).spectra,
+                                  stream.push(audio[1000:]).spectra])
+        assert len(spectra) == 9
         for t, spec in enumerate(spectra):
             expected = fe.analyze_frame(audio[t * 480 : t * 480 + 960])
             assert spec.tobytes() == expected.tobytes()
 
     def test_frame_count_matches_length(self):
         frames = fe.extract_features(np.zeros(48000))
-        assert len(frames) == (48000 - 960) // 480 + 1
+        assert len(frames.features) == (48000 - 960) // 480 + 1
 
     def test_feature_matrix_shape(self):
         frames = fe.extract_features(np.zeros(9600))
         mat = fe.feature_matrix(frames)
-        assert mat.shape == (len(frames), 68)
+        assert mat.shape == (len(frames.periods), 68)
         assert mat.dtype == np.float32
 
 
@@ -529,12 +533,15 @@ def _silence_mix(seed: int) -> np.ndarray:
     return x
 
 
-def _stream_record(stream: fe.FeatureStream, audio: np.ndarray, chunk: int):
-    spectra = []
-    frames = []
-    for i in range(0, len(audio), chunk):
-        frames.extend(stream.push(audio[i : i + chunk], spectra))
-    return frames, [spec.tobytes() for spec in spectra]
+def _stream_record(stream, audio: np.ndarray, chunk: int) -> fe.Frames:
+    """One record of `audio` pushed in chunks; the reference's frames stacked."""
+    if isinstance(stream, ReferenceFeatureStream):
+        spectra = []
+        frames = [f for i in range(0, len(audio), chunk)
+                  for f in stream.push(audio[i : i + chunk], spectra)]
+        return stack_frames(frames, spectra)
+    return concat_frames([stream.push(audio[i : i + chunk])
+                          for i in range(0, len(audio), chunk)])
 
 
 class TestFusedFramePath:
@@ -544,14 +551,14 @@ class TestFusedFramePath:
     def test_byte_identical_to_unfused_reference(self, signal, chunk):
         audio = ORACLE_SIGNALS[signal]()
         with np.errstate(all="ignore"):
-            frames, spectra = _stream_record(fe.FeatureStream(), audio, chunk)
-            ref_frames, ref_spectra = _stream_record(ReferenceFeatureStream(), audio, chunk)
-        assert len(frames) == (len(audio) - 960) // 480 + 1
-        assert [f.pitch for f in frames] == [f.pitch for f in ref_frames]
-        assert _frame_bytes(frames) == _frame_bytes(ref_frames)
-        assert spectra == ref_spectra
+            frames = _stream_record(fe.FeatureStream(), audio, chunk)
+            ref = _stream_record(ReferenceFeatureStream(), audio, chunk)
+        assert len(frames.features) == (len(audio) - 960) // 480 + 1
+        assert frames.periods.tolist() == ref.periods.tolist()
+        assert frames.correlations.tolist() == ref.correlations.tolist()
+        assert _frame_bytes(frames) == _frame_bytes(ref)
         if signal != "dc":
-            assert any(f.pitch.voiced for f in frames)  # the coherence path runs
+            assert np.any(frames.periods)  # the coherence path runs
 
     def test_scratch_holds_no_poison(self):
         # a NaN reaches every scratch buffer of the kernel; once it has left
@@ -564,20 +571,17 @@ class TestFusedFramePath:
             clean = _speech(1.0, 11)
             poisoned, fresh = fe.FeatureStream(), fe.FeatureStream()
             if primed:
-                assert len(poisoned.push(_speech(1.0, 13)[: 34 * 480])) == 33
+                assert len(poisoned.push(_speech(1.0, 13)[: 34 * 480]).features) == 33
             with np.errstate(all="ignore"):
-                before = [f for i in range(0, len(burst), chunk)
-                          for f in poisoned.push(burst[i : i + chunk])]
-            after = [f for i in range(0, len(clean), chunk)
-                     for f in poisoned.push(clean[i : i + chunk])]
-            want = [f for i in range(0, len(clean), chunk)
-                    for f in fresh.push(clean[i : i + chunk])]
-            assert not np.all(np.isfinite(fe.feature_matrix(before)))
+                before = _stream_record(poisoned, burst, chunk)
+            after = _stream_record(poisoned, clean, chunk)
+            want = _stream_record(fresh, clean, chunk)
+            assert not np.all(np.isfinite(before.features))
             # after[0] straddles the two signals, so after[j + 1] is fresh
             # frame j; from fresh frame 2 on a frame's 1728-sample context
             # lies inside `clean`
-            assert len(after) == len(want) + 1
-            assert _frame_bytes(after[3:]) == _frame_bytes(want[2:]), (chunk, primed)
+            assert len(after.features) == len(want.features) + 1
+            assert _frame_bytes(after)[3:] == _frame_bytes(want)[2:], (chunk, primed)
 
     def test_block_pushes_match_hop_by_hop(self):
         # pushes that complete 1, 2, 31, 32, 33 and 65 frames, a NaN burst
@@ -588,14 +592,12 @@ class TestFusedFramePath:
         assert cuts[-1] <= len(audio)
         with np.errstate(all="ignore"):
             blocks = fe.FeatureStream()
-            spectra = []
-            frames = []
+            records = []
             for push, chunk in enumerate(np.split(audio[: cuts[-1]], cuts[:-1])):
-                got = blocks.push(chunk, spectra)
-                assert len(got) == [1, 2, 31, 32, 33, 65, 1, 32][push]
-                frames.extend(got)
-            ref_frames, ref_spectra = _stream_record(fe.FeatureStream(), audio[: cuts[-1]], 480)
-        assert not np.all(np.isfinite(fe.feature_matrix(frames)))
-        assert np.all(np.isfinite(fe.feature_matrix(frames[-40:])))  # clean again
-        assert _frame_bytes(frames) == _frame_bytes(ref_frames)
-        assert [spec.tobytes() for spec in spectra] == ref_spectra
+                records.append(blocks.push(chunk))
+                assert len(records[-1].features) == [1, 2, 31, 32, 33, 65, 1, 32][push]
+            frames = concat_frames(records)
+            ref = _stream_record(fe.FeatureStream(), audio[: cuts[-1]], 480)
+        assert not np.all(np.isfinite(frames.features))
+        assert np.all(np.isfinite(frames.features[-40:]))  # clean again
+        assert _frame_bytes(frames) == _frame_bytes(ref)

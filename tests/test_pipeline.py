@@ -20,7 +20,6 @@ from targetvoice.frontend import (
     WINDOW,
     FeatureStream,
     extract_features,
-    feature_matrix,
     vorbis_window,
 )
 from targetvoice.metrics import si_snr
@@ -32,11 +31,6 @@ from targetvoice.pipeline import (
 )
 from tests.conftest import tone
 from tests.unfused_reference import use_reference_paths
-
-
-def frame_periods(frames):
-    """Per-frame pitch period in samples, 0 where unvoiced."""
-    return np.array([f.pitch.period or 0 for f in frames], dtype=np.int32)
 
 
 def apply_band_controls(audio, gains, strengths, periods, fb):
@@ -207,7 +201,7 @@ class TestLookahead:
         # synthesis-only straddle frame), from frame 0 on
         net, emb = toy_model
         x = sy.synth_speaker(7, 2.0).samples.astype(np.float64)
-        ref = net.forward(feature_matrix(extract_features(x)), emb)
+        ref = net.forward(extract_features(x).features, emb)
         engine = StreamingEnhancer(net, emb)
         n_hops = len(x) // 480
         got = ([], [], [])
@@ -277,14 +271,14 @@ class TestModelPath:
 class TestApplyBandControls:
     def test_identity_controls_reconstruct(self, fb):
         x = 0.3 * np.random.default_rng(10).standard_normal(24000)
-        n = len(extract_features(x, fb))
+        n = len(extract_features(x, fb).features)
         y = replay_controls(x, np.ones((n, 32)), np.zeros((n, 32)), fb)
         assert y.shape == x.shape
         assert si_snr(y, x) >= 40.0
 
     def test_zero_gains_silence(self, fb):
         x = 0.3 * np.random.default_rng(11).standard_normal(24000)
-        n = len(extract_features(x, fb))
+        n = len(extract_features(x, fb).features)
         y = replay_controls(x, np.zeros((n, 32)), np.zeros((n, 32)), fb)
         assert float(np.max(np.abs(y))) < 1e-9
 
@@ -293,13 +287,13 @@ class TestApplyBandControls:
         rng = np.random.default_rng(seed)
         x = (sy.synth_speaker(seed, 1.0).samples.astype(np.float64)
              + 0.05 * rng.standard_normal(48000))
-        frames = extract_features(x, fb)
-        n = len(frames)
+        periods = extract_features(x, fb).periods
+        n = len(periods)
         gains = rng.uniform(0.0, 1.0, (n, 32))
         strengths = strength_scale * rng.uniform(0.0, 1.0, (n, 32))
         engine = replay_controls(x, gains, strengths, fb)
-        ref = apply_band_controls(x, gains, strengths, frame_periods(frames), fb)
-        assert np.any(frame_periods(frames))  # voiced: the comb path runs
+        ref = apply_band_controls(x, gains, strengths, periods, fb)
+        assert np.any(periods)  # voiced: the comb path runs
         assert engine.shape == ref.shape == x.shape
         return [h for h in range(len(x) // HOP)
                 if engine[h * HOP : (h + 1) * HOP].tobytes()
@@ -392,7 +386,7 @@ class TestUnfusedReference:
         x = sy.synth_speaker(21, 1.0).samples.astype(np.float64)
         if chunk == 1:
             x = x[:24000]
-        n = len(extract_features(x))
+        n = len(extract_features(x).features)
         rng = np.random.default_rng(4)
         gains, strengths = rng.uniform(0.0, 1.0, (2, n, 32))
 
@@ -428,7 +422,7 @@ def test_ordinary_streams_raise_no_warnings(toy_model):
         for x in signals:
             stream = FeatureStream()
             for i in range(0, len(x), HOP):
-                stream.push(x[i : i + HOP], [])
+                stream.push(x[i : i + HOP])
             extract_features(x)
             for model in ((), toy_model):
                 engine = StreamingEnhancer(*model)

@@ -6,7 +6,7 @@ import pytest
 from targetvoice import synth as sy
 from targetvoice.audio import AudioBuffer
 from targetvoice.enhancer import compute_target_gains, vad_labels_from_energy
-from targetvoice.frontend import extract_features, feature_matrix
+from targetvoice.frontend import extract_features
 
 
 def energy(x):
@@ -94,7 +94,7 @@ class TestMakeMixture:
         assert np.all((t.strengths >= 0) & (t.strengths <= 1))
         assert set(np.unique(t.vad)) <= {0.0, 1.0}
         # the mixture's features, as the supervision computed them
-        want = feature_matrix(extract_features(ex.mixture.samples, fb))
+        want = extract_features(ex.mixture.samples, fb).features
         assert t.features.tobytes() == want.tobytes() and len(t.features) == len(t.vad)
 
     @pytest.mark.parametrize("spec", [
@@ -106,16 +106,16 @@ class TestMakeMixture:
         target, interf, noise = components
         ex = sy.make_mixture(spec, target, None if spec.sir_db is None else interf,
                              noise, fb=fb)
-        clean_frames = extract_features(ex.clean_target.samples, fb)
-        mix_frames = extract_features(ex.mixture.samples, fb)
-        n = min(len(clean_frames), len(mix_frames))
+        clean = extract_features(ex.clean_target.samples, fb).features
+        mix = extract_features(ex.mixture.samples, fb).features
+        n = min(len(clean), len(mix))
         gains, strengths, log_e = np.zeros((n, 32)), np.zeros((n, 32)), np.zeros(n)
         for i in range(n):
-            clean_e = 10.0 ** clean_frames[i].band_mag.astype(np.float64)
-            mix_e = 10.0 ** mix_frames[i].band_mag.astype(np.float64)
+            clean_e = 10.0 ** clean[i, :32].astype(np.float64)
+            mix_e = 10.0 ** mix[i, :32].astype(np.float64)
             gains[i] = compute_target_gains(clean_e, mix_e)
-            strengths[i] = clean_frames[i].pitch_coherence
-            log_e[i] = clean_frames[i].log_energy
+            strengths[i] = clean[i, 32:64]
+            log_e[i] = float(clean[i, -2])
         t = ex.targets
         assert t.gains.tobytes() == gains.tobytes()
         assert t.strengths.tobytes() == strengths.tobytes()
@@ -184,11 +184,10 @@ class TestSynthSpeaker:
         for seed in [0, 3, 9]:
             base = sy.speaker_base_f0(seed)
             audio = sy.synth_speaker(seed, 8.0).samples.astype(np.float64)
-            estimates = []
-            for frame in extract_features(audio):
-                if frame.pitch.voiced and frame.pitch.correlation > 0.7:
-                    estimates.append(48000.0 / frame.pitch.period)
-            assert estimates, f"no confident voiced frames for seed {seed}"
+            frames = extract_features(audio)
+            confident = (frames.periods > 0) & (frames.correlations > 0.7)
+            estimates = 48000.0 / frames.periods[confident]
+            assert len(estimates), f"no confident voiced frames for seed {seed}"
             median_f0 = float(np.median(estimates))
             assert median_f0 == pytest.approx(base, rel=0.05)
 
@@ -210,8 +209,7 @@ class TestSynthSpeaker:
 
     def test_has_pauses_for_vad(self, fb):
         audio = sy.synth_speaker(4, 10.0).samples
-        frames = extract_features(audio, fb)
-        log_e = np.array([f.log_energy for f in frames])
+        log_e = extract_features(audio, fb).features[:, -2].astype(np.float64)
         from targetvoice.enhancer import vad_labels_from_energy
 
         labels = vad_labels_from_energy(log_e)

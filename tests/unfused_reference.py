@@ -1,13 +1,16 @@
 """The one-frame frontend and overlap-add as written before they were fused.
 
 Kept as the oracle that `FeatureStream`, `estimate_pitch`,
-`assemble_features` and `OverlapAddSynthesizer` must match byte for byte:
+`assemble_features` and `OverlapAddSynthesizer` must match byte for byte,
+one frame per object (`stack_frames` turns its output into a record):
 the pitch search transforms the history and the window apart and gathers
 the correlation and the lag energies by index arrays, the voiced-frame
 coherence transforms the lagged window on its own and sums each band
 product separately, the overlap-add copies its tail, and every step
 allocates its results.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +57,20 @@ def reference_estimate_pitch(history: np.ndarray) -> fe.PitchEstimate:
     return fe.PitchEstimate(int(_LAGS[idx]), float(r[idx]))
 
 
+class ReferenceFrame(NamedTuple):
+    vector: np.ndarray  # the frame's 68 float32 features
+    pitch: fe.PitchEstimate
+
+
+def stack_frames(frames, spectra) -> fe.Frames:
+    """The reference's frames and spectra as one record, as FeatureStream returns."""
+    return fe.Frames(
+        np.array([f.vector for f in frames], dtype=np.float32).reshape(-1, fe.FEATURE_DIM),
+        np.array([f.pitch.period or 0 for f in frames], dtype=np.int64),
+        np.array([f.pitch.correlation for f in frames], dtype=np.float64),
+        np.array(spectra, dtype=np.complex128).reshape(-1, fe.N_BINS))
+
+
 def reference_assemble_features(energies, coherences, pitch, prev_log_energy):
     band_mag = np.log10(np.maximum(energies, 0.0) + fe.ENERGY_FLOOR)
     log_energy = float(np.log10(float(np.sum(energies)) + fe.ENERGY_FLOOR))
@@ -66,7 +83,7 @@ def reference_assemble_features(energies, coherences, pitch, prev_log_energy):
     general = np.array([norm_period, pitch.correlation, log_energy, delta])
     vector = np.concatenate([band_mag.astype(np.float32), coherences.astype(np.float32),
                              general.astype(np.float32)])
-    return fe.FrameFeatures(vector=vector, pitch=pitch)
+    return ReferenceFrame(vector, pitch)
 
 
 class ReferenceFeatureStream:
@@ -112,7 +129,7 @@ class ReferenceFeatureStream:
             coh = np.zeros(fe.N_BANDS)
         feats = reference_assemble_features(energies, coh, pitch,
                                             self._prev_log_energy)
-        self._prev_log_energy = feats.log_energy
+        self._prev_log_energy = float(feats.vector[-2])
         return feats
 
 
@@ -129,9 +146,17 @@ class ReferenceOverlapAdd:
         return out
 
 
+class _StackedReferenceStream(ReferenceFeatureStream):
+    """The reference frontend behind FeatureStream's push: one record per push."""
+
+    def push(self, samples):
+        spectra = []
+        return stack_frames(super().push(samples, spectra), spectra)
+
+
 def use_reference_paths(engine):
     """Give a freshly built StreamingEnhancer the unfused frontend and overlap-add."""
-    engine.features = ReferenceFeatureStream(engine.fb)
+    engine.features = _StackedReferenceStream(engine.fb)
     engine.features.push(np.zeros(fe.HOP))  # the engine's timeline padding
     engine.ola = ReferenceOverlapAdd()
     return engine
