@@ -36,10 +36,11 @@ PITCH_MIN_LAG = 96   # 500 Hz
 PITCH_MAX_LAG = 768  # 62.5 Hz
 PITCH_CORR_WINDOW = 768
 PITCH_HISTORY = PITCH_MAX_LAG + PITCH_CORR_WINDOW
-# full linear correlation of the history with the current window spans
-# PITCH_HISTORY + PITCH_CORR_WINDOW - 1 lags; 2304 = 2^8 * 3^2 is that plus
-# one, already a fast FFT size, so the circular product never wraps
-PITCH_FFT_SIZE = PITCH_HISTORY + PITCH_CORR_WINDOW
+# the lagged windows read only the first PITCH_HISTORY - PITCH_MIN_LAG = 1440
+# samples of the history; transformed at that size (2^5 * 3^2 * 5, a fast FFT
+# size), their product with the reversed window wraps only onto indices
+# 0..766, below the indices 1535 - tau = 767..1439 that the lags read
+PITCH_FFT_SIZE = PITCH_HISTORY - PITCH_MIN_LAG
 _N_PITCH_LAGS = PITCH_MAX_LAG - PITCH_MIN_LAG + 1
 
 
@@ -56,6 +57,9 @@ _PITCH_CORR = _lag_slice(2 * PITCH_CORR_WINDOW - 1)
 # sq[_LAG_START] in the running sum of squares sq (sq[0] = 0)
 _LAG_END = _lag_slice(PITCH_HISTORY)
 _LAG_START = _lag_slice(PITCH_CORR_WINDOW)
+# a lag whose window energy is at most this share of the energy of the
+# samples the lags read has r = 0 (see _PitchSearch)
+LAG_ENERGY_FLOOR = 1e-12
 VOICING_THRESHOLD = 0.3
 OCTAVE_PREFERENCE = 0.85
 
@@ -183,27 +187,30 @@ def band_energies(spectrum: np.ndarray, fb: ErbFilterbank) -> np.ndarray:
 class _PitchSearch:
     """The pitch search of k frames on buffers allocated once (see estimate_pitch).
 
-    Row i of the [rows, 2, 2304] transform input holds history i and its
-    reversed current window; their zero tails are never written, so one
-    rfft gives every zero-padded transform. One instance per stream, sized
-    to the most rows it is called with.
+    Row i of the [rows, 2, 1440] transform input holds the first 1440
+    samples of history i and its reversed current window, whose zero tail
+    is never written, so one rfft gives both transforms. One instance per
+    stream, sized to the most rows it is called with.
     """
 
     def __init__(self, rows: int = 1) -> None:
         self._pair = np.zeros((rows, 2, PITCH_FFT_SIZE))
-        self._squares = np.empty((rows, PITCH_HISTORY))
-        sq = np.zeros((rows, PITCH_HISTORY + 1))  # running sums of squares
-        # the denominators of r(tau), then each lag's bound in the peak test
+        self._cur = np.empty((rows, PITCH_CORR_WINDOW))
+        self._squares = np.empty((rows, PITCH_FFT_SIZE))
+        sq = np.zeros((rows, PITCH_FFT_SIZE + 1))  # running sums of squares
+        # the lag energies, then the denominators of r(tau), then each lag's
+        # bound in the peak test
         self._denom = np.empty((rows, _N_PITCH_LAGS))
         # r(tau) between two -inf guards, so that each lag's neighbours are
         # one slice away
         guarded = np.full((rows, _N_PITCH_LAGS + 2), -np.inf)
         self._keep = np.empty((rows, _N_PITCH_LAGS), dtype=bool)
+        self._audible = np.empty((rows, _N_PITCH_LAGS), dtype=bool)
         # the views each call reads and writes, taken once
-        self._x = self._pair[:, 0, :PITCH_HISTORY]
-        self._cur = self._x[:, PITCH_CORR_WINDOW:]
+        self._x = self._pair[:, 0]
         self._reversed = self._pair[:, 1, :PITCH_CORR_WINDOW]
         self._sums = sq[:, 1:]
+        self._total = sq[:, -1:]  # the energy of every sample a lag reads
         self._lag_end, self._lag_start = sq[:, _LAG_END], sq[:, _LAG_START]
         self._r = guarded[:, 1:-1]
         self._left, self._right = guarded[:, :-2], guarded[:, 2:]
@@ -216,20 +223,26 @@ class _PitchSearch:
         """
         k = len(histories)
         x, cur = self._x[:k], self._cur[:k]
-        x[:] = histories
+        x[:] = histories[:, :PITCH_FFT_SIZE]
+        cur[:] = histories[:, PITCH_CORR_WINDOW:]
         cur_energy = np.matmul(cur[:, None, :], cur[:, :, None])[:, 0]  # np.dot per row, [k, 1]
         self._reversed[:k] = cur[:, ::-1]
         spec = np.fft.rfft(self._pair[:k])
         spec[:, 0] *= spec[:, 1]
         c = np.fft.irfft(spec[:, 0], PITCH_FFT_SIZE)[:, _PITCH_CORR]
         np.add.accumulate(np.multiply(x, x, out=self._squares[:k]), axis=1, out=self._sums[:k])
-        denom, keep, r = self._denom[:k], self._keep[:k], self._r[:k]
+        denom, keep, audible, r = self._denom[:k], self._keep[:k], self._audible[:k], self._r[:k]
         np.subtract(self._lag_end[:k], self._lag_start[:k], out=denom)
+        # a lag window with at most 1e-12 of the energy the lags read holds
+        # little but round-off of the running sum, and its correlation
+        # little but round-off of the transform: such a lag reads r = 0
+        np.greater(denom, LAG_ENERGY_FLOOR * self._total[:k], out=audible)
         denom *= cur_energy
         np.sqrt(denom, out=denom)  # a product of sums of squares: never negative
         # r is 0 where the denominator is at most 1e-20 or NaN
         r.fill(0.0)
-        np.divide(c, denom, out=r, where=np.greater(denom, 1e-20, out=keep))
+        np.greater(denom, 1e-20, out=keep)
+        np.divide(c, denom, out=r, where=np.logical_and(keep, audible, out=keep))
         # the lower clip at -1 cannot change a peak that reaches the threshold
         np.minimum(r, 1.0, out=r)
 
@@ -260,7 +273,9 @@ def estimate_pitch(history: np.ndarray) -> PitchEstimate:
     The last 768 samples are correlated against lagged copies; the returned
     lag is the smallest local maximum of r(tau) whose correlation reaches
     85% of the global peak, which suppresses octave errors toward multiples
-    of the true period. A peak below 0.3 is treated as unvoiced.
+    of the true period. A peak below 0.3 is treated as unvoiced. A lag whose
+    window holds at most LAG_ENERGY_FLOOR of the energy of the samples the
+    lags read scores 0, so the silence before an onset cannot look voiced.
     """
     x = np.asarray(history, dtype=np.float64)
     if x.ndim != 1 or len(x) < PITCH_HISTORY:

@@ -192,22 +192,23 @@ class TestEstimatePitch:
             assert fe.estimate_pitch(x) == fe.PitchEstimate(None, 0.0)
 
 
-def _scipy_reference_pitch(history: np.ndarray) -> fe.PitchEstimate:
-    """The pitch search with the correlation taken by scipy.signal.correlate."""
-    from scipy.signal import correlate
-
+def _guarded_reference_pitch(history: np.ndarray, correlate) -> fe.PitchEstimate:
+    """The pitch search with c(tau) = correlate(x, cur, lags) taken outside the kernel."""
     x = np.asarray(history, dtype=np.float64)[-fe.PITCH_HISTORY:]
     cur = x[fe.PITCH_CORR_WINDOW:]
     cur_energy = float(np.dot(cur, cur))
     if cur_energy < 1e-20:
         return fe.PitchEstimate(None, 0.0)
-    c = correlate(x, cur, mode="valid", method="fft")
-    sq = np.concatenate(([0.0], np.cumsum(x * x)))
     lags = np.arange(fe.PITCH_MIN_LAG, fe.PITCH_MAX_LAG + 1)
-    denom = np.sqrt(cur_energy * (sq[fe.PITCH_HISTORY - lags] - sq[fe.PITCH_CORR_WINDOW - lags]))
+    c = correlate(x, cur, lags)
+    sq = np.concatenate(([0.0], np.cumsum(x * x)))
+    lag_energy = sq[fe.PITCH_HISTORY - lags] - sq[fe.PITCH_CORR_WINDOW - lags]
+    # the onset guard: a lag window with at most LAG_ENERGY_FLOOR of the
+    # energy of every sample the lags read has r = 0
+    audible = lag_energy > fe.LAG_ENERGY_FLOOR * sq[fe.PITCH_HISTORY - fe.PITCH_MIN_LAG]
+    denom = np.sqrt(cur_energy * lag_energy)
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.clip(np.where(denom > 1e-20, c[fe.PITCH_CORR_WINDOW - lags] / denom, 0.0),
-                    -1.0, 1.0)
+        r = np.clip(np.where((denom > 1e-20) & audible, c / denom, 0.0), -1.0, 1.0)
     peak = float(r.max())
     if peak < fe.VOICING_THRESHOLD:
         return fe.PitchEstimate(None, 0.0)
@@ -218,6 +219,29 @@ def _scipy_reference_pitch(history: np.ndarray) -> fe.PitchEstimate:
     candidates = np.flatnonzero(is_peak & (r >= fe.OCTAVE_PREFERENCE * peak))
     idx = int(candidates[0]) if len(candidates) else int(np.argmax(r))
     return fe.PitchEstimate(int(lags[idx]), float(r[idx]))
+
+
+def _scipy_reference_pitch(history: np.ndarray) -> fe.PitchEstimate:
+    """The guarded search with the correlation taken by scipy.signal.correlate (2304 points)."""
+    from scipy.signal import correlate
+
+    return _guarded_reference_pitch(
+        history,
+        lambda x, cur, lags: correlate(x, cur, mode="valid", method="fft")[fe.PITCH_CORR_WINDOW - lags])
+
+
+def _direct_reference_pitch(history: np.ndarray) -> fe.PitchEstimate:
+    """The guarded search with each lag's correlation taken by np.dot."""
+    return _guarded_reference_pitch(
+        history,
+        lambda x, cur, lags: np.array([np.dot(x[fe.PITCH_CORR_WINDOW - lag : fe.PITCH_HISTORY - lag], cur)
+                                       for lag in lags]))
+
+
+def _assert_same_pitch(got: fe.PitchEstimate, want: fe.PitchEstimate, what: str) -> None:
+    """The same period, and a correlation within 1e-12 of the reference's."""
+    assert got.period == want.period, what
+    assert abs(got.correlation - want.correlation) <= 1e-12, what
 
 
 def _pitch_corpus(rng: np.random.Generator):
@@ -245,11 +269,47 @@ def _pitch_corpus(rng: np.random.Generator):
 
 
 class TestPitchCorrelationPath:
-    def test_fft_size_is_scipys_fast_length(self):
+    def test_fft_size_is_the_span_the_lags_read(self):
         from scipy.fft import next_fast_len
 
-        full = fe.PITCH_HISTORY + fe.PITCH_CORR_WINDOW - 1
-        assert fe.PITCH_FFT_SIZE == next_fast_len(full, real=True) == 2304
+        span = fe.PITCH_HISTORY - fe.PITCH_MIN_LAG
+        assert fe.PITCH_FFT_SIZE == span == next_fast_len(span, real=True) == 1440
+
+    @pytest.mark.parametrize("rows", [1, fe.BLOCK_FRAMES])
+    def test_correlations_match_direct_sums(self, rows):
+        # r(tau) at every lag, read from the kernel's buffer, against
+        # np.dot(x[768 - tau : 1536 - tau], cur) / (|lag window| |cur|)
+        rng = np.random.default_rng(7)
+        lags = np.arange(fe.PITCH_MIN_LAG, fe.PITCH_MAX_LAG + 1)
+        search = fe._PitchSearch(rows)
+        for _ in range(64 // rows):
+            histories = 10.0 ** rng.uniform(-4, 2, (rows, 1)) * rng.standard_normal((rows, fe.PITCH_HISTORY))
+            search(histories)
+            for x, r in zip(histories, search._r[:rows]):
+                cur = x[fe.PITCH_CORR_WINDOW:]
+                windows = [x[fe.PITCH_CORR_WINDOW - lag : fe.PITCH_HISTORY - lag] for lag in lags]
+                direct = np.array([np.dot(w, cur) / np.sqrt(np.dot(w, w) * np.dot(cur, cur))
+                                   for w in windows])
+                assert np.max(np.abs(r - direct)) <= 1e-12
+
+    def test_silent_lags_at_an_onset_stay_out_of_the_search(self):
+        # 1e-17-level noise, then a loud 200 Hz onset: every lag from
+        # 1536 - onset up reads a window of noise alone, whose correlation
+        # with the loud window is transform round-off over almost nothing
+        rng = np.random.default_rng(3)
+        lags = np.arange(fe.PITCH_MIN_LAG, fe.PITCH_MAX_LAG + 1)
+        for onset in (800, 900, 1000, 1100):
+            x = 1e-17 * rng.standard_normal(fe.PITCH_HISTORY)
+            t = np.arange(fe.PITCH_HISTORY - onset) / fe.SAMPLE_RATE
+            x[onset:] = (0.5 * np.sign(np.sin(2 * np.pi * 200 * t + 0.3))
+                         + 0.3 * np.sin(2 * np.pi * 400 * t))
+            search = fe._PitchSearch()
+            (period,), (correlation,) = search(x[None])
+            silent = search._r[0, lags >= fe.PITCH_HISTORY - onset]
+            assert len(silent) > 0 and np.all(silent < 1.0), f"onset {onset}"
+            _assert_same_pitch(fe.PitchEstimate(period or None, correlation),
+                               _direct_reference_pitch(x), f"onset {onset}")
+            assert period == 240
 
     def test_matches_scipy_correlate_exactly(self):
         voiced = near_threshold = 0
@@ -257,7 +317,7 @@ class TestPitchCorrelationPath:
         assert len(histories) >= 2000
         for k, history in enumerate(histories):
             got = fe.estimate_pitch(history)
-            assert got == _scipy_reference_pitch(history), f"history {k}"
+            _assert_same_pitch(got, _scipy_reference_pitch(history), f"history {k}")
             voiced += got.voiced
             near_threshold += got.voiced and got.correlation < 0.35
         # the corpus reaches both sides of the voicing decision
@@ -270,7 +330,7 @@ class TestPitchCorrelationPath:
         for start in range(0, len(histories), fe.BLOCK_FRAMES):
             block = histories[start : start + fe.BLOCK_FRAMES]
             for k, got in enumerate(_row_estimates(search, block)):
-                assert got == _scipy_reference_pitch(block[k]), f"history {start + k}"
+                _assert_same_pitch(got, _scipy_reference_pitch(block[k]), f"history {start + k}")
 
 
 def _row_estimates(search, histories: np.ndarray) -> list[fe.PitchEstimate]:

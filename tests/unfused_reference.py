@@ -40,8 +40,11 @@ def reference_estimate_pitch(history: np.ndarray) -> fe.PitchEstimate:
     sq = np.concatenate(([0.0], np.cumsum(x * x)))
     lag_energy = sq[_LAG_END] - sq[_LAG_START]
     denom = np.sqrt(cur_energy * lag_energy)
+    # the lags read x[:PITCH_HISTORY - PITCH_MIN_LAG]; a lag window with at
+    # most LAG_ENERGY_FLOOR of their energy reads r = 0
+    audible = lag_energy > fe.LAG_ENERGY_FLOOR * sq[fe.PITCH_HISTORY - fe.PITCH_MIN_LAG]
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(denom > 1e-20, c / denom, 0.0)
+        r = np.where((denom > 1e-20) & audible, c / denom, 0.0)
     r = np.clip(r, -1.0, 1.0)
 
     peak = float(r.max())
