@@ -16,12 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from targetvoice.frontend import (
+    DEFAULT_FILTERBANK,
     HOP,
     LOOKAHEAD_FRAMES,
     PITCH_MAX_LAG,
     VORBIS_WINDOW,
     WINDOW,
-    ErbFilterbank,
 )
 
 COMB_TAPS = np.array([0.125, 0.25, 0.25, 0.25, 0.125])
@@ -80,14 +80,13 @@ class CombState:
         return comb_filter_window(self._buf, self._past, period)
 
 
-def bands_to_bins(values: np.ndarray, fb: ErbFilterbank) -> np.ndarray:
+def bands_to_bins(values: np.ndarray) -> np.ndarray:
     """Interpolate 32 per-band values to per-bin values (triangular weights)."""
-    return np.matmul(values, fb.weights)
+    return np.matmul(values, DEFAULT_FILTERBANK.weights)
 
 
 def apply_per_band(noisy_spectrum: np.ndarray, comb_spectrum: np.ndarray,
-                   gains: np.ndarray, strengths: np.ndarray,
-                   fb: ErbFilterbank) -> np.ndarray:
+                   gains: np.ndarray, strengths: np.ndarray) -> np.ndarray:
     """Blend plain and combed spectra per bin, then apply the band gains.
 
     out[bin] = g[bin] * ((1 - r[bin]) * X_noisy[bin] + r[bin] * X_comb[bin])
@@ -96,8 +95,8 @@ def apply_per_band(noisy_spectrum: np.ndarray, comb_spectrum: np.ndarray,
     """
     if noisy_spectrum.shape != comb_spectrum.shape:
         raise ValueError("spectra must come from the same frame")
-    r = bands_to_bins(np.asarray(strengths, dtype=np.float64), fb)
-    g = bands_to_bins(np.asarray(gains, dtype=np.float64), fb)
+    r = bands_to_bins(np.asarray(strengths, dtype=np.float64))
+    g = bands_to_bins(np.asarray(gains, dtype=np.float64))
     return g * ((1.0 - r) * noisy_spectrum + r * comb_spectrum)
 
 

@@ -91,16 +91,8 @@ class PitchEstimate:
 class ErbFilterbank:
     """Triangular band weights forming a partition of unity over bins."""
 
-    weights: np.ndarray       # [n_bands, n_bins]
+    weights: np.ndarray       # [N_BANDS, N_BINS]
     band_centers: np.ndarray  # Hz, strictly increasing
-
-    @property
-    def n_bands(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.weights.shape[1]
 
 
 def hz_to_erb_rate(hz):
@@ -141,8 +133,16 @@ def design_erb_filterbank() -> ErbFilterbank:
     return ErbFilterbank(weights=weights, band_centers=centers)
 
 
-# the filterbank of every stream and extractor built without one
+# the one band layout: every band sum, coherence and per-band control reads it
 DEFAULT_FILTERBANK = design_erb_filterbank()
+
+
+def check_filterbank(fb: ErbFilterbank | None) -> None:
+    """Raise ValueError unless `fb` is None or equals DEFAULT_FILTERBANK."""
+    default = DEFAULT_FILTERBANK
+    if fb is not None and not (np.array_equal(fb.weights, default.weights)
+                               and np.array_equal(fb.band_centers, default.band_centers)):
+        raise ValueError("the band layout is fixed: pass None or DEFAULT_FILTERBANK")
 
 
 def vorbis_window() -> np.ndarray:
@@ -165,23 +165,21 @@ def analyze_frame(window_samples: np.ndarray) -> np.ndarray:
     return np.fft.rfft(x * VORBIS_WINDOW)
 
 
-def _band_sums(fb: ErbFilterbank, values: np.ndarray) -> np.ndarray:
+def _band_sums(values: np.ndarray) -> np.ndarray:
     # a stacked matrix-vector product per row: bit for bit the same sums
     # for one spectrum or a block, where a [k, 481] @ [481, 32] gemm is not
-    return np.matmul(fb.weights, values[..., None])[..., 0]
+    return np.matmul(DEFAULT_FILTERBANK.weights, values[..., None])[..., 0]
 
 
-def band_energies(spectrum: np.ndarray, fb: ErbFilterbank) -> np.ndarray:
+def band_energies(spectrum: np.ndarray) -> np.ndarray:
     """Per-band energy: E[b] = sum_bin weights[b, bin] * |X[bin]|^2.
 
     `spectrum` is one spectrum or a stack of them along leading axes.
     """
-    if spectrum.shape[-1] != fb.n_bins:
-        raise ValueError(
-            f"spectrum has {spectrum.shape[-1]} bins, filterbank expects {fb.n_bins}"
-        )
+    if spectrum.shape[-1] != N_BINS:
+        raise ValueError(f"spectrum has {spectrum.shape[-1]} bins, expected {N_BINS}")
     power = (spectrum.real * spectrum.real) + (spectrum.imag * spectrum.imag)
-    return _band_sums(fb, power)
+    return _band_sums(power)
 
 
 class _PitchSearch:
@@ -285,7 +283,6 @@ def estimate_pitch(history: np.ndarray) -> PitchEstimate:
 
 
 def coherence_from_spectra(spec: np.ndarray, spec_delayed: np.ndarray,
-                           fb: ErbFilterbank,
                            e_cur: np.ndarray | None = None) -> np.ndarray:
     """Per-band normalized correlation between a frame and its pitch-lagged copy.
 
@@ -295,9 +292,9 @@ def coherence_from_spectra(spec: np.ndarray, spec_delayed: np.ndarray,
     """
     cross = spec.real * spec_delayed.real + spec.imag * spec_delayed.imag
     if e_cur is None:
-        e_cur = band_energies(spec, fb)
-    e_del = band_energies(spec_delayed, fb)
-    return _coherence(_band_sums(fb, cross), e_cur, e_del, np.empty(e_del.shape))
+        e_cur = band_energies(spec)
+    e_del = band_energies(spec_delayed)
+    return _coherence(_band_sums(cross), e_cur, e_del, np.empty(e_del.shape))
 
 
 def _coherence(num: np.ndarray, e_cur: np.ndarray, e_del: np.ndarray,
@@ -401,11 +398,9 @@ class FeatureStream:
     frame t (a 3-frame delay line at the feature/output boundary).
 
     Not thread-safe; use one FeatureStream per stream, one thread at a time.
-    The filterbank is immutable and may be shared between sessions.
     """
 
-    def __init__(self, fb: ErbFilterbank | None = None):
-        self.fb = fb if fb is not None else DEFAULT_FILTERBANK
+    def __init__(self) -> None:
         # the framing buffer: FRAME_CONTEXT samples before the next frame's
         # start, zero-primed, then every sample received since
         self._buf = np.zeros(FRAME_CONTEXT)
@@ -497,7 +492,7 @@ class FeatureStream:
         products = self._products[: 3 * k]
         np.multiply(flat, flat, out=products[: 2 * k])
         np.multiply(flat[:k], flat[k:], out=products[2 * k :])
-        sums = _band_sums(self.fb, products[:, 0::2] + products[:, 1::2])
+        sums = _band_sums(products[:, 0::2] + products[:, 1::2])
         energies = sums[:k]
         np.add.reduce(energies, axis=1, out=block[:, 0])
         np.maximum(energies, 0.0, out=block[:, _BANDS])
@@ -511,9 +506,10 @@ class FeatureStream:
 def extract_features(audio: np.ndarray, fb: ErbFilterbank | None = None) -> Frames:
     """Whole-file feature extraction; identical to streaming the same samples.
 
-    `fb` (DEFAULT_FILTERBANK if None) stays while the benchmark passes one.
+    `fb` is only checked (check_filterbank); it stays while the benchmark passes one.
     """
-    return FeatureStream(fb).push(np.asarray(audio))
+    check_filterbank(fb)
+    return FeatureStream().push(np.asarray(audio))
 
 
 def feature_matrix(frames: Frames) -> np.ndarray:

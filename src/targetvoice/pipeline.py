@@ -29,12 +29,13 @@ import numpy as np
 from targetvoice.comb import CombState, OverlapAddSynthesizer, apply_per_band
 from targetvoice.enhancer import EnhancerNet, EnhancerSession
 from targetvoice.frontend import (
-    DEFAULT_FILTERBANK,
     HOP,
     LOOKAHEAD_FRAMES,
+    N_BANDS,
     VORBIS_WINDOW,
     ErbFilterbank,
     FeatureStream,
+    check_filterbank,
 )
 
 
@@ -50,6 +51,10 @@ class ControlReplay:
     def __init__(self, gains: np.ndarray, strengths: np.ndarray):
         self._gains = np.asarray(gains, dtype=np.float64)
         self._strengths = np.asarray(strengths, dtype=np.float64)
+        if (self._gains.shape[1:] != (N_BANDS,) or not len(self._gains)
+                or self._strengths.shape != self._gains.shape):
+            raise ValueError(f"gains {self._gains.shape} and strengths "
+                             f"{self._strengths.shape} must both be [T, {N_BANDS}], T >= 1")
         self._steps = 0
 
     def step(self, feature_vector: np.ndarray) -> float:
@@ -70,8 +75,8 @@ class StreamingEnhancer:
     a ControlReplay, or None (identity). Only a hop processed while
     `session` is set enters the comb ring, which only the controls read: a
     session set mid-stream combs against silence for the samples before
-    it until the ring has refilled, nine hops later. `fb`
-    (DEFAULT_FILTERBANK if None) stays while the benchmark passes one.
+    it until the ring has refilled, nine hops later. `fb` is only checked
+    (frontend.check_filterbank); it stays while the benchmark passes one.
     """
 
     DELAY_SAMPLES = (LOOKAHEAD_FRAMES + 1) * HOP  # 40 ms stream delay
@@ -79,7 +84,7 @@ class StreamingEnhancer:
     def __init__(self, net: EnhancerNet | None = None,
                  embedding: np.ndarray | None = None,
                  fb: ErbFilterbank | None = None):
-        self.fb = fb if fb is not None else DEFAULT_FILTERBANK
+        check_filterbank(fb)
         if net is not None:
             if embedding is None:
                 raise ValueError("a model needs a speaker embedding")
@@ -87,7 +92,7 @@ class StreamingEnhancer:
         else:
             self.session = None
 
-        self.features = FeatureStream(self.fb)
+        self.features = FeatureStream()
         self.features.push(np.zeros(HOP))  # timeline padding
         self.comb = CombState()
         self.ola = OverlapAddSynthesizer()
@@ -134,7 +139,7 @@ class StreamingEnhancer:
                 comb_spec = np.fft.rfft(combed * VORBIS_WINDOW)
             else:
                 comb_spec = spec
-            out_spec = apply_per_band(spec, comb_spec, gains, strengths, self.fb)
+            out_spec = apply_per_band(spec, comb_spec, gains, strengths)
         return self.ola.push(out_spec)
 
     # -- public api ----------------------------------------------------------
@@ -172,19 +177,18 @@ class StreamingEnhancer:
 
 
 def enhance_audio(audio: np.ndarray, net: EnhancerNet | None = None,
-                  embedding: np.ndarray | None = None,
-                  fb: ErbFilterbank | None = None) -> np.ndarray:
+                  embedding: np.ndarray | None = None) -> np.ndarray:
     """Process a whole buffer; output is delay-compensated and equal length."""
-    return _run_whole(StreamingEnhancer(net, embedding, fb), audio)
+    return _run_whole(StreamingEnhancer(net, embedding), audio)
 
 
-def replay_controls(audio: np.ndarray, gains: np.ndarray, strengths: np.ndarray,
-                    fb: ErbFilterbank | None = None) -> np.ndarray:
+def replay_controls(audio: np.ndarray, gains: np.ndarray,
+                    strengths: np.ndarray) -> np.ndarray:
     """enhance_audio with known [T, 32] controls (see ControlReplay) for a model.
 
     Used by the oracle-mask harnesses, where the controls come from ground truth.
     """
-    engine = StreamingEnhancer(None, None, fb)
+    engine = StreamingEnhancer()
     engine.session = ControlReplay(gains, strengths)
     return _run_whole(engine, audio)
 

@@ -288,7 +288,7 @@ def make_mixture(spec: MixtureSpec, target: AudioBuffer,
     component, so the stored mixture equals the sample-exact sum of the
     stored components and the [0,1] gain targets stay attainable.
     Supervision targets come from the stored clean target vs. the mixture.
-    `fb` (DEFAULT_FILTERBANK if None) stays while the benchmark passes one.
+    `fb` is only checked, by extract_features; it stays while the benchmark passes one.
     """
     t = np.asarray(target.samples, dtype=np.float64)
     n = np.asarray(noise.samples, dtype=np.float64)
@@ -450,8 +450,7 @@ def build_toy_speakers(n_speakers: int = 8, seed: int = 0) -> list[ToySpeaker]:
 
 
 def embedder_crop_sets(speakers: list[ToySpeaker],
-                       n_train: int = 16, n_heldout: int = 4,
-                       fb: ErbFilterbank | None = None):
+                       n_train: int = 16, n_heldout: int = 4):
     """Equal-length feature crops per speaker for GE2E training + EER eval.
 
     Crops tile the speaker's train region (cycling when short); held-out
@@ -461,8 +460,8 @@ def embedder_crop_sets(speakers: list[ToySpeaker],
     train_set: dict[int, list[np.ndarray]] = {}
     heldout_set: dict[int, list[np.ndarray]] = {}
     for spk in speakers:
-        feats = extract_features(spk.train_audio, fb).features
-        hfeats = extract_features(spk.heldout_audio, fb).features
+        feats = extract_features(spk.train_audio).features
+        hfeats = extract_features(spk.heldout_audio).features
         crop_t = (crop_n - WINDOW) // HOP + 1
         train_set[spk.speaker_id] = [
             feats[i * crop_t // 2 : i * crop_t // 2 + crop_t]
@@ -477,15 +476,14 @@ def embedder_crop_sets(speakers: list[ToySpeaker],
     return train_set, heldout_set
 
 
-def enrollment_embeddings(speakers: list[ToySpeaker], embedder_net,
-                          fb: ErbFilterbank | None = None) -> dict[int, np.ndarray]:
+def enrollment_embeddings(speakers: list[ToySpeaker], embedder_net) -> dict[int, np.ndarray]:
     """Per-speaker embeddings from the enrollment region (disjoint audio)."""
     from targetvoice.embedder import enroll_embedding
 
     return {
         spk.speaker_id: enroll_embedding(
             embedder_net,
-            extract_features(spk.enroll_audio, fb).features,
+            extract_features(spk.enroll_audio).features,
         )
         for spk in speakers
     }
@@ -524,8 +522,7 @@ def draw_sources(rng: np.random.Generator, regions: list[np.ndarray],
 
 
 def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
-                         n_mixtures: int = 96, seed: int = 0,
-                         fb: ErbFilterbank | None = None):
+                         n_mixtures: int = 96, seed: int = 0):
     """Training examples for the toy enhancer.
 
     Each example mixes an ordered speaker pair (both orders occur, so the
@@ -536,7 +533,7 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
     Returns (dataset, embeddings) where embeddings maps speaker id to its
     enrollment vector.
     """
-    embeddings = enrollment_embeddings(speakers, embedder_net, fb)
+    embeddings = enrollment_embeddings(speakers, embedder_net)
     rng = np.random.default_rng(np.random.SeedSequence([551, int(seed)]))
     specs = training_specs(n_mixtures, seed, augmented=False)
     regions = [spk.train_audio for spk in speakers]
@@ -545,7 +542,7 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
     for spec in specs:
         a, b, target, interf, noise = draw_sources(rng, regions, TOY_MIXTURE_S)
         try:
-            example = make_mixture(spec, target, interf, noise, fb=fb)
+            example = make_mixture(spec, target, interf, noise)
         except MixtureError:
             continue  # silent slice (rare); skip
         feats = example.targets.features
@@ -565,8 +562,7 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
 
 
 def toy_eval_mixtures(speakers: list[ToySpeaker], n_mixtures: int = 50,
-                      seed: int = 100, snr_db: float = 25.0, sir_db: float = 0.0,
-                      fb: ErbFilterbank | None = None):
+                      seed: int = 100, snr_db: float = 25.0, sir_db: float = 0.0):
     """Held-out two-speaker mixtures for conditioning / VAD evaluation.
 
     Returns a list of (MixtureExample, target_id, interferer_id); the
@@ -582,7 +578,7 @@ def toy_eval_mixtures(speakers: list[ToySpeaker], n_mixtures: int = 50,
         spec = MixtureSpec(snr_db=snr_db, sir_db=sir_db,
                            seed=int(rng.integers(2 ** 31)))
         try:
-            example = make_mixture(spec, target, interf, noise, fb=fb)
+            example = make_mixture(spec, target, interf, noise)
         except MixtureError:
             k += 1
             if k > 10 * n_mixtures:

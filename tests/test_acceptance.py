@@ -53,18 +53,18 @@ def toy_speakers():
 
 
 @pytest.fixture(scope="module")
-def embedder_bundle(toy_speakers, fbank):
-    train_set, heldout_set = sy.embedder_crop_sets(toy_speakers, fb=fbank)
+def embedder_bundle(toy_speakers):
+    train_set, heldout_set = sy.embedder_crop_sets(toy_speakers)
     config = em.EmbedderTrainConfig(steps=200, seed=0)
     net, scale, history, losses = em.train_embedder(train_set, heldout_set, config)
     return net, scale, history, losses, heldout_set
 
 
 @pytest.fixture(scope="module")
-def enhancer_bundle(toy_speakers, embedder_bundle, fbank):
+def enhancer_bundle(toy_speakers, embedder_bundle):
     net_e = embedder_bundle[0]
     dataset, embeddings = sy.toy_enhancer_dataset(toy_speakers, net_e,
-                                                  n_mixtures=96, seed=0, fb=fbank)
+                                                  n_mixtures=96, seed=0)
     config = en.EnhancerTrainConfig(steps=1000, seed=0)
     net, losses = en.train_enhancer_toy(dataset, config)
     return net, losses, embeddings
@@ -80,7 +80,7 @@ def test_criterion_1_feature_space_constants(fbank):
     frames = fe.extract_features(0.1 * np.random.default_rng(0).standard_normal(9600))
     checks = [
         ("feature dim == 68", frames.features.shape[1:] == (68,), "68"),
-        ("band count == 32", fbank.n_bands == 32, "32"),
+        ("band count == 32", fbank.weights.shape[0] == 32, "32"),
         ("hop == 10 ms", fe.HOP == 480 and fe.HOP / fe.SAMPLE_RATE == 0.01, "480"),
         ("look-ahead == 30 ms",
          fe.LOOKAHEAD_FRAMES * fe.HOP * 1000 / fe.SAMPLE_RATE == 30.0,
@@ -278,17 +278,17 @@ def test_criterion_5_gradient_suite():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_6_oracle_mask_separation(toy_speakers, embedder_bundle, fbank):
+def test_criterion_6_oracle_mask_separation(toy_speakers, embedder_bundle):
     t0 = time.perf_counter()
     net_e = embedder_bundle[0]
     mixtures = sy.toy_eval_mixtures(toy_speakers, n_mixtures=50, seed=200,
-                                    snr_db=0.0, sir_db=5.0, fb=fbank)
+                                    snr_db=0.0, sir_db=5.0)
     gains_db, cos_t, cos_i = [], [], []
     for example, _, _ in mixtures:
         mix = example.mixture.samples.astype(np.float64)
         ref = example.clean_target.samples.astype(np.float64)
         out = replay_controls(mix, example.targets.gains,
-                              np.zeros_like(example.targets.strengths), fbank)
+                              np.zeros_like(example.targets.strengths))
         gains_db.append(mt.si_snr_aligned(out, ref) - mt.si_snr_aligned(mix, ref))
         probe = mt.cosine_probe(*(fe.extract_features(x).features
                                   for x in (out, ref, example.interferer.samples)), net_e)
@@ -314,7 +314,7 @@ def test_criterion_6_oracle_mask_separation(toy_speakers, embedder_bundle, fbank
 
 
 def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
-                                         enhancer_bundle, fbank):
+                                         enhancer_bundle):
     t0 = time.perf_counter()
     net_e, _, history, se_losses, heldout_set = embedder_bundle
     net_h, losses, embeddings = enhancer_bundle
@@ -342,7 +342,7 @@ def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
         for a in heldout_set for b in heldout_set if a < b]
     same_beats_cross = min(same_spk) > float(np.mean(cross))
 
-    mixtures = sy.toy_eval_mixtures(toy_speakers, n_mixtures=50, seed=100, fb=fbank)
+    mixtures = sy.toy_eval_mixtures(toy_speakers, n_mixtures=50, seed=100)
     wins = 0
     active_correct = 0
     active_total = 0
@@ -351,11 +351,11 @@ def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
     for example, spk_a, spk_b in mixtures:
         mix = example.mixture.samples.astype(np.float64)
         ref = example.clean_target.samples.astype(np.float64)
-        out_a = enhance_audio(mix, net_h, embeddings[spk_a], fbank)
-        out_b = enhance_audio(mix, net_h, embeddings[spk_b], fbank)
+        out_a = enhance_audio(mix, net_h, embeddings[spk_a])
+        out_b = enhance_audio(mix, net_h, embeddings[spk_b])
         if mt.si_snr_aligned(out_a, ref) > mt.si_snr_aligned(out_b, ref):
             wins += 1
-        feats = fe.extract_features(mix, fbank).features
+        feats = fe.extract_features(mix).features
         _, _, vad = net_h.forward(feats, embeddings[spk_a])
         out_t, lab_t = en.lookahead_slices(len(vad), len(example.targets.vad))
         vad = vad[out_t]
@@ -363,8 +363,7 @@ def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
         active_total += int(active.sum())
         active_correct += int(np.sum(vad[active] >= 0.5))
         # personalization: the VAD must stay low when only the interferer talks
-        interf_feats = fe.extract_features(
-            example.interferer.samples.astype(np.float64), fbank).features
+        interf_feats = fe.extract_features(example.interferer.samples.astype(np.float64)).features
         interf_log_e = interf_feats[lab_t, -2].astype(np.float64)
         interf_active = en.vad_labels_from_energy(interf_log_e) > 0.5
         vad_target_only.extend(vad[active[: len(interf_active)] & ~interf_active])
@@ -427,7 +426,7 @@ def test_criterion_8_realtime_gate():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_9_determinism(toy_speakers, fbank, tmp_path):
+def test_criterion_9_determinism(toy_speakers, tmp_path):
     t0 = time.perf_counter()
 
     # mixtures
@@ -435,16 +434,16 @@ def test_criterion_9_determinism(toy_speakers, fbank, tmp_path):
     interf = sy.synth_speaker(22, 2.0)
     noise = sy.synth_noise(23, 2.0)
     spec = sy.MixtureSpec(snr_db=6.0, sir_db=2.0, seed=99)
-    mix_a = sy.make_mixture(spec, target, interf, noise, fb=fbank)
-    mix_b = sy.make_mixture(spec, target, interf, noise, fb=fbank)
+    mix_a = sy.make_mixture(spec, target, interf, noise)
+    mix_b = sy.make_mixture(spec, target, interf, noise)
     mixtures_ok = (np.array_equal(mix_a.mixture.samples, mix_b.mixture.samples)
                    and np.array_equal(mix_a.targets.gains, mix_b.targets.gains))
 
     # features (batch and sample-by-sample streaming)
     audio = mix_a.mixture.samples
-    feats_a = fe.extract_features(audio, fbank).features
-    feats_b = fe.extract_features(audio, fbank).features
-    stream = fe.FeatureStream(fbank)
+    feats_a = fe.extract_features(audio).features
+    feats_b = fe.extract_features(audio).features
+    stream = fe.FeatureStream()
     streamed = np.concatenate([stream.push(audio[i : i + 733]).features
                                for i in range(0, len(audio), 733)])
     features_ok = (np.array_equal(feats_a, feats_b)
@@ -452,7 +451,7 @@ def test_criterion_9_determinism(toy_speakers, fbank, tmp_path):
 
     # trained weights: short runs, bit-identical serialized bytes
     train_set, heldout_set = sy.embedder_crop_sets(toy_speakers, n_train=6,
-                                                   n_heldout=2, fb=fbank)
+                                                   n_heldout=2)
     cfg_e = em.EmbedderTrainConfig(steps=20, eval_every=20, seed=5)
     blobs = []
     for _ in range(2):
@@ -461,7 +460,7 @@ def test_criterion_9_determinism(toy_speakers, fbank, tmp_path):
     embedder_ok = blobs[0] == blobs[1]
 
     dataset, _ = sy.toy_enhancer_dataset(toy_speakers, net, n_mixtures=8,
-                                         seed=3, fb=fbank)
+                                         seed=3)
     cfg_h = en.EnhancerTrainConfig(steps=25, seed=5)
     blobs = []
     for _ in range(2):
@@ -471,7 +470,7 @@ def test_criterion_9_determinism(toy_speakers, fbank, tmp_path):
 
     # reports
     rows = [{"index": 0, "si_snr_out": float(mt.si_snr_aligned(
-        enhance_audio(audio.astype(np.float64), None, None, fbank),
+        enhance_audio(audio.astype(np.float64)),
         audio.astype(np.float64)))}]
     p1, p2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
     mt.write_report(p1, rows)

@@ -86,26 +86,26 @@ class TestCombFilter:
 
 
 class TestApplyPerBand:
-    def test_identity_controls(self, fb):
+    def test_identity_controls(self):
         rng = np.random.default_rng(0)
         spec = fe.analyze_frame(rng.standard_normal(960))
-        out = cb.apply_per_band(spec, 0.5 * spec, np.ones(32), np.zeros(32), fb)
+        out = cb.apply_per_band(spec, 0.5 * spec, np.ones(32), np.zeros(32))
         np.testing.assert_array_equal(out, spec)
 
-    def test_zero_gains_silence(self, fb):
+    def test_zero_gains_silence(self):
         rng = np.random.default_rng(1)
         spec = fe.analyze_frame(rng.standard_normal(960))
-        out = cb.apply_per_band(spec, spec, np.zeros(32), np.zeros(32), fb)
+        out = cb.apply_per_band(spec, spec, np.zeros(32), np.zeros(32))
         assert np.all(out == 0)
 
-    def test_full_strength_selects_comb_spectrum(self, fb):
+    def test_full_strength_selects_comb_spectrum(self):
         rng = np.random.default_rng(2)
         spec = fe.analyze_frame(rng.standard_normal(960))
         comb_spec = fe.analyze_frame(rng.standard_normal(960))
-        out = cb.apply_per_band(spec, comb_spec, np.ones(32), np.ones(32), fb)
+        out = cb.apply_per_band(spec, comb_spec, np.ones(32), np.ones(32))
         np.testing.assert_allclose(out, comb_spec, atol=1e-12)
 
-    def test_comb_blend_raises_band_coherence(self, fb):
+    def test_comb_blend_raises_band_coherence(self):
         # periodic + noise through full-strength comb blending: coherence
         # measured by the frontend must rise in every voiced band
         from targetvoice.pipeline import replay_controls
@@ -113,20 +113,20 @@ class TestApplyPerBand:
         clean = sawtooth(100.0, 48000)
         noisy = clean + 1.0 * np.random.default_rng(7).standard_normal(48000)
         def coherences(x):
-            return fe.extract_features(x, fb).features[10 : n - 10, 32:64]
+            return fe.extract_features(x).features[10 : n - 10, 32:64]
 
-        n = len(fe.extract_features(noisy, fb).features)
-        out = replay_controls(noisy, np.ones((n, 32)), np.ones((n, 32)), fb)
+        n = len(fe.extract_features(noisy).features)
+        out = replay_controls(noisy, np.ones((n, 32)), np.ones((n, 32)))
         before, after, clean_coh = coherences(noisy), coherences(out), coherences(clean)
         voiced_bands = clean_coh.mean(axis=0) > 0.5
         assert voiced_bands.any()
         assert np.all(after.mean(axis=0)[voiced_bands]
                       > before.mean(axis=0)[voiced_bands])
 
-    def test_shape_mismatch_rejected(self, fb):
+    def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="same frame"):
             cb.apply_per_band(np.zeros(481, complex), np.zeros(480, complex),
-                              np.ones(32), np.zeros(32), fb)
+                              np.ones(32), np.zeros(32))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ class TestSynthesize:
         y = cb.synthesize(spectra)
         np.testing.assert_allclose(y[480:], x[480 : len(y)], atol=1e-12)
 
-    def test_bounded_output_energy(self, fb):
+    def test_bounded_output_energy(self):
         # gains <= 1: frame output energy can't exceed max(inputs) + eps
         rng = np.random.default_rng(9)
         x = rng.standard_normal(960)
@@ -156,20 +156,20 @@ class TestSynthesize:
         spec, comb_spec = fe.analyze_frame(x), fe.analyze_frame(c)
         gains = rng.uniform(0, 1, 32)
         strengths = rng.uniform(0, 1, 32)
-        out = cb.apply_per_band(spec, comb_spec, gains, strengths, fb)
+        out = cb.apply_per_band(spec, comb_spec, gains, strengths)
         e_out = np.sum(np.abs(out) ** 2)
         e_in = max(np.sum(np.abs(spec) ** 2), np.sum(np.abs(comb_spec) ** 2))
         assert e_out <= (1 + 1e-3) * e_in
 
-    def test_band_gain_monotonicity(self, fb):
+    def test_band_gain_monotonicity(self):
         rng = np.random.default_rng(10)
         spec = fe.analyze_frame(rng.standard_normal(960))
         gains = np.ones(32)
-        base = cb.apply_per_band(spec, spec, gains, np.zeros(32), fb)
+        base = cb.apply_per_band(spec, spec, gains, np.zeros(32))
         for band in [0, 7, 19, 31]:
             lowered = gains.copy()
             lowered[band] = 0.3
-            out = cb.apply_per_band(spec, spec, lowered, np.zeros(32), fb)
-            e_base = fe.band_energies(base, fb)[band]
-            e_low = fe.band_energies(out, fb)[band]
+            out = cb.apply_per_band(spec, spec, lowered, np.zeros(32))
+            e_base = fe.band_energies(base)[band]
+            e_low = fe.band_energies(out)[band]
             assert e_low <= e_base + 1e-12

@@ -7,6 +7,7 @@ import pytest
 
 from targetvoice import enhancer as en
 from targetvoice import synth as sy
+from targetvoice.audio import AudioBuffer
 from targetvoice.comb import (
     COMB_MAX_LEAD,
     OverlapAddSynthesizer,
@@ -18,7 +19,9 @@ from targetvoice.frontend import (
     HOP,
     PITCH_MAX_LAG,
     WINDOW,
+    ErbFilterbank,
     FeatureStream,
+    design_erb_filterbank,
     extract_features,
     vorbis_window,
 )
@@ -33,7 +36,7 @@ from tests.conftest import tone
 from tests.unfused_reference import use_reference_paths
 
 
-def apply_band_controls(audio, gains, strengths, periods, fb):
+def apply_band_controls(audio, gains, strengths, periods):
     """Offline reference for replay_controls: its own framing, comb and overlap-add.
 
     gains/strengths/periods are indexed by the frames of extract_features
@@ -66,7 +69,7 @@ def apply_band_controls(audio, gains, strengths, periods, fb):
         else:
             comb_spec = spec
         hops.append(ola.push(apply_per_band(spec, comb_spec, gains[t],
-                                            strengths[t], fb)))
+                                            strengths[t])))
     y = np.concatenate(hops)
     # hop s of y covers padded [s*480, (s+1)*480): input starts at hop 1
     return y[HOP : HOP + len(x)]
@@ -269,30 +272,39 @@ class TestModelPath:
 
 
 class TestApplyBandControls:
-    def test_identity_controls_reconstruct(self, fb):
+    def test_identity_controls_reconstruct(self):
         x = 0.3 * np.random.default_rng(10).standard_normal(24000)
-        n = len(extract_features(x, fb).features)
-        y = replay_controls(x, np.ones((n, 32)), np.zeros((n, 32)), fb)
+        n = len(extract_features(x).features)
+        y = replay_controls(x, np.ones((n, 32)), np.zeros((n, 32)))
         assert y.shape == x.shape
         assert si_snr(y, x) >= 40.0
 
-    def test_zero_gains_silence(self, fb):
+    def test_zero_gains_silence(self):
         x = 0.3 * np.random.default_rng(11).standard_normal(24000)
-        n = len(extract_features(x, fb).features)
-        y = replay_controls(x, np.zeros((n, 32)), np.zeros((n, 32)), fb)
+        n = len(extract_features(x).features)
+        y = replay_controls(x, np.zeros((n, 32)), np.zeros((n, 32)))
         assert float(np.max(np.abs(y))) < 1e-9
 
+    @pytest.mark.parametrize("shapes", [((0, 32), (0, 32)), ((5, 32), (3, 32)),
+                                        ((5, 32), (5, 31))],
+                             ids=["no_rows", "rows_differ", "31_bands"])
+    def test_malformed_controls_rejected_up_front(self, shapes):
+        x = 0.3 * np.random.default_rng(12).standard_normal(4800)
+        gains, strengths = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError, match=r"\[T, 32\]"):
+            replay_controls(x, gains, strengths)
+
     @staticmethod
-    def _differing_hops(seed, fb, strength_scale):
+    def _differing_hops(seed, strength_scale):
         rng = np.random.default_rng(seed)
         x = (sy.synth_speaker(seed, 1.0).samples.astype(np.float64)
              + 0.05 * rng.standard_normal(48000))
-        periods = extract_features(x, fb).periods
+        periods = extract_features(x).periods
         n = len(periods)
         gains = rng.uniform(0.0, 1.0, (n, 32))
         strengths = strength_scale * rng.uniform(0.0, 1.0, (n, 32))
-        engine = replay_controls(x, gains, strengths, fb)
-        ref = apply_band_controls(x, gains, strengths, periods, fb)
+        engine = replay_controls(x, gains, strengths)
+        ref = apply_band_controls(x, gains, strengths, periods)
         assert np.any(periods)  # voiced: the comb path runs
         assert engine.shape == ref.shape == x.shape
         return [h for h in range(len(x) // HOP)
@@ -300,15 +312,15 @@ class TestApplyBandControls:
                 != ref[h * HOP : (h + 1) * HOP].tobytes()]
 
     @pytest.mark.parametrize("seed", [11, 12])
-    def test_replay_matches_reference_zero_strengths(self, fb, seed):
-        assert self._differing_hops(seed, fb, 0.0) == []
+    def test_replay_matches_reference_zero_strengths(self, seed):
+        assert self._differing_hops(seed, 0.0) == []
 
     @pytest.mark.parametrize("seed", [11, 12])
-    def test_replay_matches_reference_with_strengths(self, fb, seed):
+    def test_replay_matches_reference_with_strengths(self, seed):
         # the reference combs the straddle and tail windows at a neighbouring
         # frame's pitch period, the engine at the pitch it measured on them:
         # only the first and the last output hop may differ
-        assert set(self._differing_hops(seed, fb, 1.0)) <= {0, 48000 // HOP - 1}
+        assert set(self._differing_hops(seed, 1.0)) <= {0, 48000 // HOP - 1}
 
 
 class TestSharedWeights:
@@ -333,11 +345,13 @@ class TestSharedWeights:
             np.testing.assert_array_equal(np.concatenate(outs[k]), solo)
 
     def test_engines_without_filterbank_share_one(self, toy_model):
+        # no engine keeps a filterbank of its own, passed or not: every one
+        # reads the one read-only DEFAULT_FILTERBANK
         net, emb = toy_model
-        engines = [StreamingEnhancer(), StreamingEnhancer(net, emb)]
+        engines = [StreamingEnhancer(), StreamingEnhancer(net, emb, design_erb_filterbank())]
         for eng in engines:
-            assert eng.fb is eng.features.fb is DEFAULT_FILTERBANK
-        assert engines[0].fb.weights is engines[1].fb.weights
+            for owner in (eng, eng.features):
+                assert not any(isinstance(v, ErbFilterbank) for v in vars(owner).values())
         with pytest.raises(ValueError):
             DEFAULT_FILTERBANK.weights[0, 0] = 0.5
 
@@ -429,3 +443,43 @@ def test_ordinary_streams_raise_no_warnings(toy_model):
                 for i in range(0, len(x), 733):
                     engine.process(x[i : i + 733])
                 engine.flush()
+
+
+# the three entry points that still take a filterbank, each as audio -> bytes
+def _features(x, *fb):
+    record = extract_features(x, *fb)
+    return b"".join(field.tobytes() for field in (record.features, record.periods,
+                                                   record.correlations, record.spectra))
+
+
+def _engine(x, *fb):
+    engine = StreamingEnhancer(None, None, *fb)
+    return np.concatenate([engine.process(x), engine.flush()]).tobytes()
+
+
+def _mixture(x, *fb):
+    example = sy.make_mixture(sy.MixtureSpec(5.0, None, 1), AudioBuffer(x.astype(np.float32)),
+                              None, sy.synth_noise(2, 1.0), *fb)
+    targets = example.targets
+    return b"".join(a.tobytes() for a in (example.mixture.samples, targets.features,
+                                          targets.gains, targets.strengths, targets.vad))
+
+
+@pytest.mark.parametrize("entry", [_features, _engine, _mixture])
+class TestFilterbankArgument:
+    """The filterbank the benchmark passes is checked against DEFAULT_FILTERBANK, then unused."""
+
+    @pytest.fixture(scope="class")
+    def speech(self):
+        return sy.synth_speaker(26, 1.0).samples.astype(np.float64)
+
+    def test_an_equal_filterbank_changes_nothing(self, entry, speech):
+        assert entry(speech, design_erb_filterbank()) == entry(speech)
+
+    @pytest.mark.parametrize("other", [
+        ErbFilterbank(2.0 * DEFAULT_FILTERBANK.weights, DEFAULT_FILTERBANK.band_centers),
+        ErbFilterbank(DEFAULT_FILTERBANK.weights, DEFAULT_FILTERBANK.band_centers + 1.0),
+    ], ids=["weights_doubled", "centers_moved"])
+    def test_another_filterbank_rejected(self, entry, speech, other):
+        with pytest.raises(ValueError, match="band layout"):
+            entry(speech, other)

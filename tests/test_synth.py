@@ -51,42 +51,42 @@ def components():
 
 
 class TestMakeMixture:
-    def test_mixture_is_exact_component_sum(self, fb, components):
+    def test_mixture_is_exact_component_sum(self, components):
         target, interf, noise = components
         spec = sy.MixtureSpec(snr_db=10.0, sir_db=5.0, seed=7)
-        ex = sy.make_mixture(spec, target, interf, noise, fb=fb)
+        ex = sy.make_mixture(spec, target, interf, noise)
         total = ex.clean_target.samples + ex.interferer.samples + ex.noise.samples
         np.testing.assert_array_equal(ex.mixture.samples, total)
 
-    def test_achieved_ratios_from_stored_components(self, fb, components):
+    def test_achieved_ratios_from_stored_components(self, components):
         target, interf, noise = components
         spec = sy.MixtureSpec(snr_db=7.0, sir_db=3.0, seed=7)
-        ex = sy.make_mixture(spec, target, interf, noise, fb=fb)
+        ex = sy.make_mixture(spec, target, interf, noise)
         snr = 10 * np.log10(energy(ex.clean_target.samples) / energy(ex.noise.samples))
         sir = 10 * np.log10(energy(ex.clean_target.samples) / energy(ex.interferer.samples))
         assert snr == pytest.approx(7.0, abs=0.01)
         assert sir == pytest.approx(3.0, abs=0.01)
 
-    def test_interferer_omitted(self, fb, components):
+    def test_interferer_omitted(self, components):
         target, _, noise = components
         spec = sy.MixtureSpec(snr_db=10.0, sir_db=None, seed=1)
-        ex = sy.make_mixture(spec, target, None, noise, fb=fb)
+        ex = sy.make_mixture(spec, target, None, noise)
         assert ex.interferer is None
         np.testing.assert_array_equal(
             ex.mixture.samples, ex.clean_target.samples + ex.noise.samples
         )
 
-    def test_deterministic(self, fb, components):
+    def test_deterministic(self, components):
         target, interf, noise = components
         spec = sy.MixtureSpec(snr_db=4.0, sir_db=2.0, seed=42)
-        a = sy.make_mixture(spec, target, interf, noise, fb=fb)
-        b = sy.make_mixture(spec, target, interf, noise, fb=fb)
+        a = sy.make_mixture(spec, target, interf, noise)
+        b = sy.make_mixture(spec, target, interf, noise)
         np.testing.assert_array_equal(a.mixture.samples, b.mixture.samples)
         np.testing.assert_array_equal(a.targets.gains, b.targets.gains)
 
-    def test_supervision_shapes_and_ranges(self, fb, components):
+    def test_supervision_shapes_and_ranges(self, components):
         target, interf, noise = components
-        ex = sy.make_mixture(sy.MixtureSpec(0.0, 5.0, 1), target, interf, noise, fb=fb)
+        ex = sy.make_mixture(sy.MixtureSpec(0.0, 5.0, 1), target, interf, noise)
         t = ex.targets
         assert t.gains.shape == t.strengths.shape
         assert t.gains.shape[1] == 32
@@ -94,7 +94,7 @@ class TestMakeMixture:
         assert np.all((t.strengths >= 0) & (t.strengths <= 1))
         assert set(np.unique(t.vad)) <= {0.0, 1.0}
         # the mixture's features, as the supervision computed them
-        want = extract_features(ex.mixture.samples, fb).features
+        want = extract_features(ex.mixture.samples).features
         assert t.features.tobytes() == want.tobytes() and len(t.features) == len(t.vad)
 
     @pytest.mark.parametrize("spec", [
@@ -102,12 +102,11 @@ class TestMakeMixture:
         sy.MixtureSpec(-5.0, None, 2),
         sy.MixtureSpec(20.0, -3.0, 3, sy.AugmentSpec(lowpass_hz=4000.0, tilt_db_per_octave=-4.0)),
     ])
-    def test_supervision_matches_per_frame_loop(self, fb, components, spec):
+    def test_supervision_matches_per_frame_loop(self, components, spec):
         target, interf, noise = components
-        ex = sy.make_mixture(spec, target, None if spec.sir_db is None else interf,
-                             noise, fb=fb)
-        clean = extract_features(ex.clean_target.samples, fb).features
-        mix = extract_features(ex.mixture.samples, fb).features
+        ex = sy.make_mixture(spec, target, None if spec.sir_db is None else interf, noise)
+        clean = extract_features(ex.clean_target.samples).features
+        mix = extract_features(ex.mixture.samples).features
         n = min(len(clean), len(mix))
         gains, strengths, log_e = np.zeros((n, 32)), np.zeros((n, 32)), np.zeros(n)
         for i in range(n):
@@ -207,9 +206,9 @@ class TestSynthSpeaker:
         with pytest.raises(ValueError, match="1 s"):
             sy.synth_speaker(0, 0.5)
 
-    def test_has_pauses_for_vad(self, fb):
+    def test_has_pauses_for_vad(self):
         audio = sy.synth_speaker(4, 10.0).samples
-        log_e = extract_features(audio, fb).features[:, -2].astype(np.float64)
+        log_e = extract_features(audio).features[:, -2].astype(np.float64)
         from targetvoice.enhancer import vad_labels_from_energy
 
         labels = vad_labels_from_energy(log_e)
@@ -258,16 +257,16 @@ class TestPresets:
 
 
 class TestOracleMaskUpperBound:
-    def test_oracle_gains_beat_mixture_at_0db(self, fb):
+    def test_oracle_gains_beat_mixture_at_0db(self):
         # apply ideal ratio masks: >= 5 dB SI-SNR improvement at 0 dB SNR
         from targetvoice.metrics import si_snr_aligned
         from targetvoice.pipeline import replay_controls
 
         target = AudioBuffer(sy.synth_speaker(11, 3.0).samples)
         noise = sy.synth_noise(13, 3.0)
-        ex = sy.make_mixture(sy.MixtureSpec(0.0, None, 5), target, None, noise, fb=fb)
+        ex = sy.make_mixture(sy.MixtureSpec(0.0, None, 5), target, None, noise)
         mix = ex.mixture.samples.astype(np.float64)
-        out = replay_controls(mix, ex.targets.gains, ex.targets.strengths, fb)
+        out = replay_controls(mix, ex.targets.gains, ex.targets.strengths)
         ref = ex.clean_target.samples.astype(np.float64)
         gain = si_snr_aligned(out, ref) - si_snr_aligned(mix, ref)
         assert gain >= 5.0

@@ -97,8 +97,7 @@ class ReferenceFeatureStream:
     FeatureStream's framing or kernel.
     """
 
-    def __init__(self, fb=None):
-        self.fb = fb if fb is not None else fe.DEFAULT_FILTERBANK
+    def __init__(self):
         self._history = np.zeros(fe.FRAME_CONTEXT)
         self._prev_log_energy = None
 
@@ -121,13 +120,13 @@ class ReferenceFeatureStream:
         spec = np.fft.rfft(frame * _WINDOW)
         if spectra is not None:
             spectra.append(spec)
-        energies = fe.band_energies(spec, self.fb)
+        energies = fe.band_energies(spec)
         pitch = reference_estimate_pitch(context[end - fe.PITCH_HISTORY : end])
         if pitch.voiced:
             start = end - fe.WINDOW - pitch.period
             delayed = context[start : start + fe.WINDOW]
             spec_d = np.fft.rfft(delayed * _WINDOW)
-            coh = fe.coherence_from_spectra(spec, spec_d, self.fb, energies)
+            coh = fe.coherence_from_spectra(spec, spec_d, energies)
         else:
             coh = np.zeros(fe.N_BANDS)
         feats = reference_assemble_features(energies, coh, pitch,
@@ -159,7 +158,7 @@ class _StackedReferenceStream(ReferenceFeatureStream):
 
 def use_reference_paths(engine):
     """Give a freshly built StreamingEnhancer the unfused frontend and overlap-add."""
-    engine.features = _StackedReferenceStream(engine.fb)
+    engine.features = _StackedReferenceStream()
     engine.features.push(np.zeros(fe.HOP))  # the engine's timeline padding
     engine.ola = ReferenceOverlapAdd()
     return engine
