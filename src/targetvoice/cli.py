@@ -139,7 +139,11 @@ def cmd_mix(args) -> int:
         manifest_row,
         training_specs,
     )
+    from targetvoice.frontend import WINDOW
 
+    if not args.duration >= WINDOW / SAMPLE_RATE:
+        raise DataError(f"--duration {args.duration} s is shorter than one "
+                        f"{WINDOW / SAMPLE_RATE} s analysis window")
     os.makedirs(args.out_dir, exist_ok=True)
     speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
     if args.preset == "eval":

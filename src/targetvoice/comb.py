@@ -19,6 +19,7 @@ from targetvoice.frontend import (
     DEFAULT_FILTERBANK,
     HOP,
     LOOKAHEAD_FRAMES,
+    N_BINS,
     PITCH_MAX_LAG,
     VORBIS_WINDOW,
     WINDOW,
@@ -101,36 +102,28 @@ def apply_per_band(noisy_spectrum: np.ndarray, comb_spectrum: np.ndarray,
 
 
 class OverlapAddSynthesizer:
-    """Streaming inverse transform: one spectrum in, 480 samples out.
+    """Streaming inverse transform: k spectra in, k*480 samples out.
 
     Applies the synthesis window and overlap-adds; with the shared
     squared-sine analysis/synthesis pair every sample position is covered
     by w^2 from two consecutive frames summing to one, so an unmodified
-    spectrum stream reconstructs the input exactly.
+    spectrum stream reconstructs the input exactly. A [k, 481] block gives
+    the same bytes as k one-row pushes.
     """
 
     def __init__(self) -> None:
         self._tail = np.zeros(HOP)
 
-    def push(self, spectrum: np.ndarray) -> np.ndarray:
-        frame = np.fft.irfft(spectrum, n=WINDOW)
-        frame *= VORBIS_WINDOW
-        # the first half returns with the tail added; the second half,
-        # which the returned view does not reach, is the next tail
-        out = np.add(self._tail, frame[:HOP], out=frame[:HOP])
-        self._tail = frame[HOP:]
-        return out
-
-
-def synthesize(spectra) -> np.ndarray:
-    """Overlap-add a sequence of frame spectra into a signal.
-
-    Returns hop-aligned output: frame t contributes to samples
-    [t*480, t*480 + 960); the emitted stream covers everything up to the
-    last frame's midpoint.
-    """
-    ola = OverlapAddSynthesizer()
-    hops = [ola.push(spec) for spec in spectra]
-    if not hops:
-        return np.zeros(0)
-    return np.concatenate(hops)
+    def push(self, spectra: np.ndarray) -> np.ndarray:
+        if spectra.shape[-1] != N_BINS:
+            raise ValueError(f"expected {N_BINS} bins per spectrum, got {spectra.shape}")
+        frames = np.fft.irfft(spectra, n=WINDOW)
+        frames *= VORBIS_WINDOW
+        # [k, 2, 480]: each frame's first half returns with the previous
+        # frame's second half added; the last second half is the next tail
+        halves = frames.reshape(-1, 2, HOP)
+        halves[0, 0] += self._tail
+        if len(halves) > 1:  # the engine's one-row push skips an empty add
+            halves[1:, 0] += halves[:-1, 1]
+        self._tail = halves[-1, 1]
+        return halves[:, 0].ravel()

@@ -157,12 +157,12 @@ VORBIS_WINDOW = vorbis_window()
 VORBIS_WINDOW.flags.writeable = False
 
 
-def analyze_frame(window_samples: np.ndarray) -> np.ndarray:
-    """Window a 960-sample frame and return its 481 complex bins."""
-    x = np.asarray(window_samples, dtype=np.float64)
-    if x.shape != (WINDOW,):
-        raise ValueError(f"expected exactly {WINDOW} samples, got {x.shape}")
-    return np.fft.rfft(x * VORBIS_WINDOW)
+def frame_spectra(x: np.ndarray) -> np.ndarray:
+    """The [T, 481] windowed spectra of frames x[t*480 : t*480 + 960] (FeatureStream's grid)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or len(x) < WINDOW:
+        raise ValueError(f"expected at least {WINDOW} samples, got {x.shape}")
+    return np.fft.rfft(sliding_window_view(x, WINDOW)[::HOP] * VORBIS_WINDOW)
 
 
 def _band_sums(values: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from targetvoice.audio import SAMPLE_RATE, AudioBuffer
+from targetvoice.comb import OverlapAddSynthesizer
 from targetvoice.enhancer import compute_target_gains, vad_labels_from_energy
 from targetvoice.frontend import (
     HOP,
@@ -29,6 +30,7 @@ from targetvoice.frontend import (
     WINDOW,
     ErbFilterbank,
     extract_features,
+    frame_spectra,
 )
 
 LOWPASS_MIN_HZ = 3000.0
@@ -104,6 +106,8 @@ def _augment_response(aug: AugmentSpec) -> np.ndarray:
         # 4th-order Butterworth magnitude, applied zero-phase
         h *= 1.0 / np.sqrt(1.0 + (freqs / aug.lowpass_hz) ** 8)
     if aug.tilt_db_per_octave is not None:
+        if not np.isfinite(aug.tilt_db_per_octave):
+            raise MixtureError(f"tilt {aug.tilt_db_per_octave} dB/octave is not finite")
         octaves = np.log2(np.maximum(freqs, TILT_FLOOR_HZ) / TILT_REF_HZ)
         h *= 10.0 ** (aug.tilt_db_per_octave * octaves / 20.0)
     return h
@@ -120,16 +124,8 @@ def augment(audio: np.ndarray, aug: AugmentSpec) -> np.ndarray:
     if not aug.active:
         return x.copy()
     h = _augment_response(aug)
-    from targetvoice.frontend import analyze_frame
-    from targetvoice.comb import synthesize
-
     padded = np.concatenate([np.zeros(HOP), x, np.zeros(WINDOW + HOP)])
-    n_frames = (len(padded) - WINDOW) // HOP + 1
-    spectra = (
-        analyze_frame(padded[t * HOP : t * HOP + WINDOW]) * h
-        for t in range(n_frames)
-    )
-    y = synthesize(spectra)
+    y = OverlapAddSynthesizer().push(frame_spectra(padded) * h)
     return y[HOP : HOP + len(x)]
 
 
@@ -296,6 +292,8 @@ def make_mixture(spec: MixtureSpec, target: AudioBuffer,
     if interferer is not None:
         i = np.asarray(interferer.samples, dtype=np.float64)
         length = min(length, len(i))
+    if length < WINDOW:
+        raise MixtureError(f"{length} samples is shorter than one {WINDOW}-sample analysis window")
     t = t[:length]
     n = n[:length]
 

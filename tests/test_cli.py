@@ -172,6 +172,13 @@ class TestMix:
             assert snr == pytest.approx(row["snr_db"], abs=0.01)
             assert sir == pytest.approx(row["sir_db"], abs=0.01)
 
+    def test_duration_shorter_than_a_window_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "mix"
+        rc = main(["mix", "--out-dir", str(out), "--n", "1", "--duration", "0.01"])
+        assert rc == EXIT_DATA
+        assert "shorter than one 0.02 s analysis window" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mix_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -88,20 +88,20 @@ class TestCombFilter:
 class TestApplyPerBand:
     def test_identity_controls(self):
         rng = np.random.default_rng(0)
-        spec = fe.analyze_frame(rng.standard_normal(960))
+        spec = fe.frame_spectra(rng.standard_normal(960))[0]
         out = cb.apply_per_band(spec, 0.5 * spec, np.ones(32), np.zeros(32))
         np.testing.assert_array_equal(out, spec)
 
     def test_zero_gains_silence(self):
         rng = np.random.default_rng(1)
-        spec = fe.analyze_frame(rng.standard_normal(960))
+        spec = fe.frame_spectra(rng.standard_normal(960))[0]
         out = cb.apply_per_band(spec, spec, np.zeros(32), np.zeros(32))
         assert np.all(out == 0)
 
     def test_full_strength_selects_comb_spectrum(self):
         rng = np.random.default_rng(2)
-        spec = fe.analyze_frame(rng.standard_normal(960))
-        comb_spec = fe.analyze_frame(rng.standard_normal(960))
+        spec = fe.frame_spectra(rng.standard_normal(960))[0]
+        comb_spec = fe.frame_spectra(rng.standard_normal(960))[0]
         out = cb.apply_per_band(spec, comb_spec, np.ones(32), np.ones(32))
         np.testing.assert_allclose(out, comb_spec, atol=1e-12)
 
@@ -136,24 +136,40 @@ class TestApplyPerBand:
 
 class TestSynthesize:
     def test_zero_spectra_zero_output(self):
-        out = cb.synthesize([np.zeros(481, complex)] * 5)
+        out = cb.OverlapAddSynthesizer().push(np.zeros((5, 481), complex))
         assert out.shape == (5 * 480,)
         assert np.all(out == 0)
 
     def test_round_trip_identity_after_first_hop(self):
         rng = np.random.default_rng(1)
         x = 0.3 * rng.standard_normal(48000)
-        n_frames = (len(x) - 960) // 480 + 1
-        spectra = [fe.analyze_frame(x[t * 480 : t * 480 + 960]) for t in range(n_frames)]
-        y = cb.synthesize(spectra)
+        y = cb.OverlapAddSynthesizer().push(fe.frame_spectra(x))
         np.testing.assert_allclose(y[480:], x[480 : len(y)], atol=1e-12)
+
+    def test_block_pushes_match_one_row_pushes(self):
+        spectra = fe.frame_spectra(0.3 * np.random.default_rng(2).standard_normal(144000))
+        one = cb.OverlapAddSynthesizer()
+        want = np.concatenate([one.push(spec) for spec in spectra])
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            ola, parts, t = cb.OverlapAddSynthesizer(), [], 0
+            while t < len(spectra):
+                k = int(rng.integers(1, 41))
+                parts.append(ola.push(spectra[t : t + k]))
+                t += k
+            assert np.concatenate(parts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(480,), (600,), (3, 482)])
+    def test_bin_count_checked(self, shape):
+        with pytest.raises(ValueError, match="481 bins"):
+            cb.OverlapAddSynthesizer().push(np.ones(shape, complex))
 
     def test_bounded_output_energy(self):
         # gains <= 1: frame output energy can't exceed max(inputs) + eps
         rng = np.random.default_rng(9)
         x = rng.standard_normal(960)
         c = rng.standard_normal(960)
-        spec, comb_spec = fe.analyze_frame(x), fe.analyze_frame(c)
+        spec, comb_spec = fe.frame_spectra(x)[0], fe.frame_spectra(c)[0]
         gains = rng.uniform(0, 1, 32)
         strengths = rng.uniform(0, 1, 32)
         out = cb.apply_per_band(spec, comb_spec, gains, strengths)
@@ -163,7 +179,7 @@ class TestSynthesize:
 
     def test_band_gain_monotonicity(self):
         rng = np.random.default_rng(10)
-        spec = fe.analyze_frame(rng.standard_normal(960))
+        spec = fe.frame_spectra(rng.standard_normal(960))[0]
         gains = np.ones(32)
         base = cb.apply_per_band(spec, spec, gains, np.zeros(32))
         for band in [0, 7, 19, 31]:

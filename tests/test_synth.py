@@ -7,6 +7,7 @@ from targetvoice import synth as sy
 from targetvoice.audio import AudioBuffer
 from targetvoice.enhancer import compute_target_gains, vad_labels_from_energy
 from targetvoice.frontend import extract_features
+from tests.unfused_reference import reference_augment
 
 
 def energy(x):
@@ -124,6 +125,12 @@ class TestMakeMixture:
         with pytest.raises(sy.MixtureError, match="finite"):
             sy.MixtureSpec(snr_db=float("nan"), sir_db=0.0, seed=0)
 
+    @pytest.mark.parametrize("length", [0, 1, 959])
+    def test_sources_shorter_than_a_window_rejected(self, components, length):
+        target, interf, noise = (AudioBuffer(c.samples[:length]) for c in components)
+        with pytest.raises(sy.MixtureError, match="analysis window"):
+            sy.make_mixture(sy.MixtureSpec(10.0, 5.0, 1), target, interf, noise)
+
 
 # ---------------------------------------------------------------------------
 # augmentation
@@ -160,6 +167,21 @@ class TestAugment:
     def test_cutoff_out_of_range_rejected(self):
         with pytest.raises(sy.MixtureError, match="cutoff"):
             sy.augment(np.ones(4800), sy.AugmentSpec(lowpass_hz=1000.0))
+
+    @pytest.mark.parametrize("tilt", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_tilt_rejected(self, tilt):
+        with pytest.raises(sy.MixtureError, match="tilt"):
+            sy.augment(np.ones(4800), sy.AugmentSpec(tilt_db_per_octave=tilt))
+
+    @pytest.mark.parametrize("aug", [
+        sy.AugmentSpec(lowpass_hz=4000.0, tilt_db_per_octave=-4.0),
+        sy.AugmentSpec(lowpass_hz=12345.0),
+        sy.AugmentSpec(tilt_db_per_octave=1.5),
+    ])
+    def test_matches_per_frame_reference(self, aug):
+        x = sy.synth_speaker(5, 1.0).samples.astype(np.float64)
+        for n in (0, 1, 479, 480, 959, 960, 961, 4801, len(x)):
+            assert sy.augment(x[:n], aug).tobytes() == reference_augment(x[:n], aug).tobytes()
 
     def test_length_preserved(self):
         x = np.random.default_rng(1).standard_normal(10007)

@@ -1,13 +1,14 @@
 """The one-frame frontend and overlap-add as written before they were fused.
 
 Kept as the oracle that `FeatureStream`, `estimate_pitch`,
-`assemble_features` and `OverlapAddSynthesizer` must match byte for byte,
-one frame per object (`stack_frames` turns its output into a record):
-the pitch search transforms the history and the window apart and gathers
-the correlation and the lag energies by index arrays, the voiced-frame
-coherence transforms the lagged window on its own and sums each band
-product separately, the overlap-add copies its tail, and every step
-allocates its results.
+`assemble_features`, `OverlapAddSynthesizer` and `augment` must match byte
+for byte, one frame per object (`stack_frames` turns its output into a
+record): the pitch search transforms the history and the window apart and
+gathers the correlation and the lag energies by index arrays, the
+voiced-frame coherence transforms the lagged window on its own and sums
+each band product separately, the overlap-add copies its tail, the
+augmentation frames and resynthesizes in a loop, and every step allocates
+its results.
 """
 
 from typing import NamedTuple
@@ -15,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from targetvoice import frontend as fe
+from targetvoice import synth as sy
 
 _LAGS = np.arange(fe.PITCH_MIN_LAG, fe.PITCH_MAX_LAG + 1)
 _CORR_INDEX = 2 * fe.PITCH_CORR_WINDOW - 1 - _LAGS
@@ -146,6 +148,17 @@ class ReferenceOverlapAdd:
         out = self._tail + frame[: fe.HOP]
         self._tail = frame[fe.HOP :].copy()
         return out
+
+
+def reference_augment(audio, aug):
+    """augment for an active spec, one frame at a time through ReferenceOverlapAdd."""
+    x = np.asarray(audio, dtype=np.float64)
+    h = sy._augment_response(aug)
+    padded = np.concatenate([np.zeros(fe.HOP), x, np.zeros(fe.WINDOW + fe.HOP)])
+    ola = ReferenceOverlapAdd()
+    hops = [ola.push(np.fft.rfft(padded[start : start + fe.WINDOW] * _WINDOW) * h)
+            for start in range(0, len(padded) - fe.WINDOW + 1, fe.HOP)]
+    return np.concatenate(hops)[fe.HOP : fe.HOP + len(x)]
 
 
 class _StackedReferenceStream(ReferenceFeatureStream):
