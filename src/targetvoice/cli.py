@@ -132,6 +132,7 @@ def cmd_enhance(args) -> int:
 
 def cmd_mix(args) -> int:
     from targetvoice.synth import (
+        TOY_TRAIN_S,
         build_toy_speakers,
         draw_sources,
         evaluation_specs,
@@ -141,9 +142,14 @@ def cmd_mix(args) -> int:
     )
     from targetvoice.frontend import WINDOW
 
-    if not args.duration >= WINDOW / SAMPLE_RATE:
+    if not (np.isfinite(args.duration) and args.duration <= TOY_TRAIN_S):
+        raise DataError(f"--duration {args.duration} s is not a length within "
+                        f"the {TOY_TRAIN_S:g} s speaker regions mixtures are cut from")
+    if args.duration < WINDOW / SAMPLE_RATE:
         raise DataError(f"--duration {args.duration} s is shorter than one "
                         f"{WINDOW / SAMPLE_RATE} s analysis window")
+    if args.speakers < 2:
+        raise DataError(f"--speakers {args.speakers}: a mixture needs two distinct talkers")
     os.makedirs(args.out_dir, exist_ok=True)
     speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
     if args.preset == "eval":

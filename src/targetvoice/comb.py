@@ -60,21 +60,22 @@ class CombState:
 
     Holds 2*768 samples behind the current analysis window and 3 hops ahead
     of it, which is every sample the five taps can touch. push() advances
-    the window by one hop; filter_window() combs the window at the current
-    pitch period.
+    the window by the samples it is given; filter_window() combs the window
+    at the current pitch period.
     """
 
     def __init__(self) -> None:
         self._past = 2 * PITCH_MAX_LAG
         self._buf = np.zeros(self._past + WINDOW + COMB_MAX_LEAD)
 
-    def push(self, hop_samples: np.ndarray) -> None:
-        """Advance one hop: shift the ring and append 480 new samples."""
-        x = np.asarray(hop_samples, dtype=np.float64)
-        if x.shape != (HOP,):
-            raise ValueError(f"expected {HOP} samples per hop, got {x.shape}")
-        self._buf[:-HOP] = self._buf[HOP:]
-        self._buf[-HOP:] = x
+    def push(self, samples: np.ndarray) -> None:
+        """Advance by len(samples), at most the ring's length: shift and append."""
+        x = np.asarray(samples, dtype=np.float64)
+        n = len(x)
+        if x.ndim != 1 or not 0 < n <= len(self._buf):
+            raise ValueError(f"expected 1 to {len(self._buf)} samples, got {x.shape}")
+        self._buf[:-n] = self._buf[n:]
+        self._buf[-n:] = x
 
     def filter_window(self, period: int | None) -> np.ndarray:
         """Comb-filter the current window; pass-through when unvoiced."""

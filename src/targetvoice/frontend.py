@@ -71,7 +71,7 @@ LOG_FLOOR = float(np.log10(ENERGY_FLOOR))
 FRAME_CONTEXT = PITCH_MAX_LAG
 
 # the most frames computed together when one push completes several; bounds
-# a stream's scratch (3.7 MiB at 32) whatever the length of the push
+# a stream's scratch (3.3 MiB at 32) whatever the length of the push
 BLOCK_FRAMES = 32
 
 
@@ -463,10 +463,6 @@ class FeatureStream:
                 for field in (out.features, out.periods, out.correlations, out.spectra):
                     field.flags.writeable = False
                 return out
-
-    def restart_delta(self) -> None:
-        """Give the next frame the log-energy delta of a first frame: 0."""
-        self._prev_log_energy = None
 
     def _emit(self, k: int, out: Frames, at: int) -> None:
         """Write the first k frames of the framing buffer to rows at.. of `out`."""

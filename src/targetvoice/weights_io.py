@@ -33,7 +33,7 @@ class WeightsFormatError(ValueError):
     """Raised for unreadable, corrupt, or wrong-version weight files."""
 
 
-def pack_weights(model_kind: str, entries: list[tuple[str, str, np.ndarray]]) -> bytes:
+def pack_weights(model_kind: str, entries: list[tuple[str, str, np.ndarray]]) -> bytearray:
     """Serialize (name, layer_kind, array) entries into the binary format."""
     _check_unique(name for name, _, _ in entries)
     out = bytearray()
@@ -51,9 +51,9 @@ def pack_weights(model_kind: str, entries: list[tuple[str, str, np.ndarray]]) ->
         out += struct.pack("<BB", KIND_CODES[kind], arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
     for _, _, arr in entries:
-        out += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    return bytes(out)
+        out += np.ascontiguousarray(arr, dtype="<f4").data
+    out += struct.pack("<I", zlib.crc32(out))
+    return out
 
 
 def unpack_weights(data: bytes) -> tuple[str, dict[str, tuple[str, np.ndarray]]]:

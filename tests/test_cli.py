@@ -179,6 +179,27 @@ class TestMix:
         assert "shorter than one 0.02 s analysis window" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--duration", "inf"], "within the 60 s speaker regions"),
+        (["--duration", "nan"], "within the 60 s speaker regions"),
+        (["--duration", "60.5"], "within the 60 s speaker regions"),
+        (["--speakers", "1"], "a mixture needs two distinct talkers"),
+        (["--speakers", "0"], "a mixture needs two distinct talkers"),
+    ], ids=["inf", "nan", "past_region", "one_speaker", "no_speaker"])
+    def test_impossible_request_exits_3_before_building_speakers(
+            self, tmp_path, capsys, monkeypatch, args, message):
+        from targetvoice import synth
+
+        def no_speakers(*_, **__):
+            raise AssertionError("speakers built for a request that cannot be met")
+
+        monkeypatch.setattr(synth, "build_toy_speakers", no_speakers)
+        out = tmp_path / "mix"
+        rc = main(["mix", "--out-dir", str(out), "--n", "1"] + args)
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mix_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -221,27 +242,31 @@ class TestEval:
     @pytest.mark.parametrize("mode, calls", [("identity", 6), ("oracle", 8), ("model", 10)])
     def test_eval_featurizes_each_signal_once(self, tmp_path, mix_dir, embedder_weights,
                                               enhancer_weights, monkeypatch, mode, calls):
-        # whole-file pushes (extract_features), counted on the class so that
-        # every import of it counts; the engine pushes one hop at a time.
+        # extract_features calls, counted through every targetvoice module
+        # that binds it; the engine frames its input in its own stream.
         # Per row: the output, the target and the interferer, for the probe;
         # the mixture, for the oracle and model supervision, which reuses the
         # target's features; the enrollment, for the model
-        from targetvoice.frontend import HOP, FeatureStream
+        import sys
 
-        whole = []
-        push = FeatureStream.push
+        from targetvoice import frontend
 
-        def counting(stream, samples):
-            if len(samples) > HOP:
-                whole.append(len(samples))
-            return push(stream, samples)
+        seen = []
+        real = frontend.extract_features
 
-        monkeypatch.setattr(FeatureStream, "push", counting)
+        def counting(audio, *args):
+            seen.append(len(audio))
+            return real(audio, *args)
+
+        for name, module in list(sys.modules.items()):
+            if (name.partition(".")[0] == "targetvoice"
+                    and getattr(module, "extract_features", None) is real):
+                monkeypatch.setattr(module, "extract_features", counting)
         rc = main(["eval", "--manifest", os.path.join(mix_dir, "manifest.jsonl"),
                    "--embedder", embedder_weights, "--enhancer", enhancer_weights,
                    "--mode", mode, "--out", str(tmp_path / "report.jsonl")])
         assert rc == EXIT_OK
-        assert len(whole) == calls
+        assert len(seen) == calls
 
     def test_eval_deterministic(self, tmp_path, mix_dir, embedder_weights):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

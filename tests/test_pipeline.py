@@ -27,13 +27,14 @@ from targetvoice.frontend import (
 )
 from targetvoice.metrics import si_snr
 from targetvoice.pipeline import (
+    PIECE_SAMPLES,
     ControlReplay,
     StreamingEnhancer,
     enhance_audio,
     replay_controls,
 )
 from tests.conftest import tone
-from tests.unfused_reference import use_reference_paths
+from tests.unfused_reference import ReferenceFeatureStream, use_reference_paths
 
 
 def apply_band_controls(audio, gains, strengths, periods):
@@ -129,19 +130,40 @@ class TestStreamTiming:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_any_chunking_byte_identical(self, toy_model, dtype):
+        # identity, replayed controls and the model, each whole and in
+        # chunks down to one sample and up past one FeatureStream piece, on
+        # voiced input so that the comb ring is read
         net, emb = toy_model
-        x = (0.3 * np.random.default_rng(9).standard_normal(9000)).astype(dtype)
-        whole = StreamingEnhancer(net, emb)
-        expected = np.concatenate([whole.process(x), whole.flush()])
+        x = (sy.synth_speaker(9, 1.0).samples[:12000]
+             + 0.05 * np.random.default_rng(9).standard_normal(12000)).astype(dtype)
+        periods = extract_features(x).periods
+        assert np.count_nonzero(periods) > 5
+        n = len(periods)
+        gains, strengths = np.random.default_rng(8).uniform(0.0, 1.0, (2, n, 32))
+
+        def build(mode):
+            if mode == "model":
+                return StreamingEnhancer(net, emb)
+            engine = StreamingEnhancer()
+            if mode == "replay":
+                engine.session = ControlReplay(gains, strengths)
+            return engine
+
         rng = np.random.default_rng(10)
-        for sizes in ([1] * 700 + [8300], [479, 481, 960, 1, 7079],
-                      rng.integers(1, 1500, size=40)):
-            engine = StreamingEnhancer(net, emb)
-            bounds = np.minimum(np.cumsum(np.concatenate([[0], sizes])), len(x))
-            parts = [engine.process(x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-            parts.append(engine.process(x[bounds[-1]:]))
-            parts.append(engine.flush())
-            assert np.concatenate(parts).tobytes() == expected.tobytes()
+        chunkings = ([1] * 700 + [8300], [479, 481, 960, 1, PIECE_SAMPLES + 1],
+                     rng.integers(1, 1500, size=40))
+        for mode in ("identity", "replay", "model"):
+            whole = build(mode)
+            expected = np.concatenate([whole.process(x), whole.flush()])
+            for sizes in chunkings:
+                engine = build(mode)
+                bounds = np.minimum(np.cumsum(np.concatenate([[0], sizes])), len(x))
+                parts = [engine.process(x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+                parts.append(engine.process(x[bounds[-1]:]))
+                parts.append(engine.flush())
+                assert np.concatenate(parts).tobytes() == expected.tobytes(), mode
+                assert (engine.frames_processed, engine.last_vad) == (
+                    whole.frames_processed, whole.last_vad), mode
 
     def test_whole_file_process_holds_no_input_copies(self):
         import tracemalloc
@@ -414,6 +436,26 @@ class TestUnfusedReference:
 
         got = self._run(build(), x, chunk)
         assert got == self._run(use_reference_paths(build()), x, chunk)
+
+    @pytest.mark.parametrize("signal", ["tone", "noise"])
+    def test_straddle_frame_matches_reference(self, signal):
+        # the engine's first frame, a hop of zeros then the first input hop,
+        # is the reference frontend's frame over those 960 samples, however
+        # the first hop arrives; it heads the look-ahead queue until the
+        # fourth frame completes
+        x = tone(220.0, 0.1) if signal == "tone" else (
+            0.3 * np.random.default_rng(14).standard_normal(4800))
+        spectra = []
+        (want,) = ReferenceFeatureStream().push(
+            np.concatenate([np.zeros(HOP), x[:HOP]]), spectra)
+        assert (want.pitch.period is not None) == (signal == "tone")
+        for sizes in ([HOP], [100, 379, 1], [1919]):
+            engine = StreamingEnhancer()
+            for a, b in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
+                engine.process(x[a:b])
+            period, spectrum = engine._frame_queue[0]
+            assert period == (want.pitch.period or 0)
+            assert spectrum.tobytes() == spectra[0].tobytes()
 
     @pytest.mark.parametrize("mode", ["identity", "model"])
     def test_nan_stream_byte_identical(self, toy_model, mode):

@@ -18,6 +18,23 @@ def entries():
 
 
 class TestRoundTrip:
+    @pytest.mark.parametrize("n_entries", [1, 4])
+    def test_pack_holds_the_payload_about_once(self, n_entries):
+        import tracemalloc
+
+        n = (1 << 20) // n_entries  # a 4 MiB float32 payload
+        rng = np.random.default_rng(1)
+        entries = [(f"w{i}", "dense", rng.standard_normal(n).astype(np.float32))
+                   for i in range(n_entries)]
+        tracemalloc.start()
+        try:
+            blob = wio.pack_weights("x", entries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert wio.unpack_weights(blob)[1]["w0"][1].tobytes() == entries[0][2].tobytes()
+        assert peak <= 1.5 * 4 * n * n_entries
+
     def test_save_load_save_identical_bytes(self, entries):
         blob1 = wio.pack_weights("enhancer", entries)
         kind, loaded = wio.unpack_weights(blob1)

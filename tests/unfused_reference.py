@@ -112,9 +112,6 @@ class ReferenceFeatureStream:
             self._history = self._history[fe.HOP:]
         return frames
 
-    def restart_delta(self):
-        self._prev_log_energy = None
-
     def _frame(self, context, spectra):
         """The frame ending at the end of its FRAME_CONTEXT + WINDOW samples."""
         end = len(context)
@@ -172,6 +169,5 @@ class _StackedReferenceStream(ReferenceFeatureStream):
 def use_reference_paths(engine):
     """Give a freshly built StreamingEnhancer the unfused frontend and overlap-add."""
     engine.features = _StackedReferenceStream()
-    engine.features.push(np.zeros(fe.HOP))  # the engine's timeline padding
     engine.ola = ReferenceOverlapAdd()
     return engine
