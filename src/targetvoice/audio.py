@@ -21,14 +21,13 @@ class AudioFormatError(ValueError):
 
 @dataclass
 class AudioBuffer:
-    """Mono audio at the pipeline's fixed rate.
+    """Mono audio at the pipeline's fixed rate, SAMPLE_RATE (48 kHz).
 
-    samples are float32 in [-1, 1]; sample_rate must be 48000 at every
-    pipeline entry point. NaN/Inf samples are rejected on construction.
+    samples are float32 in [-1, 1]. NaN/Inf samples are rejected on
+    construction.
     """
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.float32)
@@ -36,16 +35,12 @@ class AudioBuffer:
             raise AudioFormatError(
                 f"expected mono audio (1-D), got shape {self.samples.shape}"
             )
-        if self.sample_rate != SAMPLE_RATE:
-            raise AudioFormatError(
-                f"sample rate must be {SAMPLE_RATE} Hz, got {self.sample_rate}"
-            )
         if not np.all(np.isfinite(self.samples)):
             raise AudioFormatError("audio contains NaN or Inf samples")
 
     @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -191,22 +191,12 @@ def cmd_mix(args) -> int:
 
 
 def cmd_train_embedder(args) -> int:
-    from targetvoice.embedder import (
-        EmbedderConfig,
-        EmbedderTrainConfig,
-        embedder_entries,
-        train_embedder,
-    )
+    from targetvoice.embedder import EmbedderTrainConfig, embedder_entries, train_embedder
     from targetvoice.synth import build_toy_speakers, embedder_crop_sets
 
     speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
     train_set, heldout_set = embedder_crop_sets(speakers)
-    config = EmbedderTrainConfig(
-        steps=args.steps,
-        seed=args.seed,
-        model=EmbedderConfig.toy(),
-        model_seed=args.seed,
-    )
+    config = EmbedderTrainConfig(steps=args.steps, seed=args.seed, model_seed=args.seed)
     net, scale, history, _ = train_embedder(train_set, heldout_set, config,
                                             log=print)
     final_eer = history[-1][1]

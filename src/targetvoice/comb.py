@@ -30,6 +30,10 @@ COMB_TAPS = np.array([0.125, 0.25, 0.25, 0.25, 0.125])
 # hops past the end of the current window
 COMB_MAX_LEAD = LOOKAHEAD_FRAMES * HOP
 
+# the filterbank weights bin by band, [481, 32], for bands_to_bins
+_BAND_TO_BIN = np.ascontiguousarray(DEFAULT_FILTERBANK.weights.T)
+_BAND_TO_BIN.flags.writeable = False
+
 
 def comb_filter_window(context: np.ndarray, window_start: int,
                        period: int | None) -> np.ndarray:
@@ -83,8 +87,12 @@ class CombState:
 
 
 def bands_to_bins(values: np.ndarray) -> np.ndarray:
-    """Interpolate 32 per-band values to per-bin values (triangular weights)."""
-    return np.matmul(values, DEFAULT_FILTERBANK.weights)
+    """Interpolate 32 per-band values to per-bin values (triangular weights).
+
+    Stacked matrix-vector products give the same bytes under every BLAS
+    kernel; a values @ weights product does not.
+    """
+    return np.matmul(_BAND_TO_BIN, values[..., None])[..., 0]
 
 
 def apply_per_band(noisy_spectrum: np.ndarray, comb_spectrum: np.ndarray,

@@ -34,6 +34,9 @@ GE2E_SPEAKERS = 8
 GE2E_UTTERANCES = 4
 EMBEDDER_LR = 1e-3
 
+# training steps between held-out EER checkpoints (and the last step)
+EVAL_EVERY = 50
+
 GE2E_W_INIT = 10.0
 GE2E_B_INIT = -5.0
 GE2E_W_MIN = 1e-4
@@ -147,8 +150,6 @@ def enroll_embedding(net: EmbedderNet, features: np.ndarray) -> np.ndarray:
     embs = []
     for i in range(n_crops):
         crop = features[i * ENROLL_CROP_FRAMES : (i + 1) * ENROLL_CROP_FRAMES]
-        if crop.shape[0] < MIN_EMBED_FRAMES:
-            break
         embs.append(embed_utterance(net, crop))
     mean = np.mean(embs, axis=0)
     return mean / max(np.linalg.norm(mean), 1e-12)
@@ -237,10 +238,10 @@ def ge2e_loss(embeddings: np.ndarray, w: float, b: float):
 
 @dataclass
 class EmbedderTrainConfig:
+    """Training of the toy embedder, EmbedderConfig.toy()."""
+
     steps: int = 200
     seed: int = 0
-    eval_every: int = 50
-    model: EmbedderConfig = EmbedderConfig.toy()
     model_seed: int = 0
 
 
@@ -264,7 +265,7 @@ def train_embedder(train_set: dict, heldout_set: dict,
             raise ValueError(f"speaker {spk!r} has < 4 utterances")
 
     rng = np.random.default_rng(config.seed)
-    net = EmbedderNet(config.model, seed=config.model_seed)
+    net = EmbedderNet(EmbedderConfig.toy(), seed=config.model_seed)
     w = np.array([GE2E_W_INIT])
     b = np.array([GE2E_B_INIT])
     params = dict(net.params())
@@ -297,10 +298,10 @@ def train_embedder(train_set: dict, heldout_set: dict,
         w[0] = max(w[0], GE2E_W_MIN)
         losses.append(loss)
 
-        if step % config.eval_every == 0 or step == config.steps:
+        if step % EVAL_EVERY == 0 or step == config.steps:
             scores, labels = verification_trials(net, heldout_set)
             err = compute_eer(scores, labels)
-            history.append((step, err, float(np.mean(losses[-config.eval_every:]))))
+            history.append((step, err, float(np.mean(losses[-EVAL_EVERY:]))))
             if log:
                 log(f"step {step}: ge2e loss {np.mean(losses[-20:]):.3f}, "
                     f"held-out EER {err:.3f}")

@@ -235,12 +235,6 @@ class EnhancerNet:
         self.dense_in.backward(d)
 
 
-def build_model(config: EnhancerConfig, seed: int = 0):
-    """Construct the network and report its exact parameter count."""
-    net = EnhancerNet(config, seed=seed)
-    return net, net.n_params
-
-
 # ---------------------------------------------------------------------------
 # Supervision targets
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ log-energy, log-energy delta).
 
 Frames are rows: FeatureStream.push and extract_features return one
 read-only Frames record per call, whose fields hold each completed frame's
-features, pitch period and correlation, and analysis spectrum as one row
-of an array per field.
+features, pitch period and analysis spectrum as one row of an array per
+field.
 
 The analysis/synthesis window is the squared-sine (Vorbis) window, which
 satisfies the Princen-Bradley condition at 50% overlap so the identity
@@ -327,25 +327,33 @@ class FrameFeatures:
 class Frames:
     """The frames of one push or of one file, one read-only row each.
 
-    features:     [k, 68] float32; per row 32 log10-compressed band
-                  energies (floor -9), 32 pitch coherences in [0, 1], and
-                  the general features [normalized period, pitch
-                  correlation, frame log-energy, log-energy delta]
-    periods:      [k] int64 pitch periods in samples, 0 when unvoiced
-    correlations: [k] float64 pitch correlations, 0 when unvoiced
-    spectra:      [k, 481] complex128 analysis spectra (rfft of the
-                  windowed frame)
+    features: [k, 68] float32; per row 32 log10-compressed band energies
+              (floor -9), 32 pitch coherences in [0, 1], and the general
+              features [normalized period, pitch correlation (0 when
+              unvoiced), frame log-energy, log-energy delta]
+    periods:  [k] int64 pitch periods in samples, 0 when unvoiced
+    spectra:  [k, 481] complex128 analysis spectra (rfft of the windowed
+              frame)
     """
 
     features: np.ndarray
     periods: np.ndarray
-    correlations: np.ndarray
     spectra: np.ndarray
 
     def __iter__(self) -> Iterator[FrameFeatures]:
-        for vector, period, correlation in zip(self.features, self.periods.tolist(),
-                                               self.correlations.tolist()):
-            yield FrameFeatures(vector, PitchEstimate(period or None, correlation))
+        for vector, period in zip(self.features, self.periods.tolist()):
+            yield FrameFeatures(vector, PitchEstimate(period or None, float(vector[_CORRELATION])))
+
+
+def _read_only(frames: Frames) -> Frames:
+    for field in (frames.features, frames.periods, frames.spectra):
+        field.flags.writeable = False
+    return frames
+
+
+# the record of a push that completes no frame, shared by every such push
+NO_FRAMES = _read_only(Frames(np.empty((0, FEATURE_DIM), dtype=np.float32),
+                              np.empty(0, dtype=np.int64), np.empty((0, N_BINS), dtype=complex)))
 
 
 # the columns of a frame block (see assemble_features): the frame energy,
@@ -353,6 +361,7 @@ class Frames:
 _BLOCK_WIDTH = 1 + FEATURE_DIM
 _BANDS = slice(1, 1 + N_BANDS)
 _COHERENCES = slice(1 + N_BANDS, 1 + 2 * N_BANDS)
+_CORRELATION = 2 * N_BANDS + 1  # the pitch correlation's feature column
 
 
 def assemble_features(block: np.ndarray, periods: list[int], correlations: list[float],
@@ -436,16 +445,20 @@ class FeatureStream:
         """Feed samples; return the frames whose windows are now complete.
 
         The frames are computed up to BLOCK_FRAMES at a time, with the same
-        results as one frame at a time, into one record for the push.
+        results as one frame at a time, into one record for the push; a
+        push that completes no frame returns NO_FRAMES.
         """
         chunk = np.asarray(samples).ravel()
         n = len(chunk)
         due = max((self._fill + n - FRAME_CONTEXT - WINDOW) // HOP + 1, 0)
+        if not due:  # the samples fit in the buffer before the next frame's end
+            self._buf[self._fill : self._fill + n] = chunk
+            self._fill += n
+            return NO_FRAMES
         if min(due, BLOCK_FRAMES) > self._rows:
             self._reserve(min(due, BLOCK_FRAMES))
         out = Frames(np.empty((due, FEATURE_DIM), dtype=np.float32),
-                     np.empty(due, dtype=np.int64), np.empty(due),
-                     np.empty((due, N_BINS), dtype=complex))
+                     np.empty(due, dtype=np.int64), np.empty((due, N_BINS), dtype=complex))
         done = pos = 0
         while True:
             take = min(n - pos, self._capacity - self._fill)
@@ -460,9 +473,7 @@ class FeatureStream:
                 self._buf[: self._fill - used] = self._buf[used : self._fill]
                 self._fill -= used
             if pos == n:  # otherwise the buffer filled up and the frames made room
-                for field in (out.features, out.periods, out.correlations, out.spectra):
-                    field.flags.writeable = False
-                return out
+                return _read_only(out)
 
     def _emit(self, k: int, out: Frames, at: int) -> None:
         """Write the first k frames of the framing buffer to rows at.. of `out`."""
@@ -470,7 +481,6 @@ class FeatureStream:
         block = self._block[:k]
         periods, correlations = self._pitch(self._histories[:k])
         out.periods[rows] = periods
-        out.correlations[rows] = correlations
         # rows 0..k-1 the frames, rows k..2k-1 their pitch-lagged copies (an
         # unvoiced frame's is the zero window at the end of the buffer)
         frame_starts = self._frame_starts[:k]

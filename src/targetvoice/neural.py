@@ -2,8 +2,8 @@
 
 Everything is plain numpy with hand-written reverse-mode gradients, enough
 to train desk-scale models and run real-time inference without a
-framework. Layers operate on [batch, time, channels] (or [time, channels])
-arrays; training runs in float64, streaming inference in float32.
+framework. Layers operate on [batch, time, channels] arrays; training runs
+in float64, streaming inference in float32.
 
 Each layer caches its last forward pass; backward() consumes that cache,
 accumulates parameter gradients in-place, and returns the input gradient.
@@ -158,22 +158,17 @@ class CausalConv1d(Layer):
         if x.shape[-1] != self.n_in:
             raise ShapeError(f"{self.name}: got {x.shape[-1]} channels, "
                              f"expected {self.n_in}")
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x[None]
         z = np.tensordot(x, self.W[0], axes=([2], [0])) + self.b
         for k in range(1, self.kernel):
             z[:, k:, :] += np.tensordot(x[:, :-k, :], self.W[k], axes=([2], [0]))
         y = _activate(z, self.activation)
-        self._cache = (x, y, squeeze)
-        return y[0] if squeeze else y
+        self._cache = (x, y)
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward before forward")
-        x, y, squeeze = self._cache
-        if squeeze:
-            dy = dy[None]
+        x, y = self._cache
         dz = dy * _activation_grad(y, self.activation)
         dx = np.tensordot(dz, self.W[0], axes=([2], [1]))
         self.dW[0] += np.tensordot(x, dz, axes=([0, 1], [0, 1]))
@@ -182,7 +177,7 @@ class CausalConv1d(Layer):
             self.dW[k] += np.tensordot(x[:, :-k, :], dz[:, k:, :],
                                        axes=([0, 1], [0, 1]))
         self.db += dz.sum(axis=(0, 1))
-        return dx[0] if squeeze else dx
+        return dx
 
 
 class GRU(Layer):
@@ -218,23 +213,10 @@ class GRU(Layer):
         return {f"{self.name}.Wx": self.dWx, f"{self.name}.Wh": self.dWh,
                 f"{self.name}.b": self.db}
 
-    def step(self, x_t: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """One recurrence step (no cache); the tests check forward() against it."""
-        n = self.n_units
-        gx = x_t @ self.Wx + self.b
-        gh = h @ self.Wh
-        z = _activate(gx[..., :n] + gh[..., :n], "sigmoid")
-        r = _activate(gx[..., n:2 * n] + gh[..., n:2 * n], "sigmoid")
-        cand = np.tanh(gx[..., 2 * n:] + r * gh[..., 2 * n:])
-        return (1.0 - z) * h + z * cand
-
     def forward(self, x: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
         if x.shape[-1] != self.n_in:
             raise ShapeError(f"{self.name}: got {x.shape[-1]} channels, "
                              f"expected {self.n_in}")
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x[None]
         batch, steps, _ = x.shape
         n = self.n_units
         # Time-major buffers, [T, 3, B, n] for the gates: one step's gates
@@ -268,16 +250,13 @@ class GRU(Layer):
             np.subtract(cand, h, out=h_new)
             h_new *= g[0]
             h_new += h
-        self._cache = (x_tm, states, gates, squeeze)
-        out = states[1:].transpose(1, 0, 2).copy()
-        return out[0] if squeeze else out
+        self._cache = (x_tm, states, gates)
+        return states[1:].transpose(1, 0, 2).copy()
 
     def backward(self, dh_seq: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError(f"{self.name}: backward before forward")
-        x_tm, states, gates, squeeze = self._cache
-        if squeeze:
-            dh_seq = dh_seq[None]
+        x_tm, states, gates = self._cache
         steps, batch, n = states.shape[0] - 1, states.shape[1], self.n_units
         h_prev = states[:-1]
         z, r, cand = gates.transpose(1, 0, 2, 3)
@@ -322,8 +301,7 @@ class GRU(Layer):
         db = _by_gate(self.db)
         db += dgx.sum(axis=1)
         dx = sum(g @ w.T for g, w in zip(dgx, _by_gate(self.Wx)))
-        dx = np.ascontiguousarray(dx.reshape(steps, batch, -1).transpose(1, 0, 2))
-        return dx[0] if squeeze else dx
+        return np.ascontiguousarray(dx.reshape(steps, batch, -1).transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,28 @@ def _resonator_coeffs(freq: float, bandwidth: float):
     return b, a
 
 
+def _place_pulses(increments: np.ndarray, phase: float, env: np.ndarray,
+                  out: np.ndarray) -> float:
+    """Glottal pulses of one voiced stretch; returns the phase carried past it.
+
+    Sample i adds increments[i] to the phase in [0, 1); where the phase
+    reaches 1 it drops by 1 and out[i] = env[i]. One running sum per
+    period, from the carried phase, makes the per-sample loop's adds in
+    its order, so pulses and phase keep the loop's bytes.
+    """
+    span = int(1.0 / increments.min()) + 2  # samples past one period
+    i = 0
+    while i < len(increments):
+        acc = np.add.accumulate(np.concatenate(([phase], increments[i : i + span])))
+        j = int(np.argmax(acc >= 1.0))  # 0 when no sum reaches 1, as acc[0] < 1
+        if j:
+            out[i + j - 1] = env[i + j - 1]
+            phase, i = float(acc[j]) - 1.0, i + j
+        else:
+            phase, i = float(acc[-1]), i + span
+    return phase
+
+
 def synth_speaker(speaker_seed: int, duration: float) -> AudioBuffer:
     """Deterministic synthetic talker audio for desk-scale training.
 
@@ -178,11 +200,8 @@ def synth_speaker(speaker_seed: int, duration: float) -> AudioBuffer:
             env = 0.55 + 0.45 * np.sin(
                 np.linspace(0.15, np.pi - 0.15, end - pos)
             )
-            for i in range(pos, end):
-                phase += f0_track[i] / SAMPLE_RATE
-                if phase >= 1.0:
-                    phase -= 1.0
-                    excitation[i] = env[i - pos]
+            phase = _place_pulses(f0_track[pos:end] / SAMPLE_RATE, phase, env,
+                                  excitation[pos:end])
             voiced_mask[pos:end] = True
             pos = end
         elif kind == 1:  # unvoiced
@@ -210,31 +229,29 @@ def speaker_base_f0(speaker_seed: int) -> float:
     return 90.0 * (280.0 / 90.0) ** rng.uniform()
 
 
-def synth_noise(seed: int, duration: float) -> AudioBuffer:
-    """Seeded background noise with a random spectral slope."""
-    rng = np.random.default_rng(np.random.SeedSequence([431, int(seed)]))
+def _shaped_noise(salt: int, seed: int, duration: float, response) -> AudioBuffer:
+    """Seeded white noise filtered by response(rng, bin_hz), scaled to a 0.3 peak."""
+    rng = np.random.default_rng(np.random.SeedSequence([salt, int(seed)]))
     n = int(round(duration * SAMPLE_RATE))
-    white = rng.standard_normal(n)
-    spec = np.fft.rfft(white)
+    spec = np.fft.rfft(rng.standard_normal(n))
     freqs = np.linspace(0.0, SAMPLE_RATE / 2.0, len(spec))
-    slope_db_oct = rng.uniform(-9.0, -3.0)
-    shape = 10.0 ** (slope_db_oct * np.log2(np.maximum(freqs, 80.0) / 80.0) / 20.0)
-    noise = np.fft.irfft(spec * shape, n=n)
+    noise = np.fft.irfft(spec * response(rng, freqs), n=n)
     noise *= 0.3 / max(float(np.max(np.abs(noise))), 1e-12)
     return AudioBuffer(noise.astype(np.float32))
+
+
+def synth_noise(seed: int, duration: float) -> AudioBuffer:
+    """Seeded background noise with a random spectral slope."""
+    def response(rng, freqs):
+        slope_db_oct = rng.uniform(-9.0, -3.0)
+        return 10.0 ** (slope_db_oct * np.log2(np.maximum(freqs, 80.0) / 80.0) / 20.0)
+    return _shaped_noise(431, seed, duration, response)
 
 
 def speech_shaped_noise(seed: int, duration: float) -> AudioBuffer:
     """Noise with a speech-like long-term spectrum (flat low, -9 dB/oct above)."""
-    rng = np.random.default_rng(np.random.SeedSequence([733, int(seed)]))
-    n = int(round(duration * SAMPLE_RATE))
-    white = rng.standard_normal(n)
-    spec = np.fft.rfft(white)
-    freqs = np.linspace(0.0, SAMPLE_RATE / 2.0, len(spec))
-    shape = 1.0 / (1.0 + (np.maximum(freqs, 1.0) / 500.0) ** 1.5)
-    noise = np.fft.irfft(spec * shape, n=n)
-    noise *= 0.3 / max(float(np.max(np.abs(noise))), 1e-12)
-    return AudioBuffer(noise.astype(np.float32))
+    return _shaped_noise(733, seed, duration, lambda rng, freqs: 1.0 / (
+        1.0 + (np.maximum(freqs, 1.0) / 500.0) ** 1.5))
 
 
 # ---------------------------------------------------------------------------
@@ -543,14 +560,13 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
             example = make_mixture(spec, target, interf, noise)
         except MixtureError:
             continue  # silent slice (rare); skip
-        feats = example.targets.features
-        t = min(len(feats), len(example.targets.vad))
+        targets = example.targets
         dataset.append({
-            "features": feats[:t].astype(np.float64),
+            "features": targets.features.astype(np.float64),
             "embedding": embeddings[speakers[a].speaker_id],
-            "gains": example.targets.gains[:t],
-            "strengths": example.targets.strengths[:t],
-            "vad": example.targets.vad[:t],
+            "gains": targets.gains,
+            "strengths": targets.strengths,
+            "vad": targets.vad,
             "target_speaker": speakers[a].speaker_id,
             "interferer_speaker": speakers[b].speaker_id,
         })

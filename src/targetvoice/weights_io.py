@@ -171,11 +171,12 @@ def save_weights(path, model_kind: str,
         fh.write(pack_weights(model_kind, entries))
 
 
-def load_weights(path, expect_kind: str | None = None):
+def load_weights(path, expect_kind: str):
+    """The kind and entries of a weight file; WeightsFormatError unless it holds `expect_kind`."""
     with open(path, "rb") as fh:
         data = fh.read()
     model_kind, entries = unpack_weights(data)
-    if expect_kind is not None and model_kind != expect_kind:
+    if model_kind != expect_kind:
         raise WeightsFormatError(
             f"{path}: holds {model_kind!r} weights, expected {expect_kind!r}"
         )

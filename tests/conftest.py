@@ -24,7 +24,7 @@ def sawtooth(freq_hz: float, n_samples: int) -> np.ndarray:
 def concat_frames(records) -> Frames:
     """The records of consecutive pushes as one record."""
     return Frames(*(np.concatenate([getattr(r, name) for r in records])
-                    for name in ("features", "periods", "correlations", "spectra")))
+                    for name in ("features", "periods", "spectra")))
 
 
 def finite_difference_params(loss_fn, params: dict, grads: dict,

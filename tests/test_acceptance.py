@@ -98,8 +98,8 @@ def test_criterion_1_feature_space_constants(fbank):
 
 def test_criterion_2_parameter_counts():
     t0 = time.perf_counter()
-    _, n512 = en.build_model(en.EnhancerConfig.preset("ppn512"))
-    _, n1024 = en.build_model(en.EnhancerConfig.preset("ppn1024"))
+    n512 = en.EnhancerNet(en.EnhancerConfig.preset("ppn512")).n_params
+    n1024 = en.EnhancerNet(en.EnhancerConfig.preset("ppn1024")).n_params
     checks = [
         ("ppn512 in 8.5M +- 20%", 6.8e6 <= n512 <= 10.2e6, f"{n512 / 1e6:.2f}M"),
         ("ppn1024 in 26.5M +- 20%", 21.2e6 <= n1024 <= 31.8e6, f"{n1024 / 1e6:.2f}M"),
@@ -244,7 +244,7 @@ def test_criterion_5_gradient_suite():
     # composed: enhancer network through both losses
     cfg = en.EnhancerConfig(gru_units=12, n_gru_layers=2, dense_units=8,
                             conv_channels=10, embedding_dim=4)
-    net, _ = en.build_model(cfg, seed=2)
+    net = en.EnhancerNet(cfg, seed=2)
     ef = rng.standard_normal((2, 7, 68))
     ee = rng.standard_normal((2, 4))
     ee /= np.linalg.norm(ee, axis=-1, keepdims=True)
@@ -401,7 +401,7 @@ def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
 
 def test_criterion_8_realtime_gate():
     t0 = time.perf_counter()
-    net, _ = en.build_model(en.EnhancerConfig.preset("ppn512"), seed=0)
+    net = en.EnhancerNet(en.EnhancerConfig.preset("ppn512"), seed=0)
     rng = np.random.default_rng(0)
     emb = rng.standard_normal(net.config.embedding_dim)
     emb /= np.linalg.norm(emb)
@@ -452,7 +452,7 @@ def test_criterion_9_determinism(toy_speakers, tmp_path):
     # trained weights: short runs, bit-identical serialized bytes
     train_set, heldout_set = sy.embedder_crop_sets(toy_speakers, n_train=6,
                                                    n_heldout=2)
-    cfg_e = em.EmbedderTrainConfig(steps=20, eval_every=20, seed=5)
+    cfg_e = em.EmbedderTrainConfig(steps=20, seed=5)
     blobs = []
     for _ in range(2):
         net, _, _, _ = em.train_embedder(train_set, heldout_set, cfg_e)

@@ -18,7 +18,7 @@ def tiny_cfg():
 
 @pytest.fixture(scope="module")
 def tiny_net(tiny_cfg):
-    return en.build_model(tiny_cfg, seed=3)[0]
+    return en.EnhancerNet(tiny_cfg, seed=3)
 
 
 def unit_embeddings(n, dim, seed=0):
@@ -28,15 +28,15 @@ def unit_embeddings(n, dim, seed=0):
 
 class TestBuildModel:
     def test_ppn512_parameter_budget(self):
-        _, count = en.build_model(en.EnhancerConfig.preset("ppn512"))
+        count = en.EnhancerNet(en.EnhancerConfig.preset("ppn512")).n_params
         assert 8.5e6 * 0.8 <= count <= 8.5e6 * 1.2
 
     def test_ppn1024_parameter_budget(self):
-        _, count = en.build_model(en.EnhancerConfig.preset("ppn1024"))
+        count = en.EnhancerNet(en.EnhancerConfig.preset("ppn1024")).n_params
         assert 26.5e6 * 0.8 <= count <= 26.5e6 * 1.2
 
     def test_toy_count_matches_hand_sum(self, tiny_cfg):
-        _, count = en.build_model(tiny_cfg)
+        count = en.EnhancerNet(tiny_cfg).n_params
         d, c, n, e = 16, 24, 32, 8
         hand = (68 * d + d) + (d * 5 * c + c) + (c * 3 * c + c)
         hand += 3 * ((c + e) * n + n * n + n)      # gru 1
@@ -61,7 +61,7 @@ class TestForward:
         assert vad.shape == (2, 15)
 
     def test_zero_weights_give_half(self, tiny_cfg):
-        net, _ = en.build_model(tiny_cfg, seed=0)
+        net = en.EnhancerNet(tiny_cfg, seed=0)
         for p in net.params().values():
             p[...] = 0.0
         gains, strengths, vad = net.forward(
@@ -194,7 +194,7 @@ class TestLosses:
 
 class TestFullModelGradient:
     def test_composed_backward_matches_finite_differences(self, tiny_cfg):
-        net, _ = en.build_model(tiny_cfg, seed=5)
+        net = en.EnhancerNet(tiny_cfg, seed=5)
         rng = np.random.default_rng(6)
         feats = rng.standard_normal((2, 9, 68))
         emb = unit_embeddings(2, 8, seed=7)
@@ -260,7 +260,7 @@ class TestSessionAndSerialization:
     @pytest.mark.parametrize("preset", ["toy", "ppn512"])
     def test_preset_session_matches_batch(self, preset):
         # full-width conv and GRU layers, 300 frames, float32 rounding only
-        net = en.build_model(en.EnhancerConfig.preset(preset), seed=8)[0]
+        net = en.EnhancerNet(en.EnhancerConfig.preset(preset), seed=8)
         rng = np.random.default_rng(10)
         feats = 0.5 * rng.standard_normal((300, 68))
         emb = unit_embeddings(1, net.config.embedding_dim, seed=12)[0]
@@ -296,7 +296,7 @@ class TestSessionAndSerialization:
 
 class TestSharedWeights:
     def test_sessions_share_read_only_weights(self, tiny_cfg):
-        net = en.build_model(tiny_cfg, seed=4)[0]
+        net = en.EnhancerNet(tiny_cfg, seed=4)
         e1, e2 = unit_embeddings(2, 8, seed=14).astype(np.float32)
         s1, s2 = en.EnhancerSession(net, e1), en.EnhancerSession(net, e2)
         assert s1.weights is s2.weights
@@ -316,7 +316,7 @@ class TestSharedWeights:
         assert not np.shares_memory(s1._h[0], s2._h[0])
 
     def test_later_session_sees_params_update(self, tiny_cfg):
-        net = en.build_model(tiny_cfg, seed=6)[0]
+        net = en.EnhancerNet(tiny_cfg, seed=6)
         rng = np.random.default_rng(15)
         feats = 0.4 * rng.standard_normal((2, 12, 68))
         emb = unit_embeddings(2, 8, seed=16)
@@ -375,7 +375,7 @@ class TestLoadedNet:
     float64 master is built only when read, from those arrays widened."""
 
     def test_engine_matches_saved_net_under_any_chunking(self, tiny_cfg):
-        net = en.build_model(tiny_cfg, seed=7)[0]
+        net = en.EnhancerNet(tiny_cfg, seed=7)
         _, _, loaded = save_and_load(net)
         emb = unit_embeddings(1, 8, seed=17)[0]
         rng = np.random.default_rng(18)
@@ -413,7 +413,7 @@ class TestLoadedNet:
 
     def test_forward_equals_net_built_from_widened_entries(self, tiny_net):
         _, entries, loaded = save_and_load(tiny_net)
-        ref = en.build_model(tiny_net.config, seed=0)[0]
+        ref = en.EnhancerNet(tiny_net.config, seed=0)
         for name, p in ref.params().items():
             p[...] = widened(entries, name)
         feats = np.random.default_rng(19).standard_normal((2, 14, 68))

@@ -410,13 +410,12 @@ class TestAssembleFeatures:
         frames = fe.extract_features(np.random.default_rng(0).standard_normal(9600))
         n = (9600 - 960) // 480 + 1
         assert frames.features.shape == (n, 68)
-        assert frames.periods.shape == frames.correlations.shape == (n,)
+        assert frames.periods.shape == (n,)
         assert frames.spectra.shape == (n, 481)
 
     def test_vector_is_the_frames_read_only_row(self):
         frames = fe.extract_features(np.random.default_rng(1).standard_normal(4800))
         for field, dtype in ((frames.features, np.float32), (frames.periods, np.int64),
-                             (frames.correlations, np.float64),
                              (frames.spectra, np.complex128)):
             assert field.dtype == dtype and not field.flags.writeable
         with pytest.raises(ValueError):
@@ -490,11 +489,10 @@ STREAM_SIGNALS = {
 
 
 def _frame_bytes(frames: fe.Frames) -> list[bytes]:
-    # each row's features, period, correlation and spectrum; bytes, not ==:
-    # NaN features never compare equal
+    # each row's features, period and spectrum; bytes, not ==: NaN features
+    # never compare equal
     return [b"".join(row) for row in zip(
-        map(bytes, frames.features), map(bytes, frames.periods),
-        map(bytes, frames.correlations), map(bytes, frames.spectra))]
+        map(bytes, frames.features), map(bytes, frames.periods), map(bytes, frames.spectra))]
 
 
 class TestFeatureStream:
@@ -525,7 +523,7 @@ class TestFeatureStream:
             tracemalloc.stop()
         assert len(frames.features) == 2999
         outputs = sum(field.nbytes for field in (frames.features, frames.periods,
-                                                  frames.correlations, frames.spectra))
+                                                  frames.spectra))
         assert peak < outputs + audio.size * 8 + 2 * 2 ** 20
 
     def test_emission_timing(self):
@@ -537,6 +535,16 @@ class TestFeatureStream:
             emitted.extend([i + 1] * len(stream.push(np.array([sample])).features))
         expected = [t * 480 + 960 for t in range(len(emitted))]
         assert emitted == expected
+
+    def test_pushes_completing_no_frame_share_one_read_only_record(self):
+        stream = fe.FeatureStream()
+        audio = 0.1 * np.random.default_rng(1).standard_normal(960)
+        first, second = stream.push(audio[:100]), stream.push(audio[100:200])
+        assert first is second is fe.NO_FRAMES
+        for field in (first.features, first.periods, first.spectra):
+            assert len(field) == 0 and not field.flags.writeable
+        # the samples are kept: the frame they start is the batch frame
+        assert _frame_bytes(stream.push(audio[200:])) == _frame_bytes(fe.extract_features(audio))
 
     def test_push_hands_out_each_frames_analysis_spectrum(self):
         audio = 0.3 * np.random.default_rng(5).standard_normal(4800)
@@ -613,7 +621,6 @@ class TestFusedFramePath:
             ref = _stream_record(ReferenceFeatureStream(), audio, chunk)
         assert len(frames.features) == (len(audio) - 960) // 480 + 1
         assert frames.periods.tolist() == ref.periods.tolist()
-        assert frames.correlations.tolist() == ref.correlations.tolist()
         assert _frame_bytes(frames) == _frame_bytes(ref)
         if signal != "dc":
             assert np.any(frames.periods)  # the coherence path runs

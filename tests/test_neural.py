@@ -183,8 +183,9 @@ class TestGRU:
     def test_closed_update_gate_keeps_state(self):
         layer = nn.GRU(3, 4, np.random.default_rng(2))
         layer.b[:4] = -60.0  # z ~ 0
-        h_prev = 0.5 * np.random.default_rng(3).standard_normal(4)
-        h_new = layer.step(np.random.default_rng(4).standard_normal(3), h_prev)
+        h_prev = 0.5 * np.random.default_rng(3).standard_normal((1, 4))
+        x = np.random.default_rng(4).standard_normal((1, 1, 3))
+        h_new = layer.forward(x, h_prev)[:, 0]
         np.testing.assert_allclose(h_new, h_prev, atol=1e-6)
 
     def test_scalar_loop_oracle(self):
@@ -192,7 +193,7 @@ class TestGRU:
         layer = nn.GRU(3, 2, rng)
         x_t = rng.standard_normal(3)
         h = rng.standard_normal(2) * 0.5
-        got = layer.step(x_t, h)
+        got = layer.forward(x_t[None, None], h[None])[0, 0]
 
         def sigmoid(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -210,26 +211,16 @@ class TestGRU:
             expected[j] = (1 - z) * h[j] + z * np.tanh(gn)
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
-    def test_sequence_forward_equals_stepping(self):
-        rng = np.random.default_rng(6)
-        layer = nn.GRU(3, 4, rng)
-        x = rng.standard_normal((1, 7, 3))
-        seq = layer.forward(x)[0]
-        h = np.zeros(4)
-        for t in range(7):
-            h = layer.step(x[0, t], h)
-            np.testing.assert_allclose(seq[t], h, atol=1e-12)
-
     def test_state_bounded_over_many_random_steps(self):
         rng = np.random.default_rng(7)
         layer = nn.GRU(8, 8, rng)
-        h = np.zeros(8)
+        h = np.zeros((1, 8))
         peak = 0.0
-        for chunk in range(100):
-            xs = rng.standard_normal((1000, 8)) * 3.0
-            for x_t in xs:
-                h = layer.step(x_t, h)
-            peak = max(peak, float(np.max(np.abs(h))))
+        for chunk in range(100):  # one recurrence, 1000 steps per forward
+            xs = rng.standard_normal((1, 1000, 8)) * 3.0
+            states = layer.forward(xs, h)
+            h = states[:, -1]
+            peak = max(peak, float(np.max(np.abs(states))))
         assert peak <= 1.0
         assert np.all(np.isfinite(h))
 
@@ -282,9 +273,6 @@ class StepwiseGRU:
 
     def forward(self, x, h0=None):
         g = self.layer
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x[None]
         batch, steps, _ = x.shape
         n = g.n_units
         h = np.zeros((batch, n)) if h0 is None else h0.copy()
@@ -302,14 +290,12 @@ class StepwiseGRU:
             cache.append((h, z, r, cand, ghn))
             h = h_new
             h_seq[:, t, :] = h
-        self._cache = (x, cache, squeeze)
-        return h_seq[0] if squeeze else h_seq
+        self._cache = (x, cache)
+        return h_seq
 
     def backward(self, dh_seq):
         g = self.layer
-        x, cache, squeeze = self._cache
-        if squeeze:
-            dh_seq = dh_seq[None]
+        x, cache = self._cache
         batch, steps, _ = x.shape
         n = g.n_units
         dx = np.zeros_like(x)
@@ -339,19 +325,15 @@ class StepwiseGRU:
             g.db += dgx.sum(axis=0)
             dx[:, t, :] = dgx @ g.Wx.T
             dh_carry = dh_prev + dgh @ g.Wh.T
-        return dx[0] if squeeze else dx
+        return dx
 
 
 def run_both(layer, x, dy, h0=None, passes=1):
-    """Forward and `passes` backwards through the layer, then the oracle.
-
-    The oracle's backward needs a batched h0, [1, n] for unbatched input.
-    """
+    """Forward and `passes` backwards through the layer, then the oracle."""
     results = []
-    oracle_h0 = None if h0 is None else np.atleast_2d(h0)
-    for impl, start in ((layer, h0), (StepwiseGRU(layer), oracle_h0)):
+    for impl in (layer, StepwiseGRU(layer)):
         layer.zero_grads()
-        y = impl.forward(x, start)
+        y = impl.forward(x, h0)
         for _ in range(passes):
             dx = impl.backward(dy)
         results.append((y, dx, {k: v.copy() for k, v in layer.grads().items()}))
@@ -392,13 +374,6 @@ class TestGRUSequenceKernels:
         dy = rng.standard_normal((batch, steps, 6))
         h0 = 0.5 * rng.standard_normal((batch, 6)) if given_h0 else None
         check_against_oracle(layer, x, dy, h0)
-
-    def test_unbatched_input_with_initial_state(self):
-        rng = np.random.default_rng(7)
-        layer = nn.GRU(4, 5, rng)
-        x = rng.standard_normal((9, 4))
-        dy = rng.standard_normal((9, 5))
-        check_against_oracle(layer, x, dy, 0.5 * rng.standard_normal(5))
 
     def test_two_backwards_accumulate(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,9 @@
 """Streaming engine: identity reconstruction, latency, look-ahead wiring."""
 
+import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -78,7 +82,7 @@ def apply_band_controls(audio, gains, strengths, periods):
 
 @pytest.fixture(scope="module")
 def toy_model():
-    net, _ = en.build_model(en.EnhancerConfig.preset("toy"), seed=1)
+    net = en.EnhancerNet(en.EnhancerConfig.preset("toy"), seed=1)
     rng = np.random.default_rng(0)
     emb = rng.standard_normal(16)
     return net, emb / np.linalg.norm(emb)
@@ -258,7 +262,7 @@ class TestModelPath:
 
     def test_zero_gain_model_silences(self, toy_model):
         net, emb = toy_model
-        silencer, _ = en.build_model(en.EnhancerConfig.preset("toy"), seed=2)
+        silencer = en.EnhancerNet(en.EnhancerConfig.preset("toy"), seed=2)
         for p in silencer.params().values():
             p[...] = 0.0
         silencer.head_gains.b[...] = -60.0  # sigmoid -> 0
@@ -491,7 +495,7 @@ def test_ordinary_streams_raise_no_warnings(toy_model):
 def _features(x, *fb):
     record = extract_features(x, *fb)
     return b"".join(field.tobytes() for field in (record.features, record.periods,
-                                                   record.correlations, record.spectra))
+                                                   record.spectra))
 
 
 def _engine(x, *fb):
@@ -525,3 +529,39 @@ class TestFilterbankArgument:
     def test_another_filterbank_rejected(self, entry, speech, other):
         with pytest.raises(ValueError, match="band layout"):
             entry(speech, other)
+
+
+# features, periods, identity output and replayed-control output of a speech
+# clip, as SHA-256 digests
+_KERNEL_OUTPUTS = """
+import hashlib, json
+import numpy as np
+from targetvoice import synth as sy
+from targetvoice.frontend import extract_features
+from targetvoice.pipeline import enhance_audio, replay_controls
+x = (sy.synth_speaker(21, 1.5).samples.astype(np.float64)
+     + 0.05 * sy.synth_noise(4, 1.5).samples.astype(np.float64))
+record = extract_features(x)
+rng = np.random.default_rng(3)
+gains, strengths = rng.uniform(0.0, 1.0, (2, len(record.features), 32))
+outputs = {"features": record.features, "periods": record.periods,
+           "identity": enhance_audio(x), "replay": replay_controls(x, gains, strengths)}
+print(json.dumps({k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in outputs.items()}))
+"""
+
+
+def test_model_free_outputs_byte_identical_across_blas_kernels():
+    # OpenBLAS picks its kernels by CPU unless OPENBLAS_CORETYPE names them;
+    # the model-free paths must give the same bytes under each
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = {}
+    for core in ("default", "Haswell", "Prescott"):
+        kernel = {} if core == "default" else {"OPENBLAS_CORETYPE": core}
+        result = subprocess.run([sys.executable, "-c", _KERNEL_OUTPUTS], env=env | kernel,
+                                capture_output=True, text=True, check=True)
+        digests[core] = json.loads(result.stdout)
+    assert digests["Haswell"] == digests["default"]
+    assert digests["Prescott"] == digests["default"]

@@ -10,6 +10,16 @@ from targetvoice.frontend import extract_features
 from tests.unfused_reference import reference_augment
 
 
+def reference_place_pulses(increments, phase, env, out):
+    """synth_speaker's glottal pulses one sample at a time."""
+    for i in range(len(increments)):
+        phase += increments[i]
+        if phase >= 1.0:
+            phase -= 1.0
+            out[i] = env[i]
+    return phase
+
+
 def energy(x):
     return float(np.sum(np.asarray(x, dtype=np.float64) ** 2))
 
@@ -201,12 +211,35 @@ class TestSynthSpeaker:
         b = sy.synth_speaker(5, 2.0)
         np.testing.assert_array_equal(a.samples, b.samples)
 
+    # the toy-speaker seeds (build_toy_speakers seeds 0 and 1), the seeds of
+    # the other tests, and random ones
+    PULSE_SEEDS = sorted({*range(8), *range(1000, 1008), *range(20, 30), 3, 9, 11, 917,
+                          12345, *np.random.default_rng(19).integers(0, 2 ** 31, 4).tolist()})
+
+    @pytest.mark.parametrize("seed", PULSE_SEEDS)
+    def test_pulses_match_per_sample_loop(self, seed, monkeypatch):
+        fast = sy.synth_speaker(seed, 3.0).samples
+        monkeypatch.setattr(sy, "_place_pulses", reference_place_pulses)
+        assert fast.tobytes() == sy.synth_speaker(seed, 3.0).samples.tobytes()
+
+    def test_pulse_segments_match_per_sample_loop(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            n = int(rng.integers(1, 5000))
+            increments = rng.uniform(60.0, 400.0, n) / 48000.0
+            phase = float(rng.uniform())
+            env = rng.uniform(0.1, 1.0, n)
+            got, want = np.zeros(n), np.zeros(n)
+            got_phase = sy._place_pulses(increments, phase, env, got)
+            want_phase = reference_place_pulses(increments, phase, env, want)
+            assert got.tobytes() == want.tobytes() and got_phase == want_phase
+
     def test_pitch_tracker_recovers_base_f0(self):
         for seed in [0, 3, 9]:
             base = sy.speaker_base_f0(seed)
             audio = sy.synth_speaker(seed, 8.0).samples.astype(np.float64)
             frames = extract_features(audio)
-            confident = (frames.periods > 0) & (frames.correlations > 0.7)
+            confident = (frames.periods > 0) & (frames.features[:, 65] > 0.7)
             estimates = 48000.0 / frames.periods[confident]
             assert len(estimates), f"no confident voiced frames for seed {seed}"
             median_f0 = float(np.median(estimates))

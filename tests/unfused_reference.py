@@ -72,7 +72,6 @@ def stack_frames(frames, spectra) -> fe.Frames:
     return fe.Frames(
         np.array([f.vector for f in frames], dtype=np.float32).reshape(-1, fe.FEATURE_DIM),
         np.array([f.pitch.period or 0 for f in frames], dtype=np.int64),
-        np.array([f.pitch.correlation for f in frames], dtype=np.float64),
         np.array(spectra, dtype=np.complex128).reshape(-1, fe.N_BINS))
 
 
