@@ -103,32 +103,13 @@ def read_wav(path) -> AudioBuffer:
     return AudioBuffer(samples)
 
 
-def write_wav(path, audio: AudioBuffer | np.ndarray, pcm16: bool = False) -> None:
-    """Write mono 48 kHz WAV, IEEE float32 by default."""
-    if isinstance(audio, AudioBuffer):
-        samples = audio.samples
-    else:
-        samples = np.asarray(audio, dtype=np.float32)
-    if pcm16:
-        clipped = np.clip(samples, -1.0, 1.0)
-        payload = np.round(clipped * 32767.0).astype("<i2").tobytes()
-        audio_format, bits = 1, 16
-    else:
-        payload = samples.astype("<f4").tobytes()
-        audio_format, bits = 3, 32
-
-    block_align = bits // 8
+def write_wav(path, audio: AudioBuffer | np.ndarray) -> None:
+    """Write mono 48 kHz IEEE float32 WAV."""
+    samples = audio.samples if isinstance(audio, AudioBuffer) else audio
+    payload = np.asarray(samples).astype("<f4").tobytes()
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH",
-        16,
-        audio_format,
-        1,
-        SAMPLE_RATE,
-        SAMPLE_RATE * block_align,
-        block_align,
-        bits,
-    )
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, SAMPLE_RATE,
+                                    SAMPLE_RATE * 4, 4, 32)
     header += b"data" + struct.pack("<I", len(payload))
     with open(path, "wb") as fh:
         fh.write(header)

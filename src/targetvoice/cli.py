@@ -136,8 +136,8 @@ def cmd_mix(args) -> int:
         build_toy_speakers,
         draw_sources,
         evaluation_specs,
-        make_mixture,
         manifest_row,
+        mix_components,
         training_specs,
     )
     from targetvoice.frontend import WINDOW
@@ -163,7 +163,7 @@ def cmd_mix(args) -> int:
     rows = []
     for k, spec in enumerate(specs):
         a, _, target, interf, noise = draw_sources(rng, regions, args.duration)
-        example = make_mixture(spec, target, interf, noise)
+        mixture, target, interf, noise = mix_components(spec, target, interf, noise)
         paths = {
             "mixture": os.path.join(args.out_dir, f"mix_{k:04d}.wav"),
             "target": os.path.join(args.out_dir, f"target_{k:04d}.wav"),
@@ -171,10 +171,10 @@ def cmd_mix(args) -> int:
             "noise": os.path.join(args.out_dir, f"noise_{k:04d}.wav"),
             "enrollment": os.path.join(args.out_dir, f"enroll_{k:04d}.wav"),
         }
-        write_wav(paths["mixture"], example.mixture)
-        write_wav(paths["target"], example.clean_target)
-        write_wav(paths["interferer"], example.interferer)
-        write_wav(paths["noise"], example.noise)
+        write_wav(paths["mixture"], mixture)
+        write_wav(paths["target"], target)
+        write_wav(paths["interferer"], interf)
+        write_wav(paths["noise"], noise)
         write_wav(paths["enrollment"],
                   AudioBuffer(speakers[a].enroll_audio[: 6 * SAMPLE_RATE]))
         rows.append(manifest_row(paths, spec))
@@ -196,7 +196,7 @@ def cmd_train_embedder(args) -> int:
 
     speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
     train_set, heldout_set = embedder_crop_sets(speakers)
-    config = EmbedderTrainConfig(steps=args.steps, seed=args.seed, model_seed=args.seed)
+    config = EmbedderTrainConfig(steps=args.steps, seed=args.seed)
     net, scale, history, _ = train_embedder(train_set, heldout_set, config,
                                             log=print)
     final_eer = history[-1][1]
@@ -253,6 +253,8 @@ def cmd_eval(args) -> int:
     from targetvoice.pipeline import enhance_audio, replay_controls
     from targetvoice.synth import compute_supervision, read_manifest
 
+    if args.mode == "model" and not args.enhancer:
+        raise DataError("--mode model needs --enhancer weights")
     embedder_net = _load_embedder(args.embedder)
     enhancer_net = _load_enhancer(args.enhancer) if args.enhancer else None
     rows = []
@@ -267,8 +269,6 @@ def cmd_eval(args) -> int:
             targets = compute_supervision(target_feats, extract_features(mixture).features)
             out = replay_controls(mixture, targets.gains, targets.strengths)
         elif args.mode == "model":
-            if enhancer_net is None:
-                raise DataError("--mode model needs --enhancer weights")
             from targetvoice.embedder import enroll_embedding
 
             targets = compute_supervision(target_feats, extract_features(mixture).features)

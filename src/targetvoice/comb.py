@@ -36,17 +36,14 @@ _BAND_TO_BIN.flags.writeable = False
 
 
 def comb_filter_window(context: np.ndarray, window_start: int,
-                       period: int | None) -> np.ndarray:
+                       period: int) -> np.ndarray:
     """Comb one 960-sample window inside its surrounding context.
 
     The context must extend 2*768 samples behind the window and 3 hops
     (the look-ahead budget) past it. k=+2 would look two periods ahead;
     with long periods that exceeds the budget, so it falls back to the +1
-    lag. An absent period returns the window unchanged.
+    lag. Only voiced frames are combed, so the period is always present.
     """
-    window = context[window_start : window_start + WINDOW]
-    if period is None or period <= 0:
-        return window.copy()
     if not PITCH_MAX_LAG // 8 <= period <= PITCH_MAX_LAG:
         raise ValueError(f"period {period} outside supported range")
     if window_start < 2 * period or window_start + WINDOW + COMB_MAX_LEAD > len(context):
@@ -81,8 +78,8 @@ class CombState:
         self._buf[:-n] = self._buf[n:]
         self._buf[-n:] = x
 
-    def filter_window(self, period: int | None) -> np.ndarray:
-        """Comb-filter the current window; pass-through when unvoiced."""
+    def filter_window(self, period: int) -> np.ndarray:
+        """Comb-filter the current window at a voiced frame's period."""
         return comb_filter_window(self._buf, self._past, period)
 
 

@@ -238,11 +238,11 @@ def ge2e_loss(embeddings: np.ndarray, w: float, b: float):
 
 @dataclass
 class EmbedderTrainConfig:
-    """Training of the toy embedder, EmbedderConfig.toy()."""
+    """Training of the toy embedder, EmbedderConfig.toy(); seed draws its
+    initial weights and its batches."""
 
     steps: int = 200
     seed: int = 0
-    model_seed: int = 0
 
 
 def train_embedder(train_set: dict, heldout_set: dict,
@@ -265,7 +265,7 @@ def train_embedder(train_set: dict, heldout_set: dict,
             raise ValueError(f"speaker {spk!r} has < 4 utterances")
 
     rng = np.random.default_rng(config.seed)
-    net = EmbedderNet(EmbedderConfig.toy(), seed=config.model_seed)
+    net = EmbedderNet(EmbedderConfig.toy(), seed=config.seed)
     w = np.array([GE2E_W_INIT])
     b = np.array([GE2E_B_INIT])
     params = dict(net.params())

@@ -44,6 +44,8 @@ VAD_LOSS_WEIGHT = 1.0
 VAD_ENERGY_GATE_DB = 40.0
 BCE_CLAMP = 1e-7
 _POW_EPS = 1e-10
+# Adam's step size in train_enhancer_toy
+ENHANCER_LR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,7 @@ class EnhancerNet:
 
     def __init__(self, config: EnhancerConfig = EnhancerConfig(), seed: int = 0):
         self.config = config
-        self._cache = None
+        self._forwarded = False
         self._float32 = None
         self._build(np.random.default_rng(seed))
 
@@ -105,7 +107,7 @@ class EnhancerNet:
         """A net whose float64 master is built from `weights` on first read."""
         net = cls.__new__(cls)
         net.config = config
-        net._cache = None
+        net._forwarded = False
         net._float32 = weights
         return net
 
@@ -203,18 +205,16 @@ class EnhancerNet:
             np.concatenate([h, gains], axis=-1)
         )
         vad = self.head_vad.forward(gru_outs[0])[..., 0]
-        self._cache = (batch, steps)
+        self._forwarded = True
         if squeeze:
             return gains[0], strengths[0], vad[0]
         return gains, strengths, vad
 
     def backward(self, d_gains: np.ndarray, d_strengths: np.ndarray,
                  d_vad: np.ndarray) -> None:
-        if self._cache is None:
+        """Gradients of [B, T, ·] outputs into every layer's grads."""
+        if not self._forwarded:
             raise RuntimeError("backward before forward")
-        batch, steps = self._cache
-        if d_gains.ndim == 2:
-            d_gains, d_strengths, d_vad = d_gains[None], d_strengths[None], d_vad[None]
         n = self.config.gru_units
 
         d_s_in = self.head_strengths.backward(d_strengths)
@@ -325,7 +325,6 @@ def vad_loss(pred_vad, labels):
 class EnhancerTrainConfig:
     steps: int = 1000
     batch_size: int = 4
-    lr: float = 1e-3
     seed: int = 0
     log_every: int = 100
     model: EnhancerConfig = field(
@@ -346,7 +345,7 @@ def train_enhancer_toy(dataset: list, config: EnhancerTrainConfig, log=None):
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(config.seed)
     net = EnhancerNet(config.model, seed=config.model_seed)
-    opt = Adam(net.params(), lr=config.lr)
+    opt = Adam(net.params(), lr=ENHANCER_LR)
 
     losses = []
     for step in range(1, config.steps + 1):

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-SAMPLE_RATE = 48000
+from targetvoice.audio import SAMPLE_RATE
+
 HOP = 480            # 10 ms
 WINDOW = 960         # 20 ms
 N_BINS = WINDOW // 2 + 1

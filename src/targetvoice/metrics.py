@@ -24,6 +24,9 @@ from targetvoice.frontend import HOP, SAMPLE_RATE
 SI_SNR_CAP_DB = 60.0
 ALIGN_MAX_SHIFT = 2400
 VAD_THRESHOLD = 0.5
+# benchmark_stream's untimed warm-up and the seed of its synthetic audio
+BENCH_WARMUP_S = 1.0
+BENCH_SEED = 0
 
 
 class MetricError(ValueError):
@@ -195,12 +198,11 @@ class BenchmarkReport:
 
 
 def benchmark_stream(net=None, embedding=None, duration_s: float = 10.0,
-                     warmup_s: float = 1.0, seed: int = 0,
                      audit_frames: int = 1000,
                      settle_frames: int = 2000) -> BenchmarkReport:
     """Time the full pipeline on synthetic audio and audit heap growth.
 
-    Wall time is measured over the post-warmup region only, without
+    Wall time is measured after BENCH_WARMUP_S of untimed warm-up, without
     tracing. A separate untimed pass then runs under tracemalloc: after
     settle_frames let the interpreter and numpy/scipy caches reach steady
     state, net traced bytes and live-object count are measured across
@@ -213,12 +215,10 @@ def benchmark_stream(net=None, embedding=None, duration_s: float = 10.0,
     from targetvoice.pipeline import StreamingEnhancer
     from targetvoice.synth import speech_shaped_noise
 
-    if warmup_s < 1.0:
-        raise ValueError("need at least 1 s of warm-up")
-    audio = speech_shaped_noise(seed, warmup_s + duration_s).samples.astype(np.float64)
+    audio = speech_shaped_noise(BENCH_SEED, BENCH_WARMUP_S + duration_s).samples.astype(np.float64)
     engine = StreamingEnhancer(net, embedding)
 
-    warm_hops = int(warmup_s * SAMPLE_RATE) // HOP
+    warm_hops = int(BENCH_WARMUP_S * SAMPLE_RATE) // HOP
     total_hops = len(audio) // HOP
     pos = 0
     for _ in range(warm_hops):
@@ -237,7 +237,7 @@ def benchmark_stream(net=None, embedding=None, duration_s: float = 10.0,
 
     # allocation audit (untimed): net growth over a steady-state region
     audit_s = (settle_frames + audit_frames + 10) * HOP / SAMPLE_RATE
-    audit_audio = speech_shaped_noise(seed + 1, audit_s).samples.astype(np.float64)
+    audit_audio = speech_shaped_noise(BENCH_SEED + 1, audit_s).samples.astype(np.float64)
     tracemalloc.start()
     pos = 0
     for _ in range(settle_frames):

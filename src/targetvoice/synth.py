@@ -44,6 +44,9 @@ TOY_HELDOUT_S = 20.0
 TOY_ENROLL_S = 8.0
 # seconds of each embedder crop and of each toy mixture
 CROP_S = 6.0
+# embedder crops per speaker from its train and its held-out region
+TRAIN_CROPS = 16
+HELDOUT_CROPS = 4
 TOY_MIXTURE_S = 3.0
 # a random slice quieter than this RMS is redrawn, up to SLICE_TRIES times
 SLICE_MIN_RMS = 0.02
@@ -291,17 +294,15 @@ class MixtureExample:
     spec: MixtureSpec
 
 
-def make_mixture(spec: MixtureSpec, target: AudioBuffer,
-                 interferer: AudioBuffer | None, noise: AudioBuffer,
-                 fb: ErbFilterbank | None = None) -> MixtureExample:
+def mix_components(spec: MixtureSpec, target: AudioBuffer,
+                   interferer: AudioBuffer | None, noise: AudioBuffer):
     """Mix target + interferer + noise at the requested SIR/SNR.
 
     Interferer and noise are scaled against the (unscaled) target, then the
     augmentation response — when active — is applied identically to every
-    component, so the stored mixture equals the sample-exact sum of the
-    stored components and the [0,1] gain targets stay attainable.
-    Supervision targets come from the stored clean target vs. the mixture.
-    `fb` is only checked, by extract_features; it stays while the benchmark passes one.
+    component. Returns float32 (mixture, target, interferer, noise), with
+    the mixture the sample-exact sum of the other three, so the [0,1] gain
+    targets stay attainable; interferer is None when none was given.
     """
     t = np.asarray(target.samples, dtype=np.float64)
     n = np.asarray(noise.samples, dtype=np.float64)
@@ -335,6 +336,18 @@ def make_mixture(spec: MixtureSpec, target: AudioBuffer,
     n32 = n_scaled.astype(np.float32)
     i32 = None if i_scaled is None else i_scaled.astype(np.float32)
     mixture = t32 + n32 if i32 is None else t32 + i32 + n32
+    return mixture, t32, i32, n32
+
+
+def make_mixture(spec: MixtureSpec, target: AudioBuffer,
+                 interferer: AudioBuffer | None, noise: AudioBuffer,
+                 fb: ErbFilterbank | None = None) -> MixtureExample:
+    """mix_components' mixture and components, with supervision targets.
+
+    The targets come from the stored clean target vs. the mixture.
+    `fb` is only checked, by extract_features; it stays while the benchmark passes one.
+    """
+    mixture, t32, i32, n32 = mix_components(spec, target, interferer, noise)
     targets = compute_supervision(extract_features(t32, fb).features,
                                   extract_features(mixture, fb).features)
     return MixtureExample(
@@ -464,12 +477,11 @@ def build_toy_speakers(n_speakers: int = 8, seed: int = 0) -> list[ToySpeaker]:
     return speakers
 
 
-def embedder_crop_sets(speakers: list[ToySpeaker],
-                       n_train: int = 16, n_heldout: int = 4):
+def embedder_crop_sets(speakers: list[ToySpeaker]):
     """Equal-length feature crops per speaker for GE2E training + EER eval.
 
-    Crops tile the speaker's train region (cycling when short); held-out
-    crops come from the disjoint held-out region.
+    Up to TRAIN_CROPS crops tile the speaker's train region, half a crop
+    apart; up to HELDOUT_CROPS come from the disjoint held-out region.
     """
     crop_n = int(CROP_S * SAMPLE_RATE)
     train_set: dict[int, list[np.ndarray]] = {}
@@ -480,12 +492,12 @@ def embedder_crop_sets(speakers: list[ToySpeaker],
         crop_t = (crop_n - WINDOW) // HOP + 1
         train_set[spk.speaker_id] = [
             feats[i * crop_t // 2 : i * crop_t // 2 + crop_t]
-            for i in range(n_train)
+            for i in range(TRAIN_CROPS)
             if i * crop_t // 2 + crop_t <= len(feats)
         ]
         heldout_set[spk.speaker_id] = [
             hfeats[i * crop_t // 2 : i * crop_t // 2 + crop_t]
-            for i in range(n_heldout)
+            for i in range(HELDOUT_CROPS)
             if i * crop_t // 2 + crop_t <= len(hfeats)
         ]
     return train_set, heldout_set
@@ -555,7 +567,7 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
 
     dataset = []
     for spec in specs:
-        a, b, target, interf, noise = draw_sources(rng, regions, TOY_MIXTURE_S)
+        a, _, target, interf, noise = draw_sources(rng, regions, TOY_MIXTURE_S)
         try:
             example = make_mixture(spec, target, interf, noise)
         except MixtureError:
@@ -567,8 +579,6 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
             "gains": targets.gains,
             "strengths": targets.strengths,
             "vad": targets.vad,
-            "target_speaker": speakers[a].speaker_id,
-            "interferer_speaker": speakers[b].speaker_id,
         })
     if not dataset:
         raise MixtureError("no usable training mixtures were generated")

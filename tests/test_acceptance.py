@@ -405,7 +405,7 @@ def test_criterion_8_realtime_gate():
     rng = np.random.default_rng(0)
     emb = rng.standard_normal(net.config.embedding_dim)
     emb /= np.linalg.norm(emb)
-    report = mt.benchmark_stream(net, emb, duration_s=5.0, warmup_s=1.0)
+    report = mt.benchmark_stream(net, emb, duration_s=5.0)
     per_frame_bytes = report.alloc_net_bytes / 1000.0
     checks = [
         ("realtime_factor > 1", report.realtime_factor > 1.0,
@@ -450,8 +450,7 @@ def test_criterion_9_determinism(toy_speakers, tmp_path):
                    and np.array_equal(feats_a, streamed))
 
     # trained weights: short runs, bit-identical serialized bytes
-    train_set, heldout_set = sy.embedder_crop_sets(toy_speakers, n_train=6,
-                                                   n_heldout=2)
+    train_set, heldout_set = sy.embedder_crop_sets(toy_speakers)
     cfg_e = em.EmbedderTrainConfig(steps=20, seed=5)
     blobs = []
     for _ in range(2):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import wave
 
 import numpy as np
@@ -13,6 +14,14 @@ from targetvoice.embedder import EmbedderConfig, EmbedderNet, embedder_entries
 from targetvoice.enhancer import EnhancerConfig, EnhancerNet, enhancer_entries
 from targetvoice.synth import synth_speaker
 from targetvoice.weights_io import load_embedding, save_weights
+
+
+def patch_everywhere(monkeypatch, real, replacement):
+    """Replace `real` in every loaded targetvoice module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "targetvoice"
+                and getattr(module, real.__name__, None) is real):
+            monkeypatch.setattr(module, real.__name__, replacement)
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +219,24 @@ class TestMix:
         wav_b = (b / "mix_0000.wav").read_bytes()
         assert wav_a == wav_b
 
+    def test_mix_featurizes_nothing(self, tmp_path, monkeypatch):
+        # mix writes audio only, so it computes no supervision targets
+        from targetvoice import frontend
+
+        seen = []
+        real = frontend.extract_features
+
+        def counting(audio, *args):
+            seen.append(len(audio))
+            return real(audio, *args)
+
+        patch_everywhere(monkeypatch, real, counting)
+        rc = main(["mix", "--out-dir", str(tmp_path), "--n", "2", "--seed", "3",
+                   "--duration", "1.0", "--speakers", "2", "--augment"])
+        assert rc == EXIT_OK
+        assert seen == []
+        assert len(list(tmp_path.glob("mix_*.wav"))) == 2
+
 
 class TestEval:
     def test_oracle_eval_report(self, tmp_path, mix_dir, embedder_weights):
@@ -247,8 +274,6 @@ class TestEval:
         # Per row: the output, the target and the interferer, for the probe;
         # the mixture, for the oracle and model supervision, which reuses the
         # target's features; the enrollment, for the model
-        import sys
-
         from targetvoice import frontend
 
         seen = []
@@ -258,15 +283,32 @@ class TestEval:
             seen.append(len(audio))
             return real(audio, *args)
 
-        for name, module in list(sys.modules.items()):
-            if (name.partition(".")[0] == "targetvoice"
-                    and getattr(module, "extract_features", None) is real):
-                monkeypatch.setattr(module, "extract_features", counting)
+        patch_everywhere(monkeypatch, real, counting)
         rc = main(["eval", "--manifest", os.path.join(mix_dir, "manifest.jsonl"),
                    "--embedder", embedder_weights, "--enhancer", enhancer_weights,
                    "--mode", mode, "--out", str(tmp_path / "report.jsonl")])
         assert rc == EXIT_OK
         assert len(seen) == calls
+
+    def test_model_mode_without_enhancer_exits_3_before_reading_audio(
+            self, tmp_path, mix_dir, embedder_weights, monkeypatch, capsys):
+        from targetvoice import audio, frontend
+
+        seen = []
+
+        def refuse(path_or_audio, *args):
+            seen.append(path_or_audio)
+            raise AssertionError("eval read or featurized audio before checking --enhancer")
+
+        patch_everywhere(monkeypatch, audio.read_wav, refuse)
+        patch_everywhere(monkeypatch, frontend.extract_features, refuse)
+        out = tmp_path / "report.jsonl"
+        rc = main(["eval", "--manifest", os.path.join(mix_dir, "manifest.jsonl"),
+                   "--embedder", embedder_weights, "--mode", "model", "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert "--mode model needs --enhancer weights" in capsys.readouterr().err
+        assert seen == []
+        assert not out.exists()
 
     def test_eval_deterministic(self, tmp_path, mix_dir, embedder_weights):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -37,12 +37,6 @@ class TestCombFilter:
         filtered = state.filter_window(period)
         np.testing.assert_allclose(filtered, window, atol=1e-6)
 
-    def test_absent_period_passthrough(self):
-        sig = np.random.default_rng(1).standard_normal(20000)
-        state = primed_state(sig)
-        window = current_window(sig)
-        np.testing.assert_array_equal(state.filter_window(None), window)
-
     def test_white_noise_energy_ratio(self):
         # uncorrelated-shift oracle: E[y^2]/E[x^2] = sum of squared taps
         expected = float(np.sum(cb.COMB_TAPS ** 2))

@@ -233,7 +233,7 @@ class TestToyTraining:
             "strengths": np.ones((40, 32)),
             "vad": np.ones(40),
         } for k in range(4)]
-        config = en.EnhancerTrainConfig(steps=500, batch_size=4, model=cfg, lr=5e-3)
+        config = en.EnhancerTrainConfig(steps=1000, batch_size=4, model=cfg)
         net, losses = en.train_enhancer_toy(dataset, config)
         gains, _, _ = net.forward(dataset[0]["features"], emb)
         assert gains.mean() > 0.95

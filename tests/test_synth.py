@@ -95,6 +95,23 @@ class TestMakeMixture:
         np.testing.assert_array_equal(a.mixture.samples, b.mixture.samples)
         np.testing.assert_array_equal(a.targets.gains, b.targets.gains)
 
+    @pytest.mark.parametrize("with_interferer", [True, False])
+    def test_components_are_make_mixtures(self, components, with_interferer):
+        # mix writes mix_components' arrays; training reads make_mixture's
+        target, interf, noise = components
+        interf = interf if with_interferer else None
+        spec = sy.MixtureSpec(snr_db=6.0, sir_db=4.0 if with_interferer else None, seed=9,
+                              augment=sy.AugmentSpec(lowpass_hz=8000.0, tilt_db_per_octave=-2.0))
+        ex = sy.make_mixture(spec, target, interf, noise)
+        mixture, t32, i32, n32 = sy.mix_components(spec, target, interf, noise)
+        for got, want in [(mixture, ex.mixture), (t32, ex.clean_target), (n32, ex.noise)]:
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.samples.tobytes()
+        if with_interferer:
+            assert i32.tobytes() == ex.interferer.samples.tobytes()
+        else:
+            assert i32 is None and ex.interferer is None
+
     def test_supervision_shapes_and_ranges(self, components):
         target, interf, noise = components
         ex = sy.make_mixture(sy.MixtureSpec(0.0, 5.0, 1), target, interf, noise)
