@@ -157,12 +157,12 @@ def cmd_mix(args) -> int:
     else:
         specs = training_specs(args.n, args.seed, augmented=args.augment)
     rng = np.random.default_rng(np.random.SeedSequence([973, args.seed]))
-    regions = [spk.train_audio for spk in speakers]
 
     manifest_path = os.path.join(args.out_dir, "manifest.jsonl")
     rows = []
     for k, spec in enumerate(specs):
-        a, _, target, interf, noise = draw_sources(rng, regions, args.duration)
+        a, _, target, interf, noise = draw_sources(rng, speakers, "train_audio",
+                                                   args.duration)
         mixture, target, interf, noise = mix_components(spec, target, interf, noise)
         paths = {
             "mixture": os.path.join(args.out_dir, f"mix_{k:04d}.wav"),
@@ -219,15 +219,15 @@ def cmd_train_enhancer(args) -> int:
     from targetvoice.synth import build_toy_speakers, toy_enhancer_dataset
 
     embedder_net = _load_embedder(args.embedder)
-    speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
-    dataset, _ = toy_enhancer_dataset(speakers, embedder_net,
-                                      n_mixtures=args.mixtures, seed=args.seed)
     model = EnhancerConfig.preset(args.preset)
     if model.embedding_dim != embedder_net.embedding_dim:
         raise DataError(
             f"preset {args.preset} expects embedding dim {model.embedding_dim}, "
             f"embedder produces {embedder_net.embedding_dim}"
         )
+    speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
+    dataset, _ = toy_enhancer_dataset(speakers, embedder_net,
+                                      n_mixtures=args.mixtures, seed=args.seed)
     config = EnhancerTrainConfig(steps=args.steps, seed=args.seed, model=model,
                                  model_seed=args.seed)
     net, losses = train_enhancer_toy(dataset, config, log=print)

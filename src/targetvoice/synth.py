@@ -14,6 +14,7 @@ seeds produce distinct pitch ranges and long-term spectra.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 import json
 
@@ -459,25 +460,42 @@ class ToySpeaker:
     enroll_audio: np.ndarray   # disjoint, for enrollment embeddings
 
 
-def build_toy_speakers(n_speakers: int = 8, seed: int = 0) -> list[ToySpeaker]:
-    """Synthesize speakers and split each into disjoint regions."""
-    speakers = []
-    total = TOY_TRAIN_S + TOY_HELDOUT_S + TOY_ENROLL_S
-    for k in range(n_speakers):
-        buf = synth_speaker(seed * 1000 + k, total)
-        x = buf.samples
-        a = int(TOY_TRAIN_S * SAMPLE_RATE)
-        b = a + int(TOY_HELDOUT_S * SAMPLE_RATE)
-        speakers.append(ToySpeaker(
-            speaker_id=k,
-            train_audio=x[:a],
-            heldout_audio=x[a:b],
-            enroll_audio=x[b:],
-        ))
-    return speakers
+class ToySpeakers(Sequence):
+    """Speakers 0..n-1 of the toy corpus, each synthesized when first read.
+
+    Speaker k is a function of (seed, k) alone, so a caller that draws a
+    few speakers pays for those only.
+    """
+
+    def __init__(self, n_speakers: int, seed: int):
+        self._seed = seed
+        self._built: list[ToySpeaker | None] = [None] * n_speakers
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, k: int) -> ToySpeaker:
+        k = range(len(self._built))[k]  # IndexError past either end, as for a list
+        if self._built[k] is None:
+            x = synth_speaker(self._seed * 1000 + k,
+                              TOY_TRAIN_S + TOY_HELDOUT_S + TOY_ENROLL_S).samples
+            a = int(TOY_TRAIN_S * SAMPLE_RATE)
+            b = a + int(TOY_HELDOUT_S * SAMPLE_RATE)
+            self._built[k] = ToySpeaker(
+                speaker_id=k,
+                train_audio=x[:a],
+                heldout_audio=x[a:b],
+                enroll_audio=x[b:],
+            )
+        return self._built[k]
 
 
-def embedder_crop_sets(speakers: list[ToySpeaker]):
+def build_toy_speakers(n_speakers: int = 8, seed: int = 0) -> ToySpeakers:
+    """Synthetic speakers, each split into disjoint regions when first read."""
+    return ToySpeakers(n_speakers, seed)
+
+
+def embedder_crop_sets(speakers: Sequence[ToySpeaker]):
     """Equal-length feature crops per speaker for GE2E training + EER eval.
 
     Up to TRAIN_CROPS crops tile the speaker's train region, half a crop
@@ -503,7 +521,7 @@ def embedder_crop_sets(speakers: list[ToySpeaker]):
     return train_set, heldout_set
 
 
-def enrollment_embeddings(speakers: list[ToySpeaker], embedder_net) -> dict[int, np.ndarray]:
+def enrollment_embeddings(speakers: Sequence[ToySpeaker], embedder_net) -> dict[int, np.ndarray]:
     """Per-speaker embeddings from the enrollment region (disjoint audio)."""
     from targetvoice.embedder import enroll_embedding
 
@@ -532,23 +550,24 @@ def _random_slice(rng: np.random.Generator, audio: np.ndarray, n: int) -> np.nda
     return best
 
 
-def draw_sources(rng: np.random.Generator, regions: list[np.ndarray],
-                 duration_s: float):
-    """Draw the sources of one mixture from per-talker audio regions.
+def draw_sources(rng: np.random.Generator, speakers: Sequence[ToySpeaker],
+                 region: str, duration_s: float):
+    """Draw the sources of one mixture from the talkers' `region` audio.
 
+    `region` names a ToySpeaker field ("train_audio" or "heldout_audio").
     Returns (a, b, target, interferer, noise): an ordered pair of distinct
     talker indices, a slice of each one's region and seeded noise, all
     AudioBuffers of duration_s, drawn from `rng` in that order.
     """
-    a, b = rng.choice(len(regions), size=2, replace=False)
+    a, b = rng.choice(len(speakers), size=2, replace=False)
     n = int(duration_s * SAMPLE_RATE)
-    target = _random_slice(rng, regions[a], n)
-    interf = _random_slice(rng, regions[b], n)
+    target = _random_slice(rng, getattr(speakers[a], region), n)
+    interf = _random_slice(rng, getattr(speakers[b], region), n)
     noise = synth_noise(int(rng.integers(2 ** 31)), duration_s)
     return a, b, AudioBuffer(target), AudioBuffer(interf), noise
 
 
-def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
+def toy_enhancer_dataset(speakers: Sequence[ToySpeaker], embedder_net,
                          n_mixtures: int = 96, seed: int = 0):
     """Training examples for the toy enhancer.
 
@@ -563,11 +582,11 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
     embeddings = enrollment_embeddings(speakers, embedder_net)
     rng = np.random.default_rng(np.random.SeedSequence([551, int(seed)]))
     specs = training_specs(n_mixtures, seed, augmented=False)
-    regions = [spk.train_audio for spk in speakers]
 
     dataset = []
     for spec in specs:
-        a, _, target, interf, noise = draw_sources(rng, regions, TOY_MIXTURE_S)
+        a, _, target, interf, noise = draw_sources(rng, speakers, "train_audio",
+                                                   TOY_MIXTURE_S)
         try:
             example = make_mixture(spec, target, interf, noise)
         except MixtureError:
@@ -585,7 +604,7 @@ def toy_enhancer_dataset(speakers: list[ToySpeaker], embedder_net,
     return dataset, embeddings
 
 
-def toy_eval_mixtures(speakers: list[ToySpeaker], n_mixtures: int = 50,
+def toy_eval_mixtures(speakers: Sequence[ToySpeaker], n_mixtures: int = 50,
                       seed: int = 100, snr_db: float = 25.0, sir_db: float = 0.0):
     """Held-out two-speaker mixtures for conditioning / VAD evaluation.
 
@@ -594,11 +613,11 @@ def toy_eval_mixtures(speakers: list[ToySpeaker], n_mixtures: int = 50,
     only genuine speaker conditioning separates the pair.
     """
     rng = np.random.default_rng(np.random.SeedSequence([552, int(seed)]))
-    regions = [spk.heldout_audio for spk in speakers]
     out = []
     k = 0
     while len(out) < n_mixtures:
-        a, b, target, interf, noise = draw_sources(rng, regions, TOY_MIXTURE_S)
+        a, b, target, interf, noise = draw_sources(rng, speakers, "heldout_audio",
+                                                   TOY_MIXTURE_S)
         spec = MixtureSpec(snr_db=snr_db, sir_db=sir_db,
                            seed=int(rng.integers(2 ** 31)))
         try:

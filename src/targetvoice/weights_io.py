@@ -17,6 +17,7 @@ rather than returning corrupt tensors. Round-trips are bit-exact.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 
@@ -24,6 +25,8 @@ import numpy as np
 
 MAGIC = b"PPNW"
 VERSION = 1
+HEADER_PEEK = 4096   # bytes; version-1 headers are a few hundred
+PAYLOAD_ALIGN = 64   # bytes; a cache line
 
 KIND_CODES = {"scalar": 0, "vector": 1, "dense": 2, "conv1d": 3, "gru": 4}
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
@@ -56,42 +59,51 @@ def pack_weights(model_kind: str, entries: list[tuple[str, str, np.ndarray]]) ->
     return out
 
 
-def unpack_weights(data: bytes) -> tuple[str, dict[str, tuple[str, np.ndarray]]]:
-    """Parse a weight blob into (model_kind, {name: (layer_kind, array)})."""
-    if len(data) < 12 or data[:4] != MAGIC:
-        raise WeightsFormatError("not a weight file (bad magic)")
+def unpack_weights(data) -> tuple[str, dict[str, tuple[str, np.ndarray]]]:
+    """Parse a bytes-like weight blob into (model_kind, {name: (layer_kind, array)}).
+
+    Every array is a read-only view of one payload buffer: `data`'s own
+    bytes when the payload starts 4-byte aligned in memory (so the arrays
+    change if `data` does), otherwise one aligned copy of them.
+    """
     view = memoryview(data)
-    stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
+    if len(view) < 12 or view[:4] != MAGIC:
+        raise WeightsFormatError("not a weight file (bad magic)")
+    stored_crc = struct.unpack_from("<I", view, len(view) - 4)[0]
     actual_crc = zlib.crc32(view[:-4])
     if stored_crc != actual_crc:
         raise WeightsFormatError(
             f"checksum mismatch (stored {stored_crc:#010x}, "
             f"computed {actual_crc:#010x}); file is truncated or corrupt"
         )
-    (version,) = struct.unpack_from("<I", data, 4)
+    (version,) = struct.unpack_from("<I", view, 4)
     if version != VERSION:
         raise WeightsFormatError(f"unsupported version {version}, expected {VERSION}")
 
     try:
-        model_kind, metas, pos = _unpack_header(data)
+        model_kind, metas, pos = _unpack_header(view)
     except (struct.error, UnicodeDecodeError) as exc:
         raise WeightsFormatError(f"malformed header: {exc}") from exc
 
+    # up to the end of the blob; the last check rejects entries reaching the CRC
+    payload = np.frombuffer(view[pos:], dtype=np.uint8)
+    if payload.ctypes.data % 4:
+        payload = payload.copy()  # numpy's allocations are aligned
+    payload.flags.writeable = False
     entries: dict[str, tuple[str, np.ndarray]] = {}
+    at = 0
     for name, kind, shape in metas:
-        n = math.prod(shape)
-        raw = view[pos : pos + 4 * n]
-        if len(raw) != 4 * n:
+        nbytes = 4 * math.prod(shape)
+        if at + nbytes > len(payload):
             raise WeightsFormatError(f"payload truncated at entry {name!r}")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-        entries[name] = (kind, arr)
-        pos += 4 * n
-    if pos != len(data) - 4:
+        entries[name] = (kind, payload[at : at + nbytes].view("<f4").reshape(shape))
+        at += nbytes
+    if pos + at != len(view) - 4:
         raise WeightsFormatError("trailing bytes after payload")
     return model_kind, entries
 
 
-def _unpack_header(data: bytes):
+def _unpack_header(data):
     """(model_kind, [(name, layer_kind, shape)], payload offset).
 
     Reads past the end raise struct.error, and names that are not UTF-8
@@ -100,7 +112,7 @@ def _unpack_header(data: bytes):
     pos = 8
     (kind_len,) = struct.unpack_from("<H", data, pos)
     pos += 2
-    model_kind = data[pos : pos + kind_len].decode()
+    model_kind = str(data[pos : pos + kind_len], "utf-8")
     pos += kind_len
     (count,) = struct.unpack_from("<I", data, pos)
     pos += 4
@@ -109,7 +121,7 @@ def _unpack_header(data: bytes):
     for _ in range(count):
         (name_len,) = struct.unpack_from("<H", data, pos)
         pos += 2
-        name = data[pos : pos + name_len].decode()
+        name = str(data[pos : pos + name_len], "utf-8")
         pos += name_len
         code, ndim = struct.unpack_from("<BB", data, pos)
         pos += 2
@@ -172,15 +184,40 @@ def save_weights(path, model_kind: str,
 
 
 def load_weights(path, expect_kind: str):
-    """The kind and entries of a weight file; WeightsFormatError unless it holds `expect_kind`."""
+    """The kind and entries of a weight file; WeightsFormatError unless it holds `expect_kind`.
+
+    The file is read once into a private buffer, placed so that its payload
+    starts on a 64-byte boundary, and the entries are read-only views of it.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    model_kind, entries = unpack_weights(data)
+        size = os.fstat(fh.fileno()).st_size
+        offset = _payload_offset(fh.read(HEADER_PEEK))
+        buf = np.empty(size + PAYLOAD_ALIGN, dtype=np.uint8)
+        pad = -(buf.ctypes.data + offset) % PAYLOAD_ALIGN
+        buf = buf[pad : pad + size]
+        fh.seek(0)
+        got = fh.readinto(buf)
+    if got != size:
+        raise WeightsFormatError(f"{path}: read {got} of {size} bytes; the file changed")
+    buf.flags.writeable = False
+    model_kind, entries = unpack_weights(buf)
     if model_kind != expect_kind:
         raise WeightsFormatError(
             f"{path}: holds {model_kind!r} weights, expected {expect_kind!r}"
         )
     return model_kind, entries
+
+
+def _payload_offset(head: bytes) -> int:
+    """Where the payload of a file starting with `head` begins; 0 if unknown.
+
+    Only places the read: a header longer than `head` or a damaged one
+    costs alignment, and unpack_weights still reports the damage.
+    """
+    try:
+        return _unpack_header(head)[2]
+    except (struct.error, UnicodeDecodeError, WeightsFormatError):
+        return 0
 
 
 def save_embedding(path, embedding: np.ndarray) -> None:

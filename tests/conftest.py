@@ -1,4 +1,8 @@
-"""Shared fixtures and the finite-difference gradient oracle."""
+"""Shared fixtures, the finite-difference gradient oracle and the BLAS core name."""
+
+import ctypes
+import glob
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +13,24 @@ from targetvoice.frontend import Frames, design_erb_filterbank
 @pytest.fixture(scope="session")
 def fb():
     return design_erb_filterbank()
+
+
+def blas_core() -> str:
+    """The OpenBLAS core (kernel set) numpy's bundled library runs, or "unknown".
+
+    Trained weights and model output follow the kernel, so verdict lines
+    name it. Only numpy wheels bundle the library this looks for.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def tone(freq_hz: float, duration_s: float, amplitude: float = 0.5) -> np.ndarray:

@@ -24,16 +24,16 @@ from targetvoice import neural as nn
 from targetvoice import synth as sy
 from targetvoice.pipeline import enhance_audio, replay_controls
 from targetvoice.weights_io import pack_weights
-from tests.conftest import finite_difference_params, tone
+from tests.conftest import blas_core, finite_difference_params, tone
 
 
 def _verdict(num, name, checks):
-    """Print one line; checks is a list of (label, ok, detail)."""
+    """Print one line, naming the BLAS core; checks is a list of (label, ok, detail)."""
     ok = all(c[1] for c in checks)
     status = "PASS" if ok else "FAIL"
     detail = "; ".join(f"{label} {'ok' if good else 'FAILED'} ({info})"
                        for label, good, info in checks)
-    print(f"\n[criterion {num}] {status} — {name}: {detail}")
+    print(f"\n[criterion {num}] {status} — {name}: {detail}; BLAS core {blas_core()}")
     assert ok, f"criterion {num} ({name}): {detail}"
 
 

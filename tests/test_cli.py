@@ -359,6 +359,22 @@ class TestTraining:
         assert net.config.gru_units == 64
 
 
+    def test_embedding_size_mismatch_exits_3_before_building_speakers(
+            self, tmp_path, capsys, monkeypatch, embedder_weights):
+        from targetvoice import synth
+
+        def no_speakers(*_, **__):
+            raise AssertionError("speakers built for a request that cannot be met")
+
+        monkeypatch.setattr(synth, "build_toy_speakers", no_speakers)
+        out = tmp_path / "enh.ppnw"
+        rc = main(["train-enhancer", "--embedder", embedder_weights,
+                   "--out", str(out), "--preset", "ppn512"])
+        assert rc == EXIT_DATA
+        assert "expects embedding dim 128, embedder produces 16" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestUsage:
     def test_no_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -35,6 +35,87 @@ class TestRoundTrip:
         assert wio.unpack_weights(blob)[1]["w0"][1].tobytes() == entries[0][2].tobytes()
         assert peak <= 1.5 * 4 * n * n_entries
 
+    @pytest.mark.parametrize("n_entries", [1, 4])
+    def test_load_holds_the_payload_about_once(self, tmp_path, n_entries):
+        import tracemalloc
+
+        n = (1 << 20) // n_entries  # a 4 MiB float32 payload
+        rng = np.random.default_rng(2)
+        entries = [(f"w{i}", "dense", rng.standard_normal(n).astype(np.float32))
+                   for i in range(n_entries)]
+        path = tmp_path / "w.ppnw"
+        wio.save_weights(path, "x", entries)
+        tracemalloc.start()
+        try:
+            _, loaded = wio.load_weights(path, expect_kind="x")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded["w0"][1].tobytes() == entries[0][2].tobytes()
+        assert peak <= 1.25 * path.stat().st_size
+
+    def test_load_gives_read_only_views_of_one_buffer(self, tmp_path, entries):
+        path = tmp_path / "w.ppnw"
+        wio.save_weights(path, "x", entries)
+        _, loaded = wio.load_weights(path, expect_kind="x")
+        arrays = [loaded[name][1] for name, _, _ in entries]
+        assert arrays[0].ctypes.data % wio.PAYLOAD_ALIGN == 0
+        for arr in arrays:
+            assert arr.dtype == np.float32
+            assert arr.flags.aligned and arr.flags.c_contiguous
+            assert not arr.flags.writeable and not arr.flags.owndata
+            assert arr.base is arrays[0].base
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0][0, 0] = 1.0
+
+    @pytest.mark.parametrize("residue", [0, 1, 2, 3, "past_peek"])
+    def test_any_payload_offset_loads_bit_for_bit(self, tmp_path, entries, residue):
+        payload_bytes = 4 * sum(arr.size for _, _, arr in entries)
+        base = len(wio.pack_weights("", entries)) - 4 - payload_bytes
+        kind = "k" * (wio.HEADER_PEEK if residue == "past_peek" else (residue - base) % 4)
+        path = tmp_path / "w.ppnw"
+        wio.save_weights(path, kind, entries)
+        offset = path.stat().st_size - 4 - payload_bytes
+        if residue == "past_peek":
+            assert offset > wio.HEADER_PEEK
+        else:
+            assert offset % 4 == residue
+        _, loaded = wio.load_weights(path, expect_kind=kind)
+        for name, layer_kind, arr in entries:
+            assert loaded[name][0] == layer_kind
+            assert loaded[name][1].tobytes() == arr.tobytes()
+            assert loaded[name][1].flags.aligned and not loaded[name][1].flags.writeable
+
+    @pytest.mark.parametrize("shift", [0, 1, 2, 3])
+    def test_blob_at_any_alignment_unpacks(self, entries, shift):
+        blob = wio.pack_weights("x", entries)
+        buf = bytearray(shift + len(blob))
+        buf[shift:] = blob
+        for data in (memoryview(buf)[shift:], bytes(blob)):
+            _, loaded = wio.unpack_weights(data)
+            for name, _, arr in entries:
+                assert loaded[name][1].tobytes() == arr.tobytes()
+                assert loaded[name][1].flags.aligned
+                assert not loaded[name][1].flags.writeable
+
+    def test_file_that_shrinks_while_read_is_format_error(self, tmp_path, monkeypatch,
+                                                          entries):
+        import os
+
+        path = tmp_path / "w.ppnw"
+        wio.save_weights(path, "x", entries)
+        real_fstat = os.fstat
+
+        def fstat_then_shrink(fd):
+            stat = real_fstat(fd)
+            os.truncate(path, stat.st_size // 2)
+            return stat
+
+        with monkeypatch.context() as patch:
+            patch.setattr(wio.os, "fstat", fstat_then_shrink)
+            with pytest.raises(wio.WeightsFormatError, match="changed"):
+                wio.load_weights(path, expect_kind="x")
+
     def test_save_load_save_identical_bytes(self, entries):
         blob1 = wio.pack_weights("enhancer", entries)
         kind, loaded = wio.unpack_weights(blob1)
