@@ -70,61 +70,18 @@ class EnhancerConfig:
         return presets[name]
 
 
-_LAYER_ATTRS = frozenset({"dense_in", "conv1", "conv2", "grus", "head_gains",
-                          "head_strengths", "head_vad", "layers"})
-
-
 class EnhancerNet:
     """The conditioned DNN with gains / strengths / VAD heads.
 
-    A net holds its parameters in one or both of two forms: a float64
-    master, which training, forward() and the layer attributes use, and a
-    float32 pack (float32_weights()) that every streaming session on the
-    net shares: a read-only mapping from parameter name (as in params())
-    to a read-only float32 array. It is in one of three states:
-
-    - master only: a new or training net; the master is writable.
-    - master and pack: float32_weights() narrowed the master into the pack,
-      or the master was widened from a loaded net's pack. The master is
-      read-only, so a write that bypasses params() fails instead of leaving
-      sessions on stale weights; params() drops the pack and makes the
-      master writable again.
-    - pack only: a net loaded by enhancer_from_entries. Streaming never
-      needs more. The first read of the master (forward, backward,
-      params(), a layer attribute such as grus[0].Wx) widens the pack into
-      it, bit for bit.
+    Its float64 parameters are what training, forward() and backward() use.
+    float32_weights() narrows them into an EnhancerWeights, the form every
+    streaming session runs on.
     """
 
     def __init__(self, config: EnhancerConfig = EnhancerConfig(), seed: int = 0):
         self.config = config
         self._forwarded = False
-        self._float32 = None
         self._build(np.random.default_rng(seed))
-
-    @classmethod
-    def _from_float32(cls, config: EnhancerConfig,
-                      weights: MappingProxyType) -> "EnhancerNet":
-        """A net whose float64 master is built from `weights` on first read."""
-        net = cls.__new__(cls)
-        net.config = config
-        net._forwarded = False
-        net._float32 = weights
-        return net
-
-    def __getattr__(self, name: str):
-        # Reached only for attributes the instance lacks: the layers of a
-        # net that has not built its master yet.
-        if name not in _LAYER_ATTRS or "_float32" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        # built aside, so a failure part way leaves no unfilled layer here
-        master = self._from_float32(self.config, self._float32)
-        master._build(Unfilled())
-        for key, arr in collect_params(master.layers).items():
-            arr[...] = self._float32[key]
-            arr.flags.writeable = False
-        self.__dict__.update(vars(master))
-        return self.__dict__[name]
 
     def _build(self, rng) -> None:
         d, c = self.config.dense_units, self.config.conv_channels
@@ -148,21 +105,11 @@ class EnhancerNet:
         return sum(math.prod(shape) for _, shape in _param_shapes(self.config))
 
     def params(self):
-        params = collect_params(self.layers)
-        if self._float32 is not None:
-            self._float32 = None
-            for p in params.values():
-                p.flags.writeable = True
-        return params
+        return collect_params(self.layers)
 
-    def float32_weights(self) -> MappingProxyType:
-        """Parameter name -> read-only float32 array, shared by every session."""
-        if self._float32 is None:
-            params = collect_params(self.layers)
-            self._float32 = _shared_float32(params)
-            for p in params.values():
-                p.flags.writeable = False
-        return self._float32
+    def float32_weights(self) -> EnhancerWeights:
+        """A new EnhancerWeights narrowed from the current parameters."""
+        return EnhancerWeights(self.config, _shared_float32(self.params()))
 
     def grads(self):
         return collect_grads(self.layers)
@@ -419,23 +366,16 @@ def _param_shapes(cfg: EnhancerConfig):
     yield "en_vad.b", (1,)
 
 
-def enhancer_from_entries(entries: dict) -> EnhancerNet:
-    """The net a weight file holds; WeightsFormatError before any allocation.
+def enhancer_from_entries(entries: dict) -> EnhancerWeights:
+    """The weights a file holds; WeightsFormatError before any allocation.
 
-    The net adopts the entries' float32 arrays as its shared session
-    weights and makes them read-only; nothing is copied. Its float64
-    master is widened from them only when something reads it.
+    They adopt the entries' float32 arrays as they are and make them
+    read-only; nothing is copied.
     """
     cfg = EnhancerConfig(**read_meta(entries, vars(EnhancerConfig()), "enhancer"))
     shapes = list(_param_shapes(cfg))
     check_shapes(entries, shapes, "enhancer")
-    weights = _shared_float32({name: entries[name][1] for name, _ in shapes})
-    return EnhancerNet._from_float32(cfg, weights)
-
-
-# ---------------------------------------------------------------------------
-# Streaming inference session (float32, no steady-state heap growth)
-# ---------------------------------------------------------------------------
+    return EnhancerWeights(cfg, _shared_float32({name: entries[name][1] for name, _ in shapes}))
 
 
 def _shared_float32(params: dict[str, np.ndarray]) -> MappingProxyType:
@@ -451,22 +391,61 @@ def _shared_float32(params: dict[str, np.ndarray]) -> MappingProxyType:
     return MappingProxyType(shared)
 
 
+class EnhancerWeights:
+    """An enhancer in its streaming form: a loaded file, or a narrowed net.
+
+    `arrays` maps each parameter name, in EnhancerNet.params() order, to a
+    read-only float32 array; every session on these weights runs on those
+    arrays. forward() runs the float64 net widened from them bit for bit,
+    built on its first call and kept.
+    """
+
+    def __init__(self, config: EnhancerConfig, arrays: MappingProxyType):
+        self.config = config
+        self.arrays = arrays
+        self._net = None
+
+    @property
+    def n_params(self) -> int:
+        return sum(arr.size for arr in self.arrays.values())
+
+    def float32_weights(self) -> EnhancerWeights:
+        return self
+
+    def forward(self, features: np.ndarray, embedding: np.ndarray):
+        """EnhancerNet.forward on the widened arrays."""
+        if self._net is None:
+            net = EnhancerNet.__new__(EnhancerNet)
+            net.config, net._forwarded = self.config, False
+            net._build(Unfilled())
+            for name, p in net.params().items():
+                p[...] = self.arrays[name]
+            self._net = net
+        return self._net.forward(features, embedding)
+
+
+# ---------------------------------------------------------------------------
+# Streaming inference session (float32, no steady-state heap growth)
+# ---------------------------------------------------------------------------
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
 class EnhancerSession:
-    """Per-stream float32 inference over the net's shared read-only weights.
+    """Per-stream float32 inference over an enhancer's read-only weights.
 
-    `weights` is the net's name -> float32 array mapping, shared by every
-    session on the net. The session holds only its own state: the two conv
+    `net` is an EnhancerNet or EnhancerWeights; the session runs on
+    net.float32_weights().arrays, so every session on one EnhancerWeights
+    shares its arrays. The session holds only its own state: the two conv
     layers' input windows (newest frame first), one hidden vector per GRU
     layer, and GRU 1's bias with the constant embedding term folded in.
     step() allocates only temporaries, so a warm stream shows no
     steady-state heap growth (audited by acceptance criterion 8).
     """
 
-    def __init__(self, net: EnhancerNet, embedding: np.ndarray):
+    def __init__(self, net: EnhancerNet | EnhancerWeights, embedding: np.ndarray):
         cfg = net.config
         if embedding.shape != (cfg.embedding_dim,):
             raise ValueError(
@@ -474,7 +453,7 @@ class EnhancerSession:
                 f"dim {cfg.embedding_dim}"
             )
         self.cfg = cfg
-        self.weights = w = net.float32_weights()
+        self.weights = w = net.float32_weights().arrays
         c, n = cfg.conv_channels, cfg.gru_units
         # GRU 1 sees [conv2 out, embedding]; the embedding's term is constant
         self._gru1_b = (embedding.astype(np.float64) @ w["en_gru1.Wx"][c:].astype(np.float64)

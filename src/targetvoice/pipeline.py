@@ -28,19 +28,15 @@ from collections import deque
 import numpy as np
 
 from targetvoice.comb import CombState, OverlapAddSynthesizer, apply_per_band
-from targetvoice.enhancer import EnhancerNet, EnhancerSession
+from targetvoice.enhancer import EnhancerNet, EnhancerSession, EnhancerWeights
 from targetvoice.frontend import (
     HOP,
     LOOKAHEAD_FRAMES,
     N_BANDS,
-    PITCH_HISTORY,
     VORBIS_WINDOW,
-    WINDOW,
     ErbFilterbank,
     FeatureStream,
     check_filterbank,
-    estimate_pitch,
-    frame_spectra,
 )
 
 # input samples per FeatureStream push, 16 hops at most: a whole-file
@@ -78,12 +74,13 @@ class StreamingEnhancer:
     """One real-time enhancement session (single stream, single thread).
 
     The engine's first frame straddles the stream start: a hop of silence,
-    then the first input hop. The engine builds it from those 480 samples
-    (frame_spectra, estimate_pitch); it gets no model step, and it makes
-    reconstruction exact from the first sample. Every later frame is a row
-    of the FeatureStream, which frames the input as extract_features does.
-    Model weights are shared, read-only; every mutable buffer lives in this
-    object. `session` supplies the per-frame controls: an EnhancerSession,
+    then the first input hop. A FeatureStream of its own frames those 960
+    samples; the frame gets no model step, and it makes reconstruction
+    exact from the first sample. Every later frame is a row of the engine's
+    FeatureStream, which frames the input as extract_features does. `net`
+    is an EnhancerNet or EnhancerWeights; the session runs on its read-only
+    float32 weights, and every mutable buffer lives in this object.
+    `session` supplies the per-frame controls: an EnhancerSession,
     a ControlReplay, or None (identity). Only samples received while
     `session` is set enter the comb ring, which only the controls read: a
     session set mid-stream combs against silence for the samples before
@@ -93,7 +90,7 @@ class StreamingEnhancer:
 
     DELAY_SAMPLES = (LOOKAHEAD_FRAMES + 1) * HOP  # 40 ms stream delay
 
-    def __init__(self, net: EnhancerNet | None = None,
+    def __init__(self, net: EnhancerNet | EnhancerWeights | None = None,
                  embedding: np.ndarray | None = None,
                  fb: ErbFilterbank | None = None):
         check_filterbank(fb)
@@ -132,9 +129,8 @@ class StreamingEnhancer:
         if start < HOP:  # the straddle frame: a hop of silence, then the first hop
             self._first_hop = np.concatenate([self._first_hop, x[: HOP - start]])
             if len(self._first_hop) == HOP:
-                history = np.concatenate([np.zeros(PITCH_HISTORY - HOP), self._first_hop])
-                self._frame_queue.append((estimate_pitch(history).period or 0,
-                                          frame_spectra(history[-WINDOW:])[0]))
+                row = FeatureStream().push(np.concatenate([np.zeros(HOP), self._first_hop]))
+                self._frame_queue.append((int(row.periods[0]), row.spectra[0]))
                 self.frames_processed = 1
         for lo in range(0, len(x), PIECE_SAMPLES):
             rows = self.features.push(x[lo : lo + PIECE_SAMPLES])
@@ -170,7 +166,7 @@ class StreamingEnhancer:
         return self.process(np.zeros(pad))
 
 
-def enhance_audio(audio: np.ndarray, net: EnhancerNet | None = None,
+def enhance_audio(audio: np.ndarray, net: EnhancerNet | EnhancerWeights | None = None,
                   embedding: np.ndarray | None = None) -> np.ndarray:
     """Process a whole buffer; output is delay-compensated and equal length."""
     return _run_whole(StreamingEnhancer(net, embedding), audio)

@@ -1,6 +1,5 @@
 """Streaming engine: identity reconstruction, latency, look-ahead wiring."""
 
-import json
 import os
 import subprocess
 import sys
@@ -38,6 +37,7 @@ from targetvoice.pipeline import (
     replay_controls,
 )
 from tests.conftest import tone
+from tests.digest import digests
 from tests.unfused_reference import ReferenceFeatureStream, use_reference_paths
 
 
@@ -359,8 +359,9 @@ class TestSharedWeights:
         clips = [tone(110.0 * (k + 2), n_hops * 480 / 48000)
                  + 0.1 * rng.standard_normal(n_hops * 480) for k in range(4)]
         clips[3][n_hops * 480 // 2] = np.nan
-        engines = [StreamingEnhancer(net, e) for e in embs]
-        assert all(e.session.weights is engines[0].session.weights for e in engines)
+        weights = net.float32_weights()
+        engines = [StreamingEnhancer(weights, e) for e in embs]
+        assert all(e.session.weights is weights.arrays for e in engines)
         outs = [[] for _ in engines]
         for h in range(n_hops):
             for k, eng in enumerate(engines):
@@ -531,37 +532,19 @@ class TestFilterbankArgument:
             entry(speech, other)
 
 
-# features, periods, identity output and replayed-control output of a speech
-# clip, as SHA-256 digests
-_KERNEL_OUTPUTS = """
-import hashlib, json
-import numpy as np
-from targetvoice import synth as sy
-from targetvoice.frontend import extract_features
-from targetvoice.pipeline import enhance_audio, replay_controls
-x = (sy.synth_speaker(21, 1.5).samples.astype(np.float64)
-     + 0.05 * sy.synth_noise(4, 1.5).samples.astype(np.float64))
-record = extract_features(x)
-rng = np.random.default_rng(3)
-gains, strengths = rng.uniform(0.0, 1.0, (2, len(record.features), 32))
-outputs = {"features": record.features, "periods": record.periods,
-           "identity": enhance_audio(x), "replay": replay_controls(x, gains, strengths)}
-print(json.dumps({k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in outputs.items()}))
-"""
-
-
 def test_model_free_outputs_byte_identical_across_blas_kernels():
     # OpenBLAS picks its kernels by CPU unless OPENBLAS_CORETYPE names them;
-    # the model-free paths must give the same bytes under each
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # the model-free digest groups must give the same bytes under each
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     env["OPENBLAS_NUM_THREADS"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    digests = {}
-    for core in ("default", "Haswell", "Prescott"):
-        kernel = {} if core == "default" else {"OPENBLAS_CORETYPE": core}
-        result = subprocess.run([sys.executable, "-c", _KERNEL_OUTPUTS], env=env | kernel,
-                                capture_output=True, text=True, check=True)
-        digests[core] = json.loads(result.stdout)
-    assert digests["Haswell"] == digests["default"]
-    assert digests["Prescott"] == digests["default"]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                                      env.get("PYTHONPATH")]))
+    groups = ["features", "periods", "spectra", "identity", "replay"]
+    runs = {core: subprocess.Popen([sys.executable, os.path.join(root, "tests", "digest.py"),
+                                    *groups], env=env | {"OPENBLAS_CORETYPE": core},
+                                   stdout=subprocess.PIPE, text=True)
+            for core in ("Haswell", "Prescott")}
+    default = "".join(f"{name:<10} {value}\n" for name, value in digests(groups).items())
+    for core, run in runs.items():
+        assert run.communicate()[0] == default and run.returncode == 0, core
