@@ -257,6 +257,11 @@ def cmd_eval(args) -> int:
         raise DataError("--mode model needs --enhancer weights")
     embedder_net = _load_embedder(args.embedder)
     enhancer_net = _load_enhancer(args.enhancer) if args.enhancer else None
+    if args.mode == "model" and enhancer_net.config.embedding_dim != embedder_net.embedding_dim:
+        raise DataError(
+            f"enhancer expects embedding dim {enhancer_net.config.embedding_dim}, "
+            f"embedder produces {embedder_net.embedding_dim}"
+        )
     rows = []
     for idx, row in enumerate(read_manifest(args.manifest)):
         mixture = read_wav(row["mixture"]).samples.astype(np.float64)

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from targetvoice.frontend import FEATURE_DIM
-from targetvoice.neural import (
-    Adam,
-    CausalConv1d,
-    Dense,
-    GRU,
-    Unfilled,
-    collect_grads,
-    collect_params,
-)
+from targetvoice.neural import Adam, CausalConv1d, Dense, GRU, Net
 from targetvoice.weights_io import check_shapes, read_meta
 
 MIN_EMBED_FRAMES = 50  # 0.5 s
@@ -53,21 +45,12 @@ class EmbedderConfig:
         return cls(conv_channels=24, gru_units=32, embedding_dim=16)
 
 
-class EmbedderNet:
+class EmbedderNet(Net):
     """Conv x2 -> GRU x2 -> last-frame dense -> L2 normalize."""
 
-    def __init__(self, config: EmbedderConfig = EmbedderConfig(), seed: int = 0):
-        self._build(config, np.random.default_rng(seed))
-
-    @classmethod
-    def _unfilled(cls, config: EmbedderConfig) -> "EmbedderNet":
-        net = cls.__new__(cls)
-        net._build(config, Unfilled())
-        return net
-
-    def _build(self, config: EmbedderConfig, rng) -> None:
-        self.config = config
-        ch, units, dim = config.conv_channels, config.gru_units, config.embedding_dim
+    def _build(self, rng) -> None:
+        cfg = self.config
+        ch, units, dim = cfg.conv_channels, cfg.gru_units, cfg.embedding_dim
         self.conv1 = CausalConv1d(FEATURE_DIM, ch, 3, "tanh", rng, "se_conv1")
         self.conv2 = CausalConv1d(ch, ch, 3, "tanh", rng, "se_conv2")
         self.gru1 = GRU(ch, units, rng, "se_gru1")
@@ -79,20 +62,6 @@ class EmbedderNet:
     @property
     def embedding_dim(self) -> int:
         return self.config.embedding_dim
-
-    @property
-    def n_params(self) -> int:
-        return sum(layer.n_params for layer in self.layers)
-
-    def params(self):
-        return collect_params(self.layers)
-
-    def grads(self):
-        return collect_grads(self.layers)
-
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
 
     def forward_batch(self, features: np.ndarray) -> np.ndarray:
         """Embed a [B, T, 68] batch of equal-length sequences -> [B, E]."""
@@ -331,15 +300,7 @@ def verification_trials(net: EmbedderNet, utterances: dict):
 
 
 def embedder_entries(net: EmbedderNet) -> list[tuple[str, str, np.ndarray]]:
-    entries = [
-        ("meta.conv_channels", "scalar", np.array([net.config.conv_channels])),
-        ("meta.gru_units", "scalar", np.array([net.config.gru_units])),
-        ("meta.embedding_dim", "scalar", np.array([net.config.embedding_dim])),
-    ]
-    for layer in net.layers:
-        for name, arr in layer.params().items():
-            entries.append((name, layer.kind, arr))
-    return entries
+    return net.entries(vars(net.config))
 
 
 def _param_shapes(cfg: EmbedderConfig):
@@ -360,9 +321,6 @@ def _param_shapes(cfg: EmbedderConfig):
 def embedder_from_entries(entries: dict) -> EmbedderNet:
     """The net a weight file holds; WeightsFormatError before any allocation."""
     config = EmbedderConfig(**read_meta(entries, vars(EmbedderConfig()), "embedder"))
-    check_shapes(entries, _param_shapes(config), "embedder")
-    net = EmbedderNet._unfilled(config)
-    for layer in net.layers:
-        for name, arr in layer.params().items():
-            arr[...] = entries[name][1]
-    return net
+    shapes = list(_param_shapes(config))
+    check_shapes(entries, shapes, "embedder")
+    return EmbedderNet.from_arrays(config, {name: entries[name][1] for name, _ in shapes})

@@ -28,15 +28,7 @@ from types import MappingProxyType
 import numpy as np
 
 from targetvoice.frontend import FEATURE_DIM, LOOKAHEAD_FRAMES, N_BANDS
-from targetvoice.neural import (
-    Adam,
-    CausalConv1d,
-    Dense,
-    GRU,
-    Unfilled,
-    collect_grads,
-    collect_params,
-)
+from targetvoice.neural import Adam, CausalConv1d, Dense, GRU, Net
 from targetvoice.weights_io import check_shapes, read_meta
 
 GAIN_LOSS_EXPONENT = 0.5
@@ -70,18 +62,13 @@ class EnhancerConfig:
         return presets[name]
 
 
-class EnhancerNet:
+class EnhancerNet(Net):
     """The conditioned DNN with gains / strengths / VAD heads.
 
     Its float64 parameters are what training, forward() and backward() use.
     float32_weights() narrows them into an EnhancerWeights, the form every
     streaming session runs on.
     """
-
-    def __init__(self, config: EnhancerConfig = EnhancerConfig(), seed: int = 0):
-        self.config = config
-        self._forwarded = False
-        self._build(np.random.default_rng(seed))
 
     def _build(self, rng) -> None:
         d, c = self.config.dense_units, self.config.conv_channels
@@ -100,23 +87,9 @@ class EnhancerNet:
         self.layers = [self.dense_in, self.conv1, self.conv2, *self.grus,
                        self.head_gains, self.head_strengths, self.head_vad]
 
-    @property
-    def n_params(self) -> int:
-        return sum(math.prod(shape) for _, shape in _param_shapes(self.config))
-
-    def params(self):
-        return collect_params(self.layers)
-
     def float32_weights(self) -> EnhancerWeights:
         """A new EnhancerWeights narrowed from the current parameters."""
         return EnhancerWeights(self.config, _shared_float32(self.params()))
-
-    def grads(self):
-        return collect_grads(self.layers)
-
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
 
     def forward(self, features: np.ndarray, embedding: np.ndarray):
         """Run [B, T, 68] features with [B, E] embeddings (or unbatched).
@@ -152,7 +125,6 @@ class EnhancerNet:
             np.concatenate([h, gains], axis=-1)
         )
         vad = self.head_vad.forward(gru_outs[0])[..., 0]
-        self._forwarded = True
         if squeeze:
             return gains[0], strengths[0], vad[0]
         return gains, strengths, vad
@@ -160,8 +132,6 @@ class EnhancerNet:
     def backward(self, d_gains: np.ndarray, d_strengths: np.ndarray,
                  d_vad: np.ndarray) -> None:
         """Gradients of [B, T, ·] outputs into every layer's grads."""
-        if not self._forwarded:
-            raise RuntimeError("backward before forward")
         n = self.config.gru_units
 
         d_s_in = self.head_strengths.backward(d_strengths)
@@ -333,15 +303,7 @@ def train_enhancer_toy(dataset: list, config: EnhancerTrainConfig, log=None):
 
 
 def enhancer_entries(net: EnhancerNet) -> list[tuple[str, str, np.ndarray]]:
-    cfg = net.config
-    entries = [
-        (f"meta.{key}", "scalar", np.array([float(val)]))
-        for key, val in sorted(vars(cfg).items())
-    ]
-    for layer in net.layers:
-        for name, arr in layer.params().items():
-            entries.append((name, layer.kind, arr))
-    return entries
+    return net.entries(sorted(vars(net.config)))
 
 
 def _param_shapes(cfg: EnhancerConfig):
@@ -415,12 +377,7 @@ class EnhancerWeights:
     def forward(self, features: np.ndarray, embedding: np.ndarray):
         """EnhancerNet.forward on the widened arrays."""
         if self._net is None:
-            net = EnhancerNet.__new__(EnhancerNet)
-            net.config, net._forwarded = self.config, False
-            net._build(Unfilled())
-            for name, p in net.params().items():
-                p[...] = self.arrays[name]
-            self._net = net
+            self._net = EnhancerNet.from_arrays(self.config, self.arrays)
         return self._net.forward(features, embedding)
 
 

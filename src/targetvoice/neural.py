@@ -7,6 +7,10 @@ in float64, streaming inference in float32.
 
 Each layer caches its last forward pass; backward() consumes that cache,
 accumulates parameter gradients in-place, and returns the input gradient.
+`Layer` holds what every layer kind shares (named parameters with their
+gradients, the input check, the backward guard) and `Net` what both
+networks share (parameter and gradient maps, weight-file entries, a net
+built from stored arrays).
 """
 
 from __future__ import annotations
@@ -64,23 +68,42 @@ def _by_gate(w: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """Common parameter bookkeeping for all layer kinds."""
+    """The bookkeeping every layer kind shares.
 
-    name = "layer"
+    Each keyword parameter p of __init__ becomes the attribute p, with its
+    gradient d<p> beside it; params() and grads() name them "<name>.<p>",
+    in the order given.
+    """
+
+    def __init__(self, n_in: int, name: str, **params: np.ndarray):
+        self.n_in, self.name = n_in, name
+        self._keys = tuple(params)
+        for key, value in params.items():
+            setattr(self, key, value)
+            # np.zeros, not zeros_like: gradient pages stay untouched until training
+            setattr(self, f"d{key}", np.zeros(value.shape))
+        self._cache = None
 
     def params(self) -> dict[str, np.ndarray]:
-        raise NotImplementedError
+        return {f"{self.name}.{key}": getattr(self, key) for key in self._keys}
 
     def grads(self) -> dict[str, np.ndarray]:
-        raise NotImplementedError
+        return {f"{self.name}.{key}": getattr(self, f"d{key}") for key in self._keys}
 
     def zero_grads(self) -> None:
         for g in self.grads().values():
             g.fill(0.0)
 
-    @property
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params().values())
+    def _check_input(self, x: np.ndarray) -> None:
+        if x.shape[-1] != self.n_in:
+            raise ShapeError(f"{self.name}: got {x.shape[-1]} channels, "
+                             f"expected {self.n_in}")
+
+    def _cached(self):
+        """The last forward pass's cache, for backward."""
+        if self._cache is None:
+            raise RuntimeError(f"{self.name}: backward before forward")
+        return self._cache
 
 
 class Dense(Layer):
@@ -88,36 +111,20 @@ class Dense(Layer):
 
     kind = "dense"
 
-    def __init__(self, n_in: int, n_out: int, activation: str = "linear",
-                 rng: np.random.Generator | None = None, name: str = "dense"):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.n_in, self.n_out, self.activation = n_in, n_out, activation
-        self.name = name
-        self.W = xavier_uniform(rng, n_in, n_out, (n_in, n_out))
-        self.b = np.zeros(n_out)
-        # np.zeros, not zeros_like: gradient pages stay untouched until training
-        self.dW = np.zeros(self.W.shape)
-        self.db = np.zeros(self.b.shape)
-        self._cache = None
-
-    def params(self):
-        return {f"{self.name}.W": self.W, f"{self.name}.b": self.b}
-
-    def grads(self):
-        return {f"{self.name}.W": self.dW, f"{self.name}.b": self.db}
+    def __init__(self, n_in: int, n_out: int, activation: str,
+                 rng: np.random.Generator, name: str = "dense"):
+        self.n_out, self.activation = n_out, activation
+        super().__init__(n_in, name, W=xavier_uniform(rng, n_in, n_out, (n_in, n_out)),
+                         b=np.zeros(n_out))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[-1] != self.n_in:
-            raise ShapeError(f"{self.name}: got {x.shape[-1]} channels, "
-                             f"expected {self.n_in}")
+        self._check_input(x)
         y = _activate(x @ self.W + self.b, self.activation)
         self._cache = (x, y)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward before forward")
-        x, y = self._cache
+        x, y = self._cached()
         dz = dy * _activation_grad(y, self.activation)
         flat_x = x.reshape(-1, self.n_in)
         flat_dz = dz.reshape(-1, self.n_out)
@@ -135,29 +142,15 @@ class CausalConv1d(Layer):
 
     kind = "conv1d"
 
-    def __init__(self, n_in: int, n_out: int, kernel: int,
-                 activation: str = "tanh",
-                 rng: np.random.Generator | None = None, name: str = "conv"):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.n_in, self.n_out, self.kernel = n_in, n_out, kernel
-        self.activation = activation
-        self.name = name
-        self.W = xavier_uniform(rng, kernel * n_in, n_out, (kernel, n_in, n_out))
-        self.b = np.zeros(n_out)
-        self.dW = np.zeros(self.W.shape)
-        self.db = np.zeros(self.b.shape)
-        self._cache = None
-
-    def params(self):
-        return {f"{self.name}.W": self.W, f"{self.name}.b": self.b}
-
-    def grads(self):
-        return {f"{self.name}.W": self.dW, f"{self.name}.b": self.db}
+    def __init__(self, n_in: int, n_out: int, kernel: int, activation: str,
+                 rng: np.random.Generator, name: str = "conv"):
+        self.n_out, self.kernel, self.activation = n_out, kernel, activation
+        super().__init__(n_in, name,
+                         W=xavier_uniform(rng, kernel * n_in, n_out, (kernel, n_in, n_out)),
+                         b=np.zeros(n_out))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[-1] != self.n_in:
-            raise ShapeError(f"{self.name}: got {x.shape[-1]} channels, "
-                             f"expected {self.n_in}")
+        self._check_input(x)
         z = np.tensordot(x, self.W[0], axes=([2], [0])) + self.b
         for k in range(1, self.kernel):
             z[:, k:, :] += np.tensordot(x[:, :-k, :], self.W[k], axes=([2], [0]))
@@ -166,9 +159,7 @@ class CausalConv1d(Layer):
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward before forward")
-        x, y = self._cache
+        x, y = self._cached()
         dz = dy * _activation_grad(y, self.activation)
         dx = np.tensordot(dz, self.W[0], axes=([2], [1]))
         self.dW[0] += np.tensordot(x, dz, axes=([0, 1], [0, 1]))
@@ -192,31 +183,16 @@ class GRU(Layer):
 
     kind = "gru"
 
-    def __init__(self, n_in: int, n_units: int,
-                 rng: np.random.Generator | None = None, name: str = "gru"):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.n_in, self.n_units = n_in, n_units
-        self.name = name
-        self.Wx = xavier_uniform(rng, n_in, n_units, (n_in, 3 * n_units))
-        self.Wh = xavier_uniform(rng, n_units, n_units, (n_units, 3 * n_units))
-        self.b = np.zeros(3 * n_units)
-        self.dWx = np.zeros(self.Wx.shape)
-        self.dWh = np.zeros(self.Wh.shape)
-        self.db = np.zeros(self.b.shape)
-        self._cache = None
-
-    def params(self):
-        return {f"{self.name}.Wx": self.Wx, f"{self.name}.Wh": self.Wh,
-                f"{self.name}.b": self.b}
-
-    def grads(self):
-        return {f"{self.name}.Wx": self.dWx, f"{self.name}.Wh": self.dWh,
-                f"{self.name}.b": self.db}
+    def __init__(self, n_in: int, n_units: int, rng: np.random.Generator,
+                 name: str = "gru"):
+        self.n_units = n_units
+        super().__init__(n_in, name,
+                         Wx=xavier_uniform(rng, n_in, n_units, (n_in, 3 * n_units)),
+                         Wh=xavier_uniform(rng, n_units, n_units, (n_units, 3 * n_units)),
+                         b=np.zeros(3 * n_units))
 
     def forward(self, x: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
-        if x.shape[-1] != self.n_in:
-            raise ShapeError(f"{self.name}: got {x.shape[-1]} channels, "
-                             f"expected {self.n_in}")
+        self._check_input(x)
         batch, steps, _ = x.shape
         n = self.n_units
         # Time-major buffers, [T, 3, B, n] for the gates: one step's gates
@@ -254,9 +230,7 @@ class GRU(Layer):
         return states[1:].transpose(1, 0, 2).copy()
 
     def backward(self, dh_seq: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward before forward")
-        x_tm, states, gates = self._cache
+        x_tm, states, gates = self._cached()
         steps, batch, n = states.shape[0] - 1, states.shape[1], self.n_units
         h_prev = states[:-1]
         z, r, cand = gates.transpose(1, 0, 2, 3)
@@ -302,6 +276,53 @@ class GRU(Layer):
         db += dgx.sum(axis=1)
         dx = sum(g @ w.T for g, w in zip(dgx, _by_gate(self.Wx)))
         return np.ascontiguousarray(dx.reshape(steps, batch, -1).transpose(1, 0, 2))
+
+
+class Net:
+    """The bookkeeping both networks share.
+
+    A subclass's _build(rng) creates its layers, drawing their weights
+    from rng, and lists them in self.layers; params() names every
+    parameter in that order, which is also the weight file's order.
+    """
+
+    def __init__(self, config, seed: int = 0):
+        self.config = config
+        self._build(np.random.default_rng(seed))
+
+    @classmethod
+    def from_arrays(cls, config, arrays):
+        """The net of `config` whose parameters are copies of `arrays`
+        (name -> array, one per params() entry), widened to float64."""
+        net = cls.__new__(cls)
+        net.config = config
+        net._build(Unfilled())
+        for name, p in net.params().items():
+            p[...] = arrays[name]
+        return net
+
+    @property
+    def n_params(self) -> int:
+        return sum(p.size for p in self.params().values())
+
+    def params(self) -> dict[str, np.ndarray]:
+        return collect_params(self.layers)
+
+    def grads(self) -> dict[str, np.ndarray]:
+        return {key: g for layer in self.layers for key, g in layer.grads().items()}
+
+    def zero_grads(self) -> None:
+        for layer in self.layers:
+            layer.zero_grads()
+
+    def entries(self, meta_keys) -> list[tuple[str, str, np.ndarray]]:
+        """Weight-file entries: a scalar meta.<key> per config field in
+        `meta_keys`, in that order, then every parameter with its layer's kind."""
+        entries = [(f"meta.{key}", "scalar", np.array([float(getattr(self.config, key))]))
+                   for key in meta_keys]
+        for layer in self.layers:
+            entries.extend((name, layer.kind, arr) for name, arr in layer.params().items())
+        return entries
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +374,3 @@ def collect_params(layers) -> dict[str, np.ndarray]:
             out[key] = val
     return out
 
-
-def collect_grads(layers) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for layer in layers:
-        out.update(layer.grads())
-    return out

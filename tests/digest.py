@@ -23,6 +23,9 @@ Groups:
                                 with NaN bursts and with a NaN in the first
                                 hop; plus frames_processed and last_vad
     forward                     forward() of the loaded toy and ppn512 nets
+    weights                     pack_weights bytes of seeded, untrained toy
+                                EnhancerNet and EmbedderNet: their draws,
+                                entry order and meta encoding
     mixture, augment, speaker   make_mixture, augment and synth_speaker /
                                 synth_noise outputs
     dataset                     toy_enhancer_dataset's examples and
@@ -31,9 +34,9 @@ Groups:
                                 `train-embedder` and `train-enhancer` and of
                                 `enroll` with that embedder
 
-features, periods, identity and replay give the same bytes under every
-OpenBLAS kernel (tests/test_digest.py pins them); the model and training
-groups follow the kernel.
+features, periods, identity, replay and weights give the same bytes under
+every OpenBLAS kernel (tests/test_digest.py pins them); the other model and
+training groups follow the kernel.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import numpy as np
 from targetvoice import synth as sy
 from targetvoice.audio import write_wav
 from targetvoice.cli import main
-from targetvoice.embedder import EmbedderConfig, EmbedderNet
+from targetvoice.embedder import EmbedderConfig, EmbedderNet, embedder_entries
 from targetvoice.enhancer import (
     EnhancerConfig,
     EnhancerNet,
@@ -198,6 +201,12 @@ def group_forward(h) -> None:
         _feed(h, *loaded.forward(np.stack([feats, feats[::-1]]), embs))
 
 
+def group_weights(h) -> None:
+    embedder = EmbedderNet(EmbedderConfig.toy(), seed=0)
+    _feed(h, bytes(pack_weights("enhancer", enhancer_entries(toy_net()))),
+          bytes(pack_weights("embedder", embedder_entries(embedder))))
+
+
 def group_mixture(h) -> None:
     target, interferer = sy.synth_speaker(31, 1.5), sy.synth_speaker(32, 1.5)
     noise = sy.synth_noise(33, 1.5)
@@ -275,6 +284,7 @@ GROUPS = {
     "toy": group_toy,
     "ppn512": group_ppn512,
     "forward": group_forward,
+    "weights": group_weights,
     "mixture": group_mixture,
     "augment": group_augment,
     "speaker": group_speaker,

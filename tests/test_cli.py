@@ -310,6 +310,31 @@ class TestEval:
         assert seen == []
         assert not out.exists()
 
+    def test_model_mode_embedding_size_mismatch_exits_3_before_reading_audio(
+            self, tmp_path, mix_dir, embedder_weights, monkeypatch, capsys):
+        from targetvoice import audio, frontend
+
+        enhancer = tmp_path / "enhancer8.ppnw"
+        cfg = EnhancerConfig(gru_units=8, n_gru_layers=1, dense_units=8, conv_channels=8,
+                             embedding_dim=8)
+        save_weights(enhancer, "enhancer", enhancer_entries(EnhancerNet(cfg)))
+        seen = []
+
+        def refuse(path_or_audio, *args):
+            seen.append(path_or_audio)
+            raise AssertionError("eval read or featurized audio before checking sizes")
+
+        patch_everywhere(monkeypatch, audio.read_wav, refuse)
+        patch_everywhere(monkeypatch, frontend.extract_features, refuse)
+        out = tmp_path / "report.jsonl"
+        rc = main(["eval", "--manifest", os.path.join(mix_dir, "manifest.jsonl"),
+                   "--embedder", embedder_weights, "--enhancer", str(enhancer),
+                   "--mode", "model", "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert "expects embedding dim 8, embedder produces 16" in capsys.readouterr().err
+        assert seen == []
+        assert not out.exists()
+
     def test_eval_deterministic(self, tmp_path, mix_dir, embedder_weights):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):

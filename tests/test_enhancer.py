@@ -48,6 +48,19 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="preset"):
             en.EnhancerConfig.preset("ppn9000")
 
+    @pytest.mark.parametrize("preset", ["toy", "ppn512", "ppn1024"])
+    def test_param_shapes_list_the_built_params(self, preset):
+        # the loaders check a file against _param_shapes before building
+        cfg = en.EnhancerConfig.preset(preset)
+        built = [(name, p.shape) for name, p in en.EnhancerNet(cfg).params().items()]
+        assert list(en._param_shapes(cfg)) == built
+
+    def test_backward_before_forward(self, tiny_cfg):
+        net = en.EnhancerNet(tiny_cfg, seed=0)
+        d = np.zeros((1, 4, 32))
+        with pytest.raises(RuntimeError, match="before forward"):
+            net.backward(d, d, np.zeros((1, 4)))
+
 
 class TestForward:
     def test_outputs_in_unit_interval(self, tiny_net):

@@ -1,5 +1,7 @@
 """Neural runtime: layer forwards against naive oracles, exact gradients."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,56 @@ def check_layer_gradients(layer, x, seed=0):
         rel = abs(numeric - dx.ravel()[i]) / max(abs(numeric), abs(dx.ravel()[i]), 1e-8)
         worst = max(worst, rel)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Net
+# ---------------------------------------------------------------------------
+
+
+CFG4 = SimpleNamespace(units=4)
+
+
+class TwoLayerNet(nn.Net):
+    def _build(self, rng):
+        n = self.config.units
+        self.conv = nn.CausalConv1d(3, n, 2, "tanh", rng, "c")
+        self.gru = nn.GRU(n, n, rng, "g")
+        self.layers = [self.conv, self.gru]
+
+
+class TestNet:
+    def test_from_arrays_copies_the_arrays_bit_for_bit(self):
+        rng = np.random.default_rng(1)
+        source = {name: rng.standard_normal(p.shape)
+                  for name, p in TwoLayerNet(CFG4, seed=0).params().items()}
+        net = TwoLayerNet.from_arrays(CFG4, source)
+        assert list(net.params()) == list(source)
+        for name, p in net.params().items():
+            assert p.dtype == np.float64
+            assert p.tobytes() == source[name].tobytes()
+            assert not np.shares_memory(p, source[name])
+
+    def test_from_arrays_widens_float32(self):
+        source = {name: p.astype(np.float32)
+                  for name, p in TwoLayerNet(CFG4, seed=2).params().items()}
+        for name, p in TwoLayerNet.from_arrays(CFG4, source).params().items():
+            assert p.tobytes() == source[name].astype(np.float64).tobytes()
+
+    def test_params_grads_and_entries_follow_the_layers(self):
+        net = TwoLayerNet(CFG4, seed=0)
+        names = ["c.W", "c.b", "g.Wx", "g.Wh", "g.b"]
+        assert list(net.params()) == list(net.grads()) == names
+        assert net.n_params == (2 * 3 * 4 + 4) + (4 * 12 + 4 * 12 + 12)
+        net.grads()["g.Wh"][...] = 1.0
+        net.zero_grads()
+        assert not net.gru.dWh.any()
+        entries = net.entries(["units"])
+        assert [(name, kind) for name, kind, _ in entries] == [
+            ("meta.units", "scalar"), ("c.W", "conv1d"), ("c.b", "conv1d"),
+            ("g.Wx", "gru"), ("g.Wh", "gru"), ("g.b", "gru")]
+        assert entries[0][2].tolist() == [4.0]
+        assert entries[4][2] is net.gru.Wh
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +489,8 @@ class TestAdam:
             np.testing.assert_array_equal(pa, pb)
 
     def test_duplicate_param_names_rejected(self):
-        layers = [nn.Dense(2, 2, name="same"), nn.Dense(2, 2, name="same")]
+        rng = np.random.default_rng(0)
+        layers = [nn.Dense(2, 2, "linear", rng, name="same"),
+                  nn.Dense(2, 2, "linear", rng, name="same")]
         with pytest.raises(ValueError, match="duplicate"):
             nn.collect_params(layers)
