@@ -106,11 +106,6 @@ def cmd_enhance(args) -> int:
                             "(or --identity for the debug pass-through)")
         net = _load_enhancer(args.weights)
         emb = load_embedding(args.embedding)
-        if len(emb) != net.config.embedding_dim:
-            raise DataError(
-                f"embedding dim {len(emb)} does not match model dim "
-                f"{net.config.embedding_dim}"
-            )
     start = time.perf_counter()
     out = enhance_audio(audio.samples, net, emb)
     elapsed = time.perf_counter() - start
@@ -133,7 +128,7 @@ def cmd_enhance(args) -> int:
 def cmd_mix(args) -> int:
     from targetvoice.synth import (
         TOY_TRAIN_S,
-        build_toy_speakers,
+        ToySpeakers,
         draw_sources,
         evaluation_specs,
         manifest_row,
@@ -151,7 +146,7 @@ def cmd_mix(args) -> int:
     if args.speakers < 2:
         raise DataError(f"--speakers {args.speakers}: a mixture needs two distinct talkers")
     os.makedirs(args.out_dir, exist_ok=True)
-    speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
+    speakers = ToySpeakers(args.speakers, args.seed)
     if args.preset == "eval":
         specs = evaluation_specs(args.n, args.seed, augmented=args.augment)
     else:
@@ -192,9 +187,9 @@ def cmd_mix(args) -> int:
 
 def cmd_train_embedder(args) -> int:
     from targetvoice.embedder import EmbedderTrainConfig, embedder_entries, train_embedder
-    from targetvoice.synth import build_toy_speakers, embedder_crop_sets
+    from targetvoice.synth import ToySpeakers, embedder_crop_sets
 
-    speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
+    speakers = ToySpeakers(args.speakers, args.seed)
     train_set, heldout_set = embedder_crop_sets(speakers)
     config = EmbedderTrainConfig(steps=args.steps, seed=args.seed)
     net, scale, history, _ = train_embedder(train_set, heldout_set, config,
@@ -216,16 +211,16 @@ def cmd_train_enhancer(args) -> int:
         enhancer_entries,
         train_enhancer_toy,
     )
-    from targetvoice.synth import build_toy_speakers, toy_enhancer_dataset
+    from targetvoice.synth import ToySpeakers, toy_enhancer_dataset
 
     embedder_net = _load_embedder(args.embedder)
     model = EnhancerConfig.preset(args.preset)
-    if model.embedding_dim != embedder_net.embedding_dim:
+    if model.embedding_dim != embedder_net.config.embedding_dim:
         raise DataError(
             f"preset {args.preset} expects embedding dim {model.embedding_dim}, "
-            f"embedder produces {embedder_net.embedding_dim}"
+            f"embedder produces {embedder_net.config.embedding_dim}"
         )
-    speakers = build_toy_speakers(n_speakers=args.speakers, seed=args.seed)
+    speakers = ToySpeakers(args.speakers, args.seed)
     dataset, _ = toy_enhancer_dataset(speakers, embedder_net,
                                       n_mixtures=args.mixtures, seed=args.seed)
     config = EnhancerTrainConfig(steps=args.steps, seed=args.seed, model=model,
@@ -247,6 +242,7 @@ def cmd_train_enhancer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from targetvoice.embedder import enroll_embedding
     from targetvoice.enhancer import lookahead_slices
     from targetvoice.frontend import extract_features
     from targetvoice.metrics import cosine_probe, si_snr_aligned, vad_accuracy, write_report
@@ -256,12 +252,14 @@ def cmd_eval(args) -> int:
     if args.mode == "model" and not args.enhancer:
         raise DataError("--mode model needs --enhancer weights")
     embedder_net = _load_embedder(args.embedder)
-    enhancer_net = _load_enhancer(args.enhancer) if args.enhancer else None
-    if args.mode == "model" and enhancer_net.config.embedding_dim != embedder_net.embedding_dim:
-        raise DataError(
-            f"enhancer expects embedding dim {enhancer_net.config.embedding_dim}, "
-            f"embedder produces {embedder_net.embedding_dim}"
-        )
+    enhancer_net = None
+    if args.mode == "model":
+        enhancer_net = _load_enhancer(args.enhancer)
+        if enhancer_net.config.embedding_dim != embedder_net.config.embedding_dim:
+            raise DataError(
+                f"enhancer expects embedding dim {enhancer_net.config.embedding_dim}, "
+                f"embedder produces {embedder_net.config.embedding_dim}"
+            )
     rows = []
     for idx, row in enumerate(read_manifest(args.manifest)):
         mixture = read_wav(row["mixture"]).samples.astype(np.float64)
@@ -270,13 +268,11 @@ def cmd_eval(args) -> int:
         target_feats = extract_features(target).features
 
         vad_acc = None
-        if args.mode == "oracle":
+        if args.mode != "identity":
             targets = compute_supervision(target_feats, extract_features(mixture).features)
+        if args.mode == "oracle":
             out = replay_controls(mixture, targets.gains, targets.strengths)
         elif args.mode == "model":
-            from targetvoice.embedder import enroll_embedding
-
-            targets = compute_supervision(target_feats, extract_features(mixture).features)
             enroll = read_wav(row["enrollment"]).samples
             emb = enroll_embedding(embedder_net, extract_features(enroll).features)
             out = enhance_audio(mixture, enhancer_net, emb)
@@ -321,7 +317,7 @@ def cmd_bench(args) -> int:
         net, emb = None, None
     else:
         config = EnhancerConfig.preset(args.preset)
-        net = EnhancerNet(config, seed=args.seed)
+        net = EnhancerNet(config, seed=args.seed).float32_weights()
         rng = np.random.default_rng(args.seed)
         emb = rng.standard_normal(config.embedding_dim)
         emb /= np.linalg.norm(emb)
@@ -337,6 +333,13 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-embedder", help="train the toy speaker embedder")
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--steps", type=_positive_int, default=200)
     p.add_argument("--speakers", type=int, default=8)
     common(p)
     p.set_defaults(func=cmd_train_embedder)
@@ -385,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-enhancer", help="train the toy enhancer")
     p.add_argument("--embedder", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--mixtures", type=int, default=96)
+    p.add_argument("--steps", type=_positive_int, default=1000)
+    p.add_argument("--mixtures", type=_positive_int, default=96)
     p.add_argument("--speakers", type=int, default=8)
     p.add_argument("--preset", choices=["toy", "ppn512", "ppn1024"], default="toy")
     common(p)

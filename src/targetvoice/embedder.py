@@ -21,10 +21,9 @@ from targetvoice.weights_io import check_shapes, read_meta
 MIN_EMBED_FRAMES = 50  # 0.5 s
 ENROLL_CROP_FRAMES = 599  # 6 s
 
-# GE2E batches: speakers per batch, utterances per speaker; Adam's step size
+# GE2E batches: speakers per batch, utterances per speaker
 GE2E_SPEAKERS = 8
 GE2E_UTTERANCES = 4
-EMBEDDER_LR = 1e-3
 
 # training steps between held-out EER checkpoints (and the last step)
 EVAL_EVERY = 50
@@ -58,10 +57,6 @@ class EmbedderNet(Net):
         self.proj = Dense(units, dim, "linear", rng, "se_proj")
         self.layers = [self.conv1, self.conv2, self.gru1, self.gru2, self.proj]
         self._cache = None
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.config.embedding_dim
 
     def forward_batch(self, features: np.ndarray) -> np.ndarray:
         """Embed a [B, T, 68] batch of equal-length sequences -> [B, E]."""
@@ -214,8 +209,7 @@ class EmbedderTrainConfig:
     seed: int = 0
 
 
-def train_embedder(train_set: dict, heldout_set: dict,
-                   config: EmbedderTrainConfig = EmbedderTrainConfig(),
+def train_embedder(train_set: dict, heldout_set: dict, config: EmbedderTrainConfig,
                    log=None):
     """Train an embedder with GE2E batches of equal-length feature crops.
 
@@ -240,7 +234,7 @@ def train_embedder(train_set: dict, heldout_set: dict,
     params = dict(net.params())
     params["ge2e.w"] = w
     params["ge2e.b"] = b
-    opt = Adam(params, lr=EMBEDDER_LR)
+    opt = Adam(params)
 
     n_spk = min(GE2E_SPEAKERS, len(speakers))
     n_utt = GE2E_UTTERANCES

@@ -36,8 +36,6 @@ VAD_LOSS_WEIGHT = 1.0
 VAD_ENERGY_GATE_DB = 40.0
 BCE_CLAMP = 1e-7
 _POW_EPS = 1e-10
-# Adam's step size in train_enhancer_toy
-ENHANCER_LR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,7 @@ def train_enhancer_toy(dataset: list, config: EnhancerTrainConfig, log=None):
         raise ValueError("empty training dataset")
     rng = np.random.default_rng(config.seed)
     net = EnhancerNet(config.model, seed=config.model_seed)
-    opt = Adam(net.params(), lr=ENHANCER_LR)
+    opt = Adam(net.params())
 
     losses = []
     for step in range(1, config.steps + 1):
@@ -371,9 +369,6 @@ class EnhancerWeights:
     def n_params(self) -> int:
         return sum(arr.size for arr in self.arrays.values())
 
-    def float32_weights(self) -> EnhancerWeights:
-        return self
-
     def forward(self, features: np.ndarray, embedding: np.ndarray):
         """EnhancerNet.forward on the widened arrays."""
         if self._net is None:
@@ -393,24 +388,23 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class EnhancerSession:
     """Per-stream float32 inference over an enhancer's read-only weights.
 
-    `net` is an EnhancerNet or EnhancerWeights; the session runs on
-    net.float32_weights().arrays, so every session on one EnhancerWeights
-    shares its arrays. The session holds only its own state: the two conv
+    The session runs on `weights.arrays`, which every session on one
+    EnhancerWeights shares. It holds only its own state: the two conv
     layers' input windows (newest frame first), one hidden vector per GRU
     layer, and GRU 1's bias with the constant embedding term folded in.
     step() allocates only temporaries, so a warm stream shows no
     steady-state heap growth (audited by acceptance criterion 8).
     """
 
-    def __init__(self, net: EnhancerNet | EnhancerWeights, embedding: np.ndarray):
-        cfg = net.config
+    def __init__(self, weights: EnhancerWeights, embedding: np.ndarray):
+        cfg = weights.config
         if embedding.shape != (cfg.embedding_dim,):
             raise ValueError(
                 f"embedding shape {embedding.shape} does not match model "
                 f"dim {cfg.embedding_dim}"
             )
         self.cfg = cfg
-        self.weights = w = net.float32_weights().arrays
+        self.weights = w = weights.arrays
         c, n = cfg.conv_channels, cfg.gru_units
         # GRU 1 sees [conv2 out, embedding]; the embedding's term is constant
         self._gru1_b = (embedding.astype(np.float64) @ w["en_gru1.Wx"][c:].astype(np.float64)

@@ -19,14 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import correlate
 
+from targetvoice.enhancer import EnhancerWeights
 from targetvoice.frontend import HOP, SAMPLE_RATE
 
 SI_SNR_CAP_DB = 60.0
 ALIGN_MAX_SHIFT = 2400
 VAD_THRESHOLD = 0.5
-# benchmark_stream's untimed warm-up and the seed of its synthetic audio
+# benchmark_stream's untimed warm-up, the seed of its synthetic audio, and
+# the frames its heap audit lets settle, then measures
 BENCH_WARMUP_S = 1.0
 BENCH_SEED = 0
+BENCH_SETTLE_FRAMES = 2000
+BENCH_AUDIT_FRAMES = 1000
 
 
 class MetricError(ValueError):
@@ -197,16 +201,15 @@ class BenchmarkReport:
         )
 
 
-def benchmark_stream(net=None, embedding=None, duration_s: float = 10.0,
-                     audit_frames: int = 1000,
-                     settle_frames: int = 2000) -> BenchmarkReport:
+def benchmark_stream(weights: EnhancerWeights | None = None, embedding=None,
+                     duration_s: float = 10.0) -> BenchmarkReport:
     """Time the full pipeline on synthetic audio and audit heap growth.
 
     Wall time is measured after BENCH_WARMUP_S of untimed warm-up, without
     tracing. A separate untimed pass then runs under tracemalloc: after
-    settle_frames let the interpreter and numpy/scipy caches reach steady
-    state, net traced bytes and live-object count are measured across
-    audit_frames. A warm stream holds both at zero up to sub-pointer-size
+    BENCH_SETTLE_FRAMES let the interpreter and numpy/scipy caches reach
+    steady state, net traced bytes and live-object count are measured across
+    BENCH_AUDIT_FRAMES. A warm stream holds both at zero up to sub-pointer-size
     pool jitter (observed well under 16 bytes/frame, versus the several
     kilobytes every frame of fresh buffers would cost).
 
@@ -216,7 +219,7 @@ def benchmark_stream(net=None, embedding=None, duration_s: float = 10.0,
     from targetvoice.synth import speech_shaped_noise
 
     audio = speech_shaped_noise(BENCH_SEED, BENCH_WARMUP_S + duration_s).samples.astype(np.float64)
-    engine = StreamingEnhancer(net, embedding)
+    engine = StreamingEnhancer(weights, embedding)
 
     warm_hops = int(BENCH_WARMUP_S * SAMPLE_RATE) // HOP
     total_hops = len(audio) // HOP
@@ -236,17 +239,17 @@ def benchmark_stream(net=None, embedding=None, duration_s: float = 10.0,
     rtf = processed_s / max(elapsed, 1e-9)
 
     # allocation audit (untimed): net growth over a steady-state region
-    audit_s = (settle_frames + audit_frames + 10) * HOP / SAMPLE_RATE
+    audit_s = (BENCH_SETTLE_FRAMES + BENCH_AUDIT_FRAMES + 10) * HOP / SAMPLE_RATE
     audit_audio = speech_shaped_noise(BENCH_SEED + 1, audit_s).samples.astype(np.float64)
     tracemalloc.start()
     pos = 0
-    for _ in range(settle_frames):
+    for _ in range(BENCH_SETTLE_FRAMES):
         engine.process(audit_audio[pos : pos + HOP])
         pos += HOP
     gc.collect()
     objs_before = len(gc.get_objects())
     bytes_before, _ = tracemalloc.get_traced_memory()
-    for _ in range(audit_frames):
+    for _ in range(BENCH_AUDIT_FRAMES):
         engine.process(audit_audio[pos : pos + HOP])
         pos += HOP
     gc.collect()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -331,11 +332,10 @@ class Net:
 
 
 class Adam:
-    """Adam with global gradient-norm clipping (lr 1e-3, clip 5.0)."""
+    """Adam with global gradient-norm clipping (step size ADAM_LR, clip 5.0)."""
 
-    def __init__(self, named_params: dict[str, np.ndarray], lr: float = 1e-3):
+    def __init__(self, named_params: dict[str, np.ndarray]):
         self.params = named_params
-        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in named_params.items()}
         self.v = {k: np.zeros_like(v) for k, v in named_params.items()}
         self.t = 0
@@ -361,7 +361,7 @@ class Adam:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            p -= ADAM_LR * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         return norm
 
 

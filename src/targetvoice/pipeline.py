@@ -28,7 +28,7 @@ from collections import deque
 import numpy as np
 
 from targetvoice.comb import CombState, OverlapAddSynthesizer, apply_per_band
-from targetvoice.enhancer import EnhancerNet, EnhancerSession, EnhancerWeights
+from targetvoice.enhancer import EnhancerSession, EnhancerWeights
 from targetvoice.frontend import (
     HOP,
     LOOKAHEAD_FRAMES,
@@ -77,9 +77,9 @@ class StreamingEnhancer:
     then the first input hop. A FeatureStream of its own frames those 960
     samples; the frame gets no model step, and it makes reconstruction
     exact from the first sample. Every later frame is a row of the engine's
-    FeatureStream, which frames the input as extract_features does. `net`
-    is an EnhancerNet or EnhancerWeights; the session runs on its read-only
-    float32 weights, and every mutable buffer lives in this object.
+    FeatureStream, which frames the input as extract_features does. The
+    session runs on the read-only float32 `weights`, and every mutable
+    buffer lives in this object.
     `session` supplies the per-frame controls: an EnhancerSession,
     a ControlReplay, or None (identity). Only samples received while
     `session` is set enter the comb ring, which only the controls read: a
@@ -90,14 +90,14 @@ class StreamingEnhancer:
 
     DELAY_SAMPLES = (LOOKAHEAD_FRAMES + 1) * HOP  # 40 ms stream delay
 
-    def __init__(self, net: EnhancerNet | EnhancerWeights | None = None,
+    def __init__(self, weights: EnhancerWeights | None = None,
                  embedding: np.ndarray | None = None,
                  fb: ErbFilterbank | None = None):
         check_filterbank(fb)
-        if net is not None:
+        if weights is not None:
             if embedding is None:
                 raise ValueError("a model needs a speaker embedding")
-            self.session = EnhancerSession(net, np.asarray(embedding, dtype=np.float32))
+            self.session = EnhancerSession(weights, np.asarray(embedding, dtype=np.float32))
         else:
             self.session = None
 
@@ -166,10 +166,10 @@ class StreamingEnhancer:
         return self.process(np.zeros(pad))
 
 
-def enhance_audio(audio: np.ndarray, net: EnhancerNet | EnhancerWeights | None = None,
+def enhance_audio(audio: np.ndarray, weights: EnhancerWeights | None = None,
                   embedding: np.ndarray | None = None) -> np.ndarray:
     """Process a whole buffer; output is delay-compensated and equal length."""
-    return _run_whole(StreamingEnhancer(net, embedding), audio)
+    return _run_whole(StreamingEnhancer(weights, embedding), audio)
 
 
 def replay_controls(audio: np.ndarray, gains: np.ndarray,

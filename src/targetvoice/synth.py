@@ -490,11 +490,6 @@ class ToySpeakers(Sequence):
         return self._built[k]
 
 
-def build_toy_speakers(n_speakers: int = 8, seed: int = 0) -> ToySpeakers:
-    """Synthetic speakers, each split into disjoint regions when first read."""
-    return ToySpeakers(n_speakers, seed)
-
-
 def embedder_crop_sets(speakers: Sequence[ToySpeaker]):
     """Equal-length feature crops per speaker for GE2E training + EER eval.
 

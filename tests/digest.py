@@ -180,7 +180,7 @@ def group_replay(h) -> None:
 def group_toy(h) -> None:
     net = toy_net()
     emb = _unit(net.config.embedding_dim, 6)
-    for model in (net, _loaded(net)):
+    for model in (net.float32_weights(), _loaded(net)):
         _engine_runs(h, lambda: StreamingEnhancer(model, emb))
 
 
@@ -233,7 +233,7 @@ def group_speaker(h) -> None:
 
 
 def group_dataset(h) -> None:
-    speakers = sy.build_toy_speakers(n_speakers=3, seed=0)
+    speakers = sy.ToySpeakers(3, 0)
     net = EmbedderNet(EmbedderConfig.toy(), seed=0)
     dataset, embeddings = sy.toy_enhancer_dataset(speakers, net, n_mixtures=4, seed=0)
     for example in dataset:

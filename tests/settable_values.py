@@ -18,6 +18,9 @@ import ast
 import os
 import sys
 
+PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "targetvoice")
+
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
     for dec in node.decorator_list:
@@ -41,17 +44,21 @@ def count(source: str) -> int:
     return n
 
 
-def main(argv: list[str]) -> int:
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    pkg = argv[0] if argv else os.path.join(root, "src", "targetvoice")
-    total = 0
+def counts(pkg: str) -> dict[str, int]:
+    """Module file name -> count, for each module of the package dir `pkg`."""
+    out = {}
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
-                n = count(fh.read())
-            total += n
-            print(f"{name:<16} {n}")
-    print(f"{'total':<16} {total}")
+                out[name] = count(fh.read())
+    return out
+
+
+def main(argv: list[str]) -> int:
+    per_module = counts(argv[0] if argv else PACKAGE)
+    for name, n in per_module.items():
+        print(f"{name:<16} {n}")
+    print(f"{'total':<16} {sum(per_module.values())}")
     return 0
 
 

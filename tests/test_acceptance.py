@@ -49,7 +49,7 @@ def fbank():
 
 @pytest.fixture(scope="module")
 def toy_speakers():
-    return sy.build_toy_speakers(n_speakers=8, seed=0)
+    return sy.ToySpeakers(8, 0)
 
 
 @pytest.fixture(scope="module")
@@ -348,11 +348,12 @@ def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
     active_total = 0
     vad_target_only: list[float] = []
     vad_interf_only: list[float] = []
+    weights_h = net_h.float32_weights()
     for example, spk_a, spk_b in mixtures:
         mix = example.mixture.samples.astype(np.float64)
         ref = example.clean_target.samples.astype(np.float64)
-        out_a = enhance_audio(mix, net_h, embeddings[spk_a])
-        out_b = enhance_audio(mix, net_h, embeddings[spk_b])
+        out_a = enhance_audio(mix, weights_h, embeddings[spk_a])
+        out_b = enhance_audio(mix, weights_h, embeddings[spk_b])
         if mt.si_snr_aligned(out_a, ref) > mt.si_snr_aligned(out_b, ref):
             wins += 1
         feats = fe.extract_features(mix).features
@@ -405,7 +406,7 @@ def test_criterion_8_realtime_gate():
     rng = np.random.default_rng(0)
     emb = rng.standard_normal(net.config.embedding_dim)
     emb /= np.linalg.norm(emb)
-    report = mt.benchmark_stream(net, emb, duration_s=5.0)
+    report = mt.benchmark_stream(net.float32_weights(), emb, duration_s=5.0)
     per_frame_bytes = report.alloc_net_bytes / 1000.0
     checks = [
         ("realtime_factor > 1", report.realtime_factor > 1.0,

@@ -202,7 +202,7 @@ class TestMix:
         def no_speakers(*_, **__):
             raise AssertionError("speakers built for a request that cannot be met")
 
-        monkeypatch.setattr(synth, "build_toy_speakers", no_speakers)
+        monkeypatch.setattr(synth, "ToySpeakers", no_speakers)
         out = tmp_path / "mix"
         rc = main(["mix", "--out-dir", str(out), "--n", "1"] + args)
         assert rc == EXIT_DATA
@@ -335,6 +335,20 @@ class TestEval:
         assert seen == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["identity", "oracle"])
+    def test_modes_without_a_model_never_load_the_enhancer(
+            self, tmp_path, mix_dir, embedder_weights, monkeypatch, mode):
+        from targetvoice import cli
+
+        def refuse(path):
+            raise AssertionError(f"{mode} mode loaded the enhancer {path}")
+
+        monkeypatch.setattr(cli, "_load_enhancer", refuse)
+        rc = main(["eval", "--manifest", os.path.join(mix_dir, "manifest.jsonl"),
+                   "--embedder", embedder_weights, "--enhancer", str(tmp_path / "none.ppnw"),
+                   "--mode", mode, "--out", str(tmp_path / "report.jsonl")])
+        assert rc == EXIT_OK
+
     def test_eval_deterministic(self, tmp_path, mix_dir, embedder_weights):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):
@@ -391,12 +405,31 @@ class TestTraining:
         def no_speakers(*_, **__):
             raise AssertionError("speakers built for a request that cannot be met")
 
-        monkeypatch.setattr(synth, "build_toy_speakers", no_speakers)
+        monkeypatch.setattr(synth, "ToySpeakers", no_speakers)
         out = tmp_path / "enh.ppnw"
         rc = main(["train-enhancer", "--embedder", embedder_weights,
                    "--out", str(out), "--preset", "ppn512"])
         assert rc == EXIT_DATA
         assert "expects embedding dim 128, embedder produces 16" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train-embedder", "--steps", "0"],
+        ["train-enhancer", "--embedder", "se.ppnw", "--steps", "0"],
+        ["train-enhancer", "--embedder", "se.ppnw", "--mixtures", "0"],
+    ], ids=["embedder_steps", "enhancer_steps", "enhancer_mixtures"])
+    def test_nothing_to_train_exits_2_before_building_speakers(
+            self, tmp_path, monkeypatch, argv):
+        from targetvoice import synth
+
+        def no_speakers(*_, **__):
+            raise AssertionError("speakers built for a request that cannot be met")
+
+        monkeypatch.setattr(synth, "ToySpeakers", no_speakers)
+        out = tmp_path / "out.ppnw"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out), "--speakers", "4"])
+        assert exc.value.code == 2
         assert not out.exists()
 
 

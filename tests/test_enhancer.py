@@ -263,7 +263,7 @@ class TestSessionAndSerialization:
         feats = (0.4 * rng.standard_normal((25, 68))).astype(np.float64)
         emb = unit_embeddings(1, 8, seed=11)[0]
         gains, strengths, vad = tiny_net.forward(feats, emb)
-        session = en.EnhancerSession(tiny_net, emb.astype(np.float32))
+        session = en.EnhancerSession(tiny_net.float32_weights(), emb.astype(np.float32))
         for t in range(25):
             v = session.step(feats[t].astype(np.float32))
             np.testing.assert_allclose(session.gains, gains[t], atol=1e-5)
@@ -278,7 +278,7 @@ class TestSessionAndSerialization:
         feats = 0.5 * rng.standard_normal((300, 68))
         emb = unit_embeddings(1, net.config.embedding_dim, seed=12)[0]
         gains, strengths, vad = net.forward(feats, emb)
-        session = en.EnhancerSession(net, emb.astype(np.float32))
+        session = en.EnhancerSession(net.float32_weights(), emb.astype(np.float32))
         got = ([], [], [])
         for t in range(300):
             got[2].append(session.step(feats[t].astype(np.float32)))
@@ -314,8 +314,8 @@ class TestSharedWeights:
         e1, e2 = unit_embeddings(2, 8, seed=14).astype(np.float32)
         s1, s2 = en.EnhancerSession(weights, e1), en.EnhancerSession(weights, e2)
         assert s1.weights is s2.weights is weights.arrays
-        # a session on the net itself runs on weights narrowed for it alone
-        assert en.EnhancerSession(net, e1).weights is not s1.weights
+        # each narrowing of the net is a copy of its own
+        assert net.float32_weights().arrays is not weights.arrays
         names = [name for name, _ in en._param_shapes(tiny_cfg)]
         assert list(s1.weights) == names
         assert len(names) == 12 + 3 * tiny_cfg.n_gru_layers
@@ -336,15 +336,15 @@ class TestSharedWeights:
         rng = np.random.default_rng(15)
         feats = 0.4 * rng.standard_normal((2, 12, 68))
         emb = unit_embeddings(2, 8, seed=16)
-        first = en.EnhancerSession(net, emb[0].astype(np.float32))
+        first = en.EnhancerSession(net.float32_weights(), emb[0].astype(np.float32))
         before = {name: arr.copy() for name, arr in first.weights.items()}
-        opt = Adam(net.params(), lr=1e-2)
+        opt = Adam(net.params())
         net.zero_grads()
         g, s, v = net.forward(feats, emb)
         net.backward(np.ones_like(g), np.ones_like(s), np.ones_like(v))
         opt.step(net.grads())
 
-        second = en.EnhancerSession(net, emb[0].astype(np.float32))
+        second = en.EnhancerSession(net.float32_weights(), emb[0].astype(np.float32))
         assert not np.array_equal(second.weights["en_dense_in.W"],
                                   first.weights["en_dense_in.W"])
         gains, strengths, vad = net.forward(feats[0], emb[0])
@@ -392,7 +392,8 @@ class TestLoadedNet:
         rng = np.random.default_rng(18)
         x = 0.3 * rng.standard_normal(12000)
         bounds = np.minimum(np.cumsum([0, *rng.integers(1, 1500, size=30)]), len(x))
-        assert run_engine(loaded, emb, x, bounds) == run_engine(net, emb, x, bounds)
+        assert (run_engine(loaded, emb, x, bounds)
+                == run_engine(net.float32_weights(), emb, x, bounds))
         assert loaded.n_params == net.n_params
         assert loaded._net is None  # streaming and counting build no float64 net
 
@@ -400,7 +401,6 @@ class TestLoadedNet:
         _, entries, loaded = save_and_load(tiny_net)
         session = en.EnhancerSession(loaded, unit_embeddings(1, 8)[0].astype(np.float32))
         assert session.weights is loaded.arrays
-        assert loaded.float32_weights() is loaded
         assert list(loaded.arrays) == [name for name, _ in en._param_shapes(loaded.config)]
         for name, arr in loaded.arrays.items():
             assert arr is entries[name][1]

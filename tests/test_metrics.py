@@ -119,13 +119,13 @@ class TestVadAccuracy:
 
 class TestBenchmark:
     def test_frames_scale_with_duration(self):
-        a = mt.benchmark_stream(duration_s=1.0, audit_frames=10, settle_frames=10)
-        b = mt.benchmark_stream(duration_s=2.0, audit_frames=10, settle_frames=10)
+        a = mt.benchmark_stream(duration_s=1.0)
+        b = mt.benchmark_stream(duration_s=2.0)
         assert a.frames_processed == 100
         assert b.frames_processed == 200
 
     def test_identity_engine_is_realtime(self):
-        report = mt.benchmark_stream(duration_s=2.0, audit_frames=50, settle_frames=50)
+        report = mt.benchmark_stream(duration_s=2.0)
         assert report.realtime_factor > 1.0
         assert report.cpu_fraction == pytest.approx(1.0 / report.realtime_factor)
 
@@ -134,11 +134,10 @@ class TestBenchmark:
         # floor with headroom for slower CI machines
         from targetvoice.enhancer import EnhancerConfig, EnhancerNet
 
-        net = EnhancerNet(EnhancerConfig.preset("toy"), seed=0)
+        weights = EnhancerNet(EnhancerConfig.preset("toy"), seed=0).float32_weights()
         emb = np.random.default_rng(0).standard_normal(16)
         emb /= np.linalg.norm(emb)
-        report = mt.benchmark_stream(net, emb, duration_s=2.0,
-                                     audit_frames=50, settle_frames=50)
+        report = mt.benchmark_stream(weights, emb, duration_s=2.0)
         assert report.realtime_factor > 8.0
 
 

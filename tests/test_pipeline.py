@@ -82,10 +82,10 @@ def apply_band_controls(audio, gains, strengths, periods):
 
 @pytest.fixture(scope="module")
 def toy_model():
-    net = en.EnhancerNet(en.EnhancerConfig.preset("toy"), seed=1)
+    weights = en.EnhancerNet(en.EnhancerConfig.preset("toy"), seed=1).float32_weights()
     rng = np.random.default_rng(0)
     emb = rng.standard_normal(16)
-    return net, emb / np.linalg.norm(emb)
+    return weights, emb / np.linalg.norm(emb)
 
 
 class TestIdentityReconstruction:
@@ -268,7 +268,7 @@ class TestModelPath:
         silencer.head_gains.b[...] = -60.0  # sigmoid -> 0
         silencer.head_strengths.b[...] = -60.0
         x = 0.3 * np.random.default_rng(9).standard_normal(24000)
-        y = enhance_audio(x, silencer, emb)
+        y = enhance_audio(x, silencer.float32_weights(), emb)
         assert float(np.max(np.abs(y))) < 1e-6
 
     def test_session_set_mid_stream_fills_the_comb_ring_from_then_on(self):
@@ -359,9 +359,8 @@ class TestSharedWeights:
         clips = [tone(110.0 * (k + 2), n_hops * 480 / 48000)
                  + 0.1 * rng.standard_normal(n_hops * 480) for k in range(4)]
         clips[3][n_hops * 480 // 2] = np.nan
-        weights = net.float32_weights()
-        engines = [StreamingEnhancer(weights, e) for e in embs]
-        assert all(e.session.weights is weights.arrays for e in engines)
+        engines = [StreamingEnhancer(net, e) for e in embs]
+        assert all(e.session.weights is net.arrays for e in engines)
         outs = [[] for _ in engines]
         for h in range(n_hops):
             for k, eng in enumerate(engines):

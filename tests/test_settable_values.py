@@ -1,6 +1,6 @@
 """tests/settable_values.py counts what it says it counts."""
 
-from tests.settable_values import count
+from tests.settable_values import PACKAGE, count, counts
 
 SOURCE = '''
 from dataclasses import dataclass, field
@@ -36,3 +36,8 @@ def run(x, y=1, *args, z=2, **kw):
 def test_counts_signature_defaults_and_config_fields():
     # ModelConfig: 3 fields + 2 defaults (by, floor); run: y, z; inner: q
     assert count(SOURCE) == 8
+
+
+def test_package_total_is_pinned():
+    # a change that adds a justified option raises this pin and says so
+    assert sum(counts(PACKAGE).values()) == 45

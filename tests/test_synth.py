@@ -228,7 +228,7 @@ class TestSynthSpeaker:
         b = sy.synth_speaker(5, 2.0)
         np.testing.assert_array_equal(a.samples, b.samples)
 
-    # the toy-speaker seeds (build_toy_speakers seeds 0 and 1), the seeds of
+    # the toy-speaker seeds (ToySpeakers seeds 0 and 1), the seeds of
     # the other tests, and random ones
     PULSE_SEEDS = sorted({*range(8), *range(1000, 1008), *range(20, 30), 3, 9, 11, 917,
                           12345, *np.random.default_rng(19).integers(0, 2 ** 31, 4).tolist()})
