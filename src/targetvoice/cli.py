@@ -49,6 +49,11 @@ def _write_sidecar(out_path: str, args: argparse.Namespace) -> None:
             fh.write(f"{key} = {val}\n")
 
 
+def _check_speakers(count: int, minimum: int, need: str) -> None:
+    if count < minimum:  # checked before any speaker is built
+        raise DataError(f"--speakers {count}: {need}")
+
+
 def _load_embedder(path):
     from targetvoice.embedder import embedder_from_entries
 
@@ -127,6 +132,7 @@ def cmd_enhance(args) -> int:
 
 def cmd_mix(args) -> int:
     from targetvoice.synth import (
+        MIXTURE_TALKERS,
         TOY_TRAIN_S,
         ToySpeakers,
         draw_sources,
@@ -143,8 +149,7 @@ def cmd_mix(args) -> int:
     if args.duration < WINDOW / SAMPLE_RATE:
         raise DataError(f"--duration {args.duration} s is shorter than one "
                         f"{WINDOW / SAMPLE_RATE} s analysis window")
-    if args.speakers < 2:
-        raise DataError(f"--speakers {args.speakers}: a mixture needs two distinct talkers")
+    _check_speakers(args.speakers, MIXTURE_TALKERS, "a mixture needs two distinct talkers")
     os.makedirs(args.out_dir, exist_ok=True)
     speakers = ToySpeakers(args.speakers, args.seed)
     if args.preset == "eval":
@@ -186,18 +191,20 @@ def cmd_mix(args) -> int:
 
 
 def cmd_train_embedder(args) -> int:
-    from targetvoice.embedder import EmbedderTrainConfig, embedder_entries, train_embedder
+    from targetvoice import embedder
     from targetvoice.synth import ToySpeakers, embedder_crop_sets
 
+    _check_speakers(args.speakers, embedder.MIN_SPEAKERS,
+                    f"embedder training needs >= {embedder.MIN_SPEAKERS} speakers")
     speakers = ToySpeakers(args.speakers, args.seed)
     train_set, heldout_set = embedder_crop_sets(speakers)
-    config = EmbedderTrainConfig(steps=args.steps, seed=args.seed)
-    net, scale, history, _ = train_embedder(train_set, heldout_set, config,
-                                            log=print)
+    config = embedder.EmbedderTrainConfig(steps=args.steps, seed=args.seed)
+    net, scale, history, _ = embedder.train_embedder(train_set, heldout_set, config,
+                                                     log=print)
     final_eer = history[-1][1]
     if not np.isfinite(final_eer):
         raise NumericError("EER is not finite")
-    save_weights(args.out, "embedder", embedder_entries(net))
+    save_weights(args.out, "embedder", embedder.embedder_entries(net))
     _write_sidecar(args.out, args)
     print(f"final EER = {final_eer:.3f}")
     print(f"wrote {args.out}")
@@ -211,8 +218,9 @@ def cmd_train_enhancer(args) -> int:
         enhancer_entries,
         train_enhancer_toy,
     )
-    from targetvoice.synth import ToySpeakers, toy_enhancer_dataset
+    from targetvoice.synth import MIXTURE_TALKERS, ToySpeakers, toy_enhancer_dataset
 
+    _check_speakers(args.speakers, MIXTURE_TALKERS, "a mixture needs two distinct talkers")
     embedder_net = _load_embedder(args.embedder)
     model = EnhancerConfig.preset(args.preset)
     if model.embedding_dim != embedder_net.config.embedding_dim:
@@ -243,7 +251,7 @@ def cmd_train_enhancer(args) -> int:
 
 def cmd_eval(args) -> int:
     from targetvoice.embedder import enroll_embedding
-    from targetvoice.enhancer import lookahead_slices
+    from targetvoice.enhancer import EnhancerSession, lookahead_slices
     from targetvoice.frontend import extract_features
     from targetvoice.metrics import cosine_probe, si_snr_aligned, vad_accuracy, write_report
     from targetvoice.pipeline import enhance_audio, replay_controls
@@ -252,12 +260,12 @@ def cmd_eval(args) -> int:
     if args.mode == "model" and not args.enhancer:
         raise DataError("--mode model needs --enhancer weights")
     embedder_net = _load_embedder(args.embedder)
-    enhancer_net = None
+    enhancer = None
     if args.mode == "model":
-        enhancer_net = _load_enhancer(args.enhancer)
-        if enhancer_net.config.embedding_dim != embedder_net.config.embedding_dim:
+        enhancer = _load_enhancer(args.enhancer)
+        if enhancer.config.embedding_dim != embedder_net.config.embedding_dim:
             raise DataError(
-                f"enhancer expects embedding dim {enhancer_net.config.embedding_dim}, "
+                f"enhancer expects embedding dim {enhancer.config.embedding_dim}, "
                 f"embedder produces {embedder_net.config.embedding_dim}"
             )
     rows = []
@@ -275,8 +283,8 @@ def cmd_eval(args) -> int:
         elif args.mode == "model":
             enroll = read_wav(row["enrollment"]).samples
             emb = enroll_embedding(embedder_net, extract_features(enroll).features)
-            out = enhance_audio(mixture, enhancer_net, emb)
-            _, _, vad = enhancer_net.forward(targets.features, emb)
+            out = enhance_audio(mixture, enhancer, emb)
+            _, _, vad = EnhancerSession(enhancer, emb).step(targets.features)
             out_t, lab_t = lookahead_slices(len(vad), len(targets.vad))
             acc, _, _ = vad_accuracy(vad[out_t], targets.vad[lab_t])
             vad_acc = float(acc)
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mix", help="synthesize an evaluation/training mixture set")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n", type=int, default=50)
+    p.add_argument("--n", type=_positive_int, default=50)
     p.add_argument("--preset", choices=["eval", "train"], default="eval")
     p.add_argument("--duration", type=float, default=4.0)
     p.add_argument("--speakers", type=int, default=8)

@@ -24,6 +24,7 @@ ENROLL_CROP_FRAMES = 599  # 6 s
 # GE2E batches: speakers per batch, utterances per speaker
 GE2E_SPEAKERS = 8
 GE2E_UTTERANCES = 4
+MIN_SPEAKERS = 4  # the fewest train_embedder accepts
 
 # training steps between held-out EER checkpoints (and the last step)
 EVAL_EVERY = 50
@@ -221,8 +222,8 @@ def train_embedder(train_set: dict, heldout_set: dict, config: EmbedderTrainConf
     from targetvoice.metrics import eer as compute_eer
 
     speakers = sorted(train_set)
-    if len(speakers) < 4:
-        raise ValueError(f"need >= 4 speakers, got {len(speakers)}")
+    if len(speakers) < MIN_SPEAKERS:
+        raise ValueError(f"need >= {MIN_SPEAKERS} speakers, got {len(speakers)}")
     for spk in speakers:
         if len(train_set[spk]) < 4:
             raise ValueError(f"speaker {spk!r} has < 4 utterances")

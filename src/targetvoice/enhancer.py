@@ -90,7 +90,7 @@ class EnhancerNet(Net):
         return EnhancerWeights(self.config, _shared_float32(self.params()))
 
     def forward(self, features: np.ndarray, embedding: np.ndarray):
-        """Run [B, T, 68] features with [B, E] embeddings (or unbatched).
+        """Run [B, T, 68] features with [B, E] embeddings.
 
         Returns (gains, strengths, vad) with sigmoid ranges; the output at
         frame t depends only on features at frames <= t plus the constant
@@ -98,10 +98,6 @@ class EnhancerNet(Net):
         """
         features = np.asarray(features, dtype=np.float64)
         embedding = np.asarray(embedding, dtype=np.float64)
-        squeeze = features.ndim == 2
-        if squeeze:
-            features = features[None]
-            embedding = embedding[None]
         if embedding.shape[-1] != self.config.embedding_dim:
             raise ValueError(
                 f"embedding dim {embedding.shape[-1]} does not match model "
@@ -123,8 +119,6 @@ class EnhancerNet(Net):
             np.concatenate([h, gains], axis=-1)
         )
         vad = self.head_vad.forward(gru_outs[0])[..., 0]
-        if squeeze:
-            return gains[0], strengths[0], vad[0]
         return gains, strengths, vad
 
     def backward(self, d_gains: np.ndarray, d_strengths: np.ndarray,
@@ -356,14 +350,13 @@ class EnhancerWeights:
 
     `arrays` maps each parameter name, in EnhancerNet.params() order, to a
     read-only float32 array; every session on these weights runs on those
-    arrays. forward() runs the float64 net widened from them bit for bit,
-    built on its first call and kept.
+    arrays. forward() is for training-side checks: each call runs a float64
+    net widened from them bit for bit, and keeps nothing.
     """
 
     def __init__(self, config: EnhancerConfig, arrays: MappingProxyType):
         self.config = config
         self.arrays = arrays
-        self._net = None
 
     @property
     def n_params(self) -> int:
@@ -371,9 +364,7 @@ class EnhancerWeights:
 
     def forward(self, features: np.ndarray, embedding: np.ndarray):
         """EnhancerNet.forward on the widened arrays."""
-        if self._net is None:
-            self._net = EnhancerNet.from_arrays(self.config, self.arrays)
-        return self._net.forward(features, embedding)
+        return EnhancerNet.from_arrays(self.config, self.arrays).forward(features, embedding)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +385,15 @@ class EnhancerSession:
     layer, and GRU 1's bias with the constant embedding term folded in.
     step() allocates only temporaries, so a warm stream shows no
     steady-state heap growth (audited by acceptance criterion 8).
+
+    step() stacks a block's rows as [k, 1, ·], so each product that does not
+    depend on earlier rows is one matrix-vector product per row, with the
+    bytes of a one-row step; a [k, ·] gemm would not keep them.
     """
 
     def __init__(self, weights: EnhancerWeights, embedding: np.ndarray):
         cfg = weights.config
+        embedding = np.asarray(embedding, dtype=np.float32)
         if embedding.shape != (cfg.embedding_dim,):
             raise ValueError(
                 f"embedding shape {embedding.shape} does not match model "
@@ -406,9 +402,12 @@ class EnhancerSession:
         self.cfg = cfg
         self.weights = w = weights.arrays
         c, n = cfg.conv_channels, cfg.gru_units
+        # [1, 1, ·] bias views, which a one-row block adds unbroadcast
+        self._biases = {name[:-2]: arr[None, None] for name, arr in w.items()
+                        if name.endswith(".b")}
         # GRU 1 sees [conv2 out, embedding]; the embedding's term is constant
         self._gru1_b = (embedding.astype(np.float64) @ w["en_gru1.Wx"][c:].astype(np.float64)
-                        + w["en_gru1.b"].astype(np.float64)).astype(np.float32)
+                        + w["en_gru1.b"].astype(np.float64)).astype(np.float32)[None, None]
         self._conv1_in = np.zeros((5, cfg.dense_units), dtype=np.float32)
         self._conv2_in = np.zeros((3, c), dtype=np.float32)
         self._h = [np.zeros(n, dtype=np.float32) for _ in range(cfg.n_gru_layers)]
@@ -422,27 +421,34 @@ class EnhancerSession:
         return np.tanh(window.reshape(-1) @ wc.reshape(-1, wc.shape[-1])
                        + self.weights[f"{layer}.b"])
 
-    def _gru(self, i: int, x: np.ndarray, wx: np.ndarray, b: np.ndarray) -> np.ndarray:
-        n, h = self.cfg.gru_units, self._h[i]
-        gx = x @ wx + b
-        gh = h @ self.weights[f"en_gru{i + 1}.Wh"]
-        z = _sigmoid(gx[:n] + gh[:n])
-        r = _sigmoid(gx[n:2 * n] + gh[n:2 * n])
-        cand = np.tanh(gx[2 * n:] + r * gh[2 * n:])
-        h += z * (cand - h)
-        return h
+    def _gru(self, i: int, gx: np.ndarray) -> np.ndarray:
+        n, h, wh = self.cfg.gru_units, self._h[i], self.weights[f"en_gru{i + 1}.Wh"]
+        out = np.empty((len(gx), 1, n), dtype=np.float32)
+        for t in range(len(gx)):
+            g, gh = gx[t, 0], h @ wh
+            zr = _sigmoid(g[:2 * n] + gh[:2 * n])  # update and reset gates
+            cand = np.tanh(g[2 * n:] + zr[n:] * gh[2 * n:])
+            h += zr[:n] * (cand - h)
+            out[t] = h
+        return out
 
-    def step(self, feature_vector: np.ndarray) -> float:
-        """Advance one frame; results land in .gains / .strengths, VAD returned."""
-        w = self.weights
-        x = np.tanh(feature_vector @ w["en_dense_in.W"] + w["en_dense_in.b"])
-        x = self._conv(self._conv1_in, x, "en_conv1")
-        x = self._conv(self._conv2_in, x, "en_conv2")
-        h = self._gru(0, x, w["en_gru1.Wx"][:self.cfg.conv_channels], self._gru1_b)
-        vad = _sigmoid(h @ w["en_vad.W"] + w["en_vad.b"])
+    def step(self, features: np.ndarray):
+        """Advance over a [k, 68] float32 block of frames, k >= 1; returns its
+        [k, 32] gains, [k, 32] strengths and [k] VAD, the same bytes however
+        the frames are split. .gains and .strengths keep the newest row's."""
+        w, b, c = self.weights, self._biases, self.cfg.conv_channels
+        dense = np.tanh(features[:, None] @ w["en_dense_in.W"] + b["en_dense_in"])
+        x = np.empty((len(features), 1, c), dtype=np.float32)
+        for t in range(len(features)):
+            row = self._conv(self._conv1_in, dense[t, 0], "en_conv1")
+            x[t] = self._conv(self._conv2_in, row, "en_conv2")
+        h = self._gru(0, x @ w["en_gru1.Wx"][:c] + self._gru1_b)
+        vad = _sigmoid(h @ w["en_vad.W"] + b["en_vad"])
         for i in range(1, len(self._h)):
-            h = self._gru(i, h, w[f"en_gru{i + 1}.Wx"], w[f"en_gru{i + 1}.b"])
-        self.gains = _sigmoid(h @ w["en_gains.W"] + w["en_gains.b"])
-        self.strengths = _sigmoid(np.concatenate([h, self.gains]) @ w["en_strengths.W"]
-                                  + w["en_strengths.b"])
-        return vad[0]
+            h = self._gru(i, h @ w[f"en_gru{i + 1}.Wx"] + b[f"en_gru{i + 1}"])
+        gains = _sigmoid(h @ w["en_gains.W"] + b["en_gains"])
+        strengths = _sigmoid(np.concatenate([h, gains], axis=2) @ w["en_strengths.W"]
+                             + b["en_strengths"])
+        gains, strengths = gains[:, 0], strengths[:, 0]
+        self.gains, self.strengths = gains[-1], strengths[-1]
+        return gains, strengths, vad[:, 0, 0]

@@ -285,19 +285,3 @@ def write_report(path, rows: list[dict]) -> dict:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
         fh.write(json.dumps(summary, sort_keys=True) + "\n")
     return summary
-
-
-def read_report(path):
-    rows = []
-    summary = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row.get("summary"):
-                summary = row
-            else:
-                rows.append(row)
-    return rows, summary

@@ -1,11 +1,11 @@
 """The streaming enhancement engine: features -> model -> comb -> resynthesis.
 
 process() hands its input to a FeatureStream, at most 16 hops per push,
-and walks the rows of each returned Frames record: the model steps on the
-row's features, and the row's pitch period and analysis spectrum wait in a
-three-frame queue. Each step's gains and pitch-filter strengths apply to
-the frame three hops behind it — the model has consumed features up to
-frame t+3 before the output for frame t is synthesized, which realizes the
+and walks the rows of each returned Frames record: the model steps once on
+its features, and each row's pitch period and analysis spectrum wait in a
+three-frame queue. Row t's gains and pitch-filter strengths apply to the
+frame three hops behind it — the model has consumed features up to frame
+t+3 before the output for frame t is synthesized, which realizes the
 30 ms look-ahead as a delay line at the feature/output boundary. A one-hop
 push and a whole file take this one path. The model sees exactly the rows
 of extract_features(); the straddle frame in front of them (see
@@ -51,7 +51,8 @@ class ControlReplay:
     Row t of the [T, 32] gains and strengths belongs to frame t of
     extract_features on the engine's input. Like the model, step t supplies
     frame t - LOOKAHEAD_FRAMES's controls; the straddle frame and the tail
-    frames take the nearest row. There is no VAD.
+    frames take the nearest row. Its step takes and returns blocks as the
+    model's does; the VAD reads 0.
     """
 
     def __init__(self, gains: np.ndarray, strengths: np.ndarray):
@@ -63,11 +64,11 @@ class ControlReplay:
                              f"{self._strengths.shape} must both be [T, {N_BANDS}], T >= 1")
         self._steps = 0
 
-    def step(self, feature_vector: np.ndarray) -> float:
-        t = min(max(self._steps - LOOKAHEAD_FRAMES, 0), len(self._gains) - 1)
-        self._steps += 1
-        self.gains, self.strengths = self._gains[t], self._strengths[t]
-        return 0.0
+    def step(self, features: np.ndarray):
+        first, self._steps = self._steps, self._steps + len(features)
+        t = np.clip(np.arange(first, self._steps) - LOOKAHEAD_FRAMES, 0, len(self._gains) - 1)
+        self.gains, self.strengths = self._gains[t[-1]], self._strengths[t[-1]]
+        return self._gains[t], self._strengths[t], np.zeros(len(t))
 
 
 class StreamingEnhancer:
@@ -80,12 +81,13 @@ class StreamingEnhancer:
     FeatureStream, which frames the input as extract_features does. The
     session runs on the read-only float32 `weights`, and every mutable
     buffer lives in this object.
-    `session` supplies the per-frame controls: an EnhancerSession,
-    a ControlReplay, or None (identity). Only samples received while
-    `session` is set enter the comb ring, which only the controls read: a
-    session set mid-stream combs against silence for the samples before
-    it until the ring has refilled, nine hops later. `fb` is only checked
-    (frontend.check_filterbank); it stays while the benchmark passes one.
+    `session` supplies the per-frame controls, one step per record of
+    frames: an EnhancerSession, a ControlReplay, or None (identity). Only
+    samples received while `session` is set enter the comb ring, which
+    only the controls read: a session set mid-stream combs against silence
+    for the samples before it until the ring has refilled, nine hops
+    later. `fb` is only checked (frontend.check_filterbank); it stays
+    while the benchmark passes one.
     """
 
     DELAY_SAMPLES = (LOOKAHEAD_FRAMES + 1) * HOP  # 40 ms stream delay
@@ -94,12 +96,9 @@ class StreamingEnhancer:
                  embedding: np.ndarray | None = None,
                  fb: ErbFilterbank | None = None):
         check_filterbank(fb)
-        if weights is not None:
-            if embedding is None:
-                raise ValueError("a model needs a speaker embedding")
-            self.session = EnhancerSession(weights, np.asarray(embedding, dtype=np.float32))
-        else:
-            self.session = None
+        if weights is not None and embedding is None:
+            raise ValueError("a model needs a speaker embedding")
+        self.session = None if weights is None else EnhancerSession(weights, embedding)
 
         self.features = FeatureStream()
         self.comb = CombState()
@@ -134,8 +133,10 @@ class StreamingEnhancer:
                 self.frames_processed = 1
         for lo in range(0, len(x), PIECE_SAMPLES):
             rows = self.features.push(x[lo : lo + PIECE_SAMPLES])
-            for period, spec, features in zip(rows.periods.tolist(), rows.spectra,
-                                              rows.features):
+            if combing and len(rows.features):
+                gains, strengths, vad = self.session.step(rows.features)
+                self.last_vad = float(vad[-1])
+            for i, (period, spec) in enumerate(zip(rows.periods.tolist(), rows.spectra)):
                 t = self.frames_processed
                 self.frames_processed += 1
                 self._frame_queue.append((period, spec))
@@ -143,18 +144,16 @@ class StreamingEnhancer:
                     end = (t + 1) * HOP - start  # frame t's end in x
                     self.comb.push(x[fed:end])
                     fed = end
-                    self.last_vad = float(self.session.step(features))
                 if len(self._frame_queue) <= LOOKAHEAD_FRAMES:
                     continue  # still filling the look-ahead delay line
                 due_period, out_spec = self._frame_queue.popleft()
                 if combing:
-                    gains, strengths = self.session.gains, self.session.strengths
-                    if due_period and float(np.max(strengths)) > 1e-6:
+                    if due_period and float(np.max(strengths[i])) > 1e-6:
                         combed = self.comb.filter_window(due_period)
                         comb_spec = np.fft.rfft(combed * VORBIS_WINDOW)
                     else:
                         comb_spec = out_spec
-                    out_spec = apply_per_band(out_spec, comb_spec, gains, strengths)
+                    out_spec = apply_per_band(out_spec, comb_spec, gains[i], strengths[i])
                 out[(t - first) * HOP : (t - first + 1) * HOP] = self.ola.push(out_spec)
         if combing and fed < len(x):
             self.comb.push(x[fed:])  # the input past the last frame's end

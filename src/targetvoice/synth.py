@@ -52,6 +52,7 @@ TOY_MIXTURE_S = 3.0
 # a random slice quieter than this RMS is redrawn, up to SLICE_TRIES times
 SLICE_MIN_RMS = 0.02
 SLICE_TRIES = 20
+MIXTURE_TALKERS = 2  # distinct talkers in a mixture: a target and an interferer
 
 
 class MixtureError(ValueError):
@@ -554,7 +555,7 @@ def draw_sources(rng: np.random.Generator, speakers: Sequence[ToySpeaker],
     talker indices, a slice of each one's region and seeded noise, all
     AudioBuffers of duration_s, drawn from `rng` in that order.
     """
-    a, b = rng.choice(len(speakers), size=2, replace=False)
+    a, b = rng.choice(len(speakers), size=MIXTURE_TALKERS, replace=False)
     n = int(duration_s * SAMPLE_RATE)
     target = _random_slice(rng, getattr(speakers[a], region), n)
     interf = _random_slice(rng, getattr(speakers[b], region), n)

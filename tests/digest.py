@@ -197,7 +197,7 @@ def group_forward(h) -> None:
         loaded = _loaded(net)
         dim = loaded.config.embedding_dim
         embs = np.stack([_unit(dim, 8), _unit(dim, 9)])
-        _feed(h, *loaded.forward(feats, embs[0]))
+        _feed(h, *(out[0] for out in loaded.forward(feats[None], embs[:1])))
         _feed(h, *loaded.forward(np.stack([feats, feats[::-1]]), embs))
 
 

@@ -357,7 +357,7 @@ def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
         if mt.si_snr_aligned(out_a, ref) > mt.si_snr_aligned(out_b, ref):
             wins += 1
         feats = fe.extract_features(mix).features
-        _, _, vad = net_h.forward(feats, embeddings[spk_a])
+        _, _, vad = en.EnhancerSession(weights_h, embeddings[spk_a]).step(feats)
         out_t, lab_t = en.lookahead_slices(len(vad), len(example.targets.vad))
         vad = vad[out_t]
         active = example.targets.vad[lab_t] > 0.5

@@ -209,6 +209,20 @@ class TestMix:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_no_mixtures_exits_2_before_any_work(self, tmp_path, monkeypatch, n):
+        from targetvoice import synth
+
+        def no_speakers(*_, **__):
+            raise AssertionError("speakers built for a request that cannot be met")
+
+        monkeypatch.setattr(synth, "ToySpeakers", no_speakers)
+        out = tmp_path / "mix"
+        with pytest.raises(SystemExit) as exc:
+            main(["mix", "--out-dir", str(out), "--n", n])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_mix_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -265,6 +279,18 @@ class TestEval:
         rows = [r for r in map(json.loads, open(out)) if not r.get("summary")]
         assert len(rows) == 2
         assert all(0.0 <= row["vad_acc"] <= 1.0 for row in rows)
+
+    def test_model_eval_builds_no_float64_weights(self, tmp_path, mix_dir, embedder_weights,
+                                                  enhancer_weights, monkeypatch):
+        # the VAD comes from the float32 session the engine runs
+        def no_master(*args):
+            raise AssertionError("eval built the float64 parameters")
+
+        monkeypatch.setattr(EnhancerNet, "_build", no_master)
+        rc = main(["eval", "--manifest", os.path.join(mix_dir, "manifest.jsonl"),
+                   "--embedder", embedder_weights, "--enhancer", enhancer_weights,
+                   "--mode", "model", "--out", str(tmp_path / "report.jsonl")])
+        assert rc == EXIT_OK
 
     @pytest.mark.parametrize("mode, calls", [("identity", 6), ("oracle", 8), ("model", 10)])
     def test_eval_featurizes_each_signal_once(self, tmp_path, mix_dir, embedder_weights,
@@ -411,6 +437,25 @@ class TestTraining:
                    "--out", str(out), "--preset", "ppn512"])
         assert rc == EXIT_DATA
         assert "expects embedding dim 128, embedder produces 16" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train-embedder", "--speakers", "3"], "embedder training needs >= 4 speakers"),
+        (["train-enhancer", "--embedder", "se.ppnw", "--speakers", "1"],
+         "a mixture needs two distinct talkers"),
+    ], ids=["embedder", "enhancer"])
+    def test_too_few_speakers_exits_3_before_building_speakers(
+            self, tmp_path, capsys, monkeypatch, argv, message):
+        from targetvoice import synth
+
+        def no_speakers(*_, **__):
+            raise AssertionError("speakers built for a request that cannot be met")
+
+        monkeypatch.setattr(synth, "ToySpeakers", no_speakers)
+        out = tmp_path / "out.ppnw"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

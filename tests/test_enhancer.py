@@ -8,6 +8,7 @@ from targetvoice.neural import Adam
 from targetvoice.pipeline import StreamingEnhancer
 from targetvoice.weights_io import WeightsFormatError, pack_weights, unpack_weights
 from tests.conftest import finite_difference_params
+from tests.unfused_reference import ReferenceSession
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +79,8 @@ class TestForward:
         for p in net.params().values():
             p[...] = 0.0
         gains, strengths, vad = net.forward(
-            np.random.default_rng(1).standard_normal((10, 68)),
-            unit_embeddings(1, 8)[0],
+            np.random.default_rng(1).standard_normal((1, 10, 68)),
+            unit_embeddings(1, 8),
         )
         assert np.all(gains == 0.5)
         assert np.all(strengths == 0.5)
@@ -99,15 +100,15 @@ class TestForward:
 
     def test_embedding_changes_outputs(self, tiny_net):
         rng = np.random.default_rng(3)
-        feats = rng.standard_normal((18, 68))
+        feats = rng.standard_normal((1, 18, 68))
         e1, e2 = unit_embeddings(2, 8, seed=9)
-        g1, _, _ = tiny_net.forward(feats, e1)
-        g2, _, _ = tiny_net.forward(feats, e2)
+        g1, _, _ = tiny_net.forward(feats, e1[None])
+        g2, _, _ = tiny_net.forward(feats, e2[None])
         assert np.abs(g1 - g2).sum() > 0.0
 
     def test_wrong_embedding_dim(self, tiny_net):
         with pytest.raises(ValueError, match="dim"):
-            tiny_net.forward(np.zeros((10, 68)), np.zeros(5))
+            tiny_net.forward(np.zeros((1, 10, 68)), np.zeros((1, 5)))
 
 
 class TestTargets:
@@ -248,7 +249,7 @@ class TestToyTraining:
         } for k in range(4)]
         config = en.EnhancerTrainConfig(steps=1000, batch_size=4, model=cfg)
         net, losses = en.train_enhancer_toy(dataset, config)
-        gains, _, _ = net.forward(dataset[0]["features"], emb)
+        gains, _, _ = net.forward(dataset[0]["features"][None], emb[None])
         assert gains.mean() > 0.95
         assert losses[-1] < losses[0]
 
@@ -261,14 +262,14 @@ class TestSessionAndSerialization:
     def test_streaming_session_matches_batch(self, tiny_net):
         rng = np.random.default_rng(9)
         feats = (0.4 * rng.standard_normal((25, 68))).astype(np.float64)
-        emb = unit_embeddings(1, 8, seed=11)[0]
-        gains, strengths, vad = tiny_net.forward(feats, emb)
-        session = en.EnhancerSession(tiny_net.float32_weights(), emb.astype(np.float32))
-        for t in range(25):
-            v = session.step(feats[t].astype(np.float32))
-            np.testing.assert_allclose(session.gains, gains[t], atol=1e-5)
-            np.testing.assert_allclose(session.strengths, strengths[t], atol=1e-5)
-            assert v == pytest.approx(vad[t], abs=1e-5)
+        emb = unit_embeddings(1, 8, seed=11)
+        ref = tiny_net.forward(feats[None], emb)
+        session = en.EnhancerSession(tiny_net.float32_weights(), emb[0])
+        got = session.step(feats.astype(np.float32))
+        for out, want in zip(got, ref):
+            np.testing.assert_allclose(out, want[0], atol=1e-5)
+        np.testing.assert_array_equal(session.gains, got[0][-1])
+        np.testing.assert_array_equal(session.strengths, got[1][-1])
 
     @pytest.mark.parametrize("preset", ["toy", "ppn512"])
     def test_preset_session_matches_batch(self, preset):
@@ -276,24 +277,20 @@ class TestSessionAndSerialization:
         net = en.EnhancerNet(en.EnhancerConfig.preset(preset), seed=8)
         rng = np.random.default_rng(10)
         feats = 0.5 * rng.standard_normal((300, 68))
-        emb = unit_embeddings(1, net.config.embedding_dim, seed=12)[0]
-        gains, strengths, vad = net.forward(feats, emb)
-        session = en.EnhancerSession(net.float32_weights(), emb.astype(np.float32))
-        got = ([], [], [])
-        for t in range(300):
-            got[2].append(session.step(feats[t].astype(np.float32)))
-            got[0].append(session.gains.copy())
-            got[1].append(session.strengths.copy())
-        for out, ref in zip(got, (gains, strengths, vad)):
-            np.testing.assert_allclose(np.array(out), ref, rtol=0, atol=1e-6)
+        emb = unit_embeddings(1, net.config.embedding_dim, seed=12)
+        want = net.forward(feats[None], emb)
+        session = en.EnhancerSession(net.float32_weights(), emb[0])
+        got = session.step(feats.astype(np.float32))
+        for out, ref in zip(got, want):
+            np.testing.assert_allclose(out, ref[0], rtol=0, atol=1e-6)
 
     def test_weight_roundtrip(self, tiny_net):
         blob = pack_weights("enhancer", en.enhancer_entries(tiny_net))
         _, entries = unpack_weights(blob)
         restored = en.enhancer_from_entries(entries)
         assert restored.config == tiny_net.config
-        feats = np.random.default_rng(12).standard_normal((10, 68))
-        emb = unit_embeddings(1, 8, seed=13)[0]
+        feats = np.random.default_rng(12).standard_normal((1, 10, 68))
+        emb = unit_embeddings(1, 8, seed=13)
         g1, _, v1 = tiny_net.forward(feats, emb)
         g2, _, v2 = restored.forward(feats, emb)
         np.testing.assert_allclose(g1, g2, atol=1e-6)
@@ -336,7 +333,7 @@ class TestSharedWeights:
         rng = np.random.default_rng(15)
         feats = 0.4 * rng.standard_normal((2, 12, 68))
         emb = unit_embeddings(2, 8, seed=16)
-        first = en.EnhancerSession(net.float32_weights(), emb[0].astype(np.float32))
+        first = en.EnhancerSession(net.float32_weights(), emb[0])
         before = {name: arr.copy() for name, arr in first.weights.items()}
         opt = Adam(net.params())
         net.zero_grads()
@@ -344,18 +341,41 @@ class TestSharedWeights:
         net.backward(np.ones_like(g), np.ones_like(s), np.ones_like(v))
         opt.step(net.grads())
 
-        second = en.EnhancerSession(net.float32_weights(), emb[0].astype(np.float32))
+        second = en.EnhancerSession(net.float32_weights(), emb[0])
         assert not np.array_equal(second.weights["en_dense_in.W"],
                                   first.weights["en_dense_in.W"])
-        gains, strengths, vad = net.forward(feats[0], emb[0])
-        for t in range(12):
-            v_t = second.step(feats[0, t].astype(np.float32))
-            np.testing.assert_allclose(second.gains, gains[t], atol=1e-5)
-            np.testing.assert_allclose(second.strengths, strengths[t], atol=1e-5)
-            assert v_t == pytest.approx(vad[t], abs=1e-5)
+        want = net.forward(feats, emb)
+        for got, ref in zip(second.step(feats[0].astype(np.float32)), want):
+            np.testing.assert_allclose(got, ref[0], atol=1e-5)
         # the first session keeps the weights it was made with
         for name, arr in first.weights.items():
             assert arr.tobytes() == before[name].tobytes()
+
+
+class TestBlockStep:
+    @pytest.mark.parametrize("preset", ["toy", "ppn512"])
+    def test_any_split_gives_the_per_frame_bytes(self, preset):
+        # one block, splits of 1, of 7 and of random sizes, and the frame-at-
+        # a-time reference: the same float32 bytes of every control
+        net = en.EnhancerNet(en.EnhancerConfig.preset(preset), seed=9)
+        weights = net.float32_weights()
+        emb = unit_embeddings(1, net.config.embedding_dim, seed=22)[0]
+        rng = np.random.default_rng(23)
+        n = 50
+        feats = (0.5 * rng.standard_normal((n, 68))).astype(np.float32)
+
+        def blocks(sizes):
+            session = en.EnhancerSession(weights, emb)
+            bounds = np.cumsum([0, *sizes])
+            steps = [session.step(feats[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+            return [np.concatenate(out).tobytes() for out in zip(*steps)]
+
+        reference = ReferenceSession(weights, emb)
+        want = [np.array(out).tobytes()
+                for out in zip(*(reference.step_frame(f) for f in feats))]
+        cuts = np.sort(rng.choice(np.arange(1, n), size=8, replace=False))
+        for sizes in ([n], [1] * n, [7] * (n // 7) + [n % 7], np.diff([0, *cuts, n])):
+            assert blocks(sizes) == want
 
 
 def save_and_load(net):
@@ -383,19 +403,24 @@ def run_engine(net, emb, x, bounds):
 
 class TestLoadedNet:
     """Loaded weights run sessions on the file's own float32 arrays; forward()
-    widens them into a float64 net on its first call and keeps it."""
+    widens them into a float64 net on each call."""
 
-    def test_engine_matches_saved_net_under_any_chunking(self, tiny_cfg):
+    def test_engine_matches_saved_net_under_any_chunking(self, tiny_cfg, monkeypatch):
         net = en.EnhancerNet(tiny_cfg, seed=7)
         _, _, loaded = save_and_load(net)
         emb = unit_embeddings(1, 8, seed=17)[0]
         rng = np.random.default_rng(18)
         x = 0.3 * rng.standard_normal(12000)
         bounds = np.minimum(np.cumsum([0, *rng.integers(1, 1500, size=30)]), len(x))
-        assert (run_engine(loaded, emb, x, bounds)
-                == run_engine(net.float32_weights(), emb, x, bounds))
+        want = run_engine(net.float32_weights(), emb, x, bounds)
+
+        def no_master(*args):
+            raise AssertionError("the float64 parameters were built")
+
+        # streaming and counting build no float64 net
+        monkeypatch.setattr(en.EnhancerNet, "_build", no_master)
+        assert run_engine(loaded, emb, x, bounds) == want
         assert loaded.n_params == net.n_params
-        assert loaded._net is None  # streaming and counting build no float64 net
 
     def test_sessions_adopt_the_entry_arrays(self, tiny_net):
         _, entries, loaded = save_and_load(tiny_net)
@@ -415,10 +440,6 @@ class TestLoadedNet:
         emb = unit_embeddings(2, 8, seed=20)
         for got, want in zip(loaded.forward(feats, emb), ref.forward(feats, emb)):
             assert got.tobytes() == want.tobytes()
-        built = loaded._net
-        for got, want in zip(loaded.forward(feats[1], emb[1]), ref.forward(feats[1], emb[1])):
-            assert got.tobytes() == want.tobytes()
-        assert loaded._net is built
 
     def test_loading_allocates_no_weight_copy(self):
         # ppn512-shaped entries: loading plus the first session may allocate

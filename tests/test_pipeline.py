@@ -230,7 +230,7 @@ class TestLookahead:
         # synthesis-only straddle frame), from frame 0 on
         net, emb = toy_model
         x = sy.synth_speaker(7, 2.0).samples.astype(np.float64)
-        ref = net.forward(extract_features(x).features, emb)
+        ref = [out[0] for out in net.forward(extract_features(x).features[None], emb[None])]
         engine = StreamingEnhancer(net, emb)
         n_hops = len(x) // 480
         got = ([], [], [])

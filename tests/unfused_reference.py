@@ -1,20 +1,22 @@
-"""The one-frame frontend and overlap-add as written before they were fused.
+"""The one-frame frontend, overlap-add and session as written before they were fused.
 
 Kept as the oracle that `FeatureStream`, `estimate_pitch`,
-`assemble_features`, `OverlapAddSynthesizer` and `augment` must match byte
-for byte, one frame per object (`stack_frames` turns its output into a
-record): the pitch search transforms the history and the window apart and
-gathers the correlation and the lag energies by index arrays, the
-voiced-frame coherence transforms the lagged window on its own and sums
-each band product separately, the overlap-add copies its tail, the
-augmentation frames and resynthesizes in a loop, and every step allocates
-its results.
+`assemble_features`, `OverlapAddSynthesizer`, `augment` and
+`EnhancerSession` must match byte for byte, one frame per object
+(`stack_frames` turns its output into a record): the pitch search
+transforms the history and the window apart and gathers the correlation
+and the lag energies by index arrays, the voiced-frame coherence transforms
+the lagged window on its own and sums each band product separately, the
+overlap-add copies its tail, the augmentation frames and resynthesizes in a
+loop, the session steps one feature vector through every layer, and every
+step allocates its results.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+from targetvoice import enhancer as en
 from targetvoice import frontend as fe
 from targetvoice import synth as sy
 
@@ -170,3 +172,39 @@ def use_reference_paths(engine):
     engine.features = _StackedReferenceStream()
     engine.ola = ReferenceOverlapAdd()
     return engine
+
+
+class ReferenceSession(en.EnhancerSession):
+    """The float32 session stepped one [68] feature vector at a time."""
+
+    def _frame_conv(self, window, x, layer):
+        window[1:] = window[:-1]
+        window[0] = x
+        wc = self.weights[f"{layer}.W"]
+        return np.tanh(window.reshape(-1) @ wc.reshape(-1, wc.shape[-1])
+                       + self.weights[f"{layer}.b"])
+
+    def _frame_gru(self, i, x, wx, b):
+        n, h = self.cfg.gru_units, self._h[i]
+        gx = x @ wx + b
+        gh = h @ self.weights[f"en_gru{i + 1}.Wh"]
+        z = en._sigmoid(gx[:n] + gh[:n])
+        r = en._sigmoid(gx[n:2 * n] + gh[n:2 * n])
+        cand = np.tanh(gx[2 * n:] + r * gh[2 * n:])
+        h += z * (cand - h)
+        return h
+
+    def step_frame(self, feature_vector):
+        """(gains, strengths, vad) of one frame."""
+        w, c = self.weights, self.cfg.conv_channels
+        x = np.tanh(feature_vector @ w["en_dense_in.W"] + w["en_dense_in.b"])
+        x = self._frame_conv(self._conv1_in, x, "en_conv1")
+        x = self._frame_conv(self._conv2_in, x, "en_conv2")
+        h = self._frame_gru(0, x, w["en_gru1.Wx"][:c], self._gru1_b[0, 0])
+        vad = en._sigmoid(h @ w["en_vad.W"] + w["en_vad.b"])
+        for i in range(1, len(self._h)):
+            h = self._frame_gru(i, h, w[f"en_gru{i + 1}.Wx"], w[f"en_gru{i + 1}.b"])
+        gains = en._sigmoid(h @ w["en_gains.W"] + w["en_gains.b"])
+        strengths = en._sigmoid(np.concatenate([h, gains]) @ w["en_strengths.W"]
+                                + w["en_strengths.b"])
+        return gains, strengths, vad[0]
