@@ -251,10 +251,10 @@ def cmd_train_enhancer(args) -> int:
 
 def cmd_eval(args) -> int:
     from targetvoice.embedder import enroll_embedding
-    from targetvoice.enhancer import EnhancerSession, lookahead_slices
-    from targetvoice.frontend import extract_features
-    from targetvoice.metrics import cosine_probe, si_snr_aligned, vad_accuracy, write_report
-    from targetvoice.pipeline import enhance_audio, replay_controls
+    from targetvoice.enhancer import lookahead_slices, vad_labels_from_energy
+    from targetvoice.frontend import WINDOW, extract_features
+    from targetvoice.metrics import cosine_probe, si_snr, vad_accuracy, write_report
+    from targetvoice.pipeline import StreamingEnhancer, enhance_audio, replay_controls, run_whole
     from targetvoice.synth import compute_supervision, read_manifest
 
     if args.mode == "model" and not args.enhancer:
@@ -270,23 +270,25 @@ def cmd_eval(args) -> int:
             )
     rows = []
     for idx, row in enumerate(read_manifest(args.manifest)):
-        mixture = read_wav(row["mixture"]).samples.astype(np.float64)
-        target = read_wav(row["target"]).samples.astype(np.float64)
-        interf = read_wav(row["interferer"]).samples.astype(np.float64)
+        mixture, target, interf = (read_wav(row[key]).samples.astype(np.float64)
+                                   for key in ("mixture", "target", "interferer"))
+        if not WINDOW <= len(mixture) == len(target) == len(interf):
+            raise DataError(f"manifest row {idx}: mixture, target and interferer take "
+                            f"{len(mixture)}, {len(target)}, {len(interf)} samples; they must "
+                            f"be equal and at least one {WINDOW}-sample analysis window")
         target_feats = extract_features(target).features
 
         vad_acc = None
-        if args.mode != "identity":
-            targets = compute_supervision(target_feats, extract_features(mixture).features)
         if args.mode == "oracle":
+            targets = compute_supervision(target_feats, extract_features(mixture).features)
             out = replay_controls(mixture, targets.gains, targets.strengths)
         elif args.mode == "model":
             enroll = read_wav(row["enrollment"]).samples
             emb = enroll_embedding(embedder_net, extract_features(enroll).features)
-            out = enhance_audio(mixture, enhancer, emb)
-            _, _, vad = EnhancerSession(enhancer, emb).step(targets.features)
-            out_t, lab_t = lookahead_slices(len(vad), len(targets.vad))
-            acc, _, _ = vad_accuracy(vad[out_t], targets.vad[lab_t])
+            out, vad = run_whole(StreamingEnhancer(enhancer, emb), mixture)
+            labels = vad_labels_from_energy(target_feats[:, -2])
+            out_t, lab_t = lookahead_slices(len(vad), len(labels))
+            acc, _, _ = vad_accuracy(vad[out_t], labels[lab_t])
             vad_acc = float(acc)
         else:  # identity
             out = enhance_audio(mixture)
@@ -295,8 +297,8 @@ def cmd_eval(args) -> int:
                              extract_features(interf).features, embedder_net)
         entry = {
             "index": idx,
-            "si_snr_in": si_snr_aligned(mixture, target),
-            "si_snr_out": si_snr_aligned(out, target),
+            "si_snr_in": si_snr(mixture, target),
+            "si_snr_out": si_snr(out, target),
             "cos_target": probe.cos_target,
             "cos_interf": probe.cos_interference,
         }

@@ -2,10 +2,11 @@
 
 SI-SNR substitutes for licensed perceptual metrics: the estimate is
 projected onto the reference and the projection-to-residual energy ratio
-reported in dB (capped at 60). The cosine probe embeds the processed
-output with a frozen embedder and compares it against the ground-truth
-target and interferer embeddings; a personalized system lands close to
-the target cluster.
+reported in dB (capped at 60). It scores the engine's delay-compensated
+output as it is: no lag is searched, so a timeline fault lowers the score.
+The cosine probe embeds the processed output with a frozen embedder and
+compares it against the ground-truth target and interferer embeddings; a
+personalized system lands close to the target cluster.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate
 
 from targetvoice.enhancer import EnhancerWeights
 from targetvoice.frontend import HOP, SAMPLE_RATE
 
 SI_SNR_CAP_DB = 60.0
-ALIGN_MAX_SHIFT = 2400
 VAD_THRESHOLD = 0.5
 # benchmark_stream's untimed warm-up, the seed of its synthetic audio, and
 # the frames its heap audit lets settle, then measures
@@ -64,31 +63,6 @@ def si_snr(estimate: np.ndarray, reference: np.ndarray) -> float:
     if p <= 0.0:
         return -SI_SNR_CAP_DB
     return float(10.0 * np.log10(p / r))
-
-
-def align_signals(estimate: np.ndarray, reference: np.ndarray):
-    """Latency-compensate by cross-correlation over +-ALIGN_MAX_SHIFT samples.
-
-    Returns (estimate', reference') trimmed to their aligned overlap.
-    """
-    est = np.asarray(estimate, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
-    n = min(len(est), len(ref))
-    est, ref = est[:n], ref[:n]
-    corr = correlate(est, ref, mode="full", method="fft")
-    lags = np.arange(-n + 1, n)
-    valid = np.abs(lags) <= ALIGN_MAX_SHIFT
-    best = int(lags[valid][np.argmax(corr[valid])])
-    if best >= 0:  # estimate lags reference by `best`
-        est_a, ref_a = est[best:], ref[: n - best]
-    else:
-        est_a, ref_a = est[: n + best], ref[-best:]
-    return est_a, ref_a
-
-
-def si_snr_aligned(estimate: np.ndarray, reference: np.ndarray) -> float:
-    est, ref = align_signals(estimate, reference)
-    return si_snr(est, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ StreamingEnhancer) is synthesis-only.
 
 Stream timing: process() returns 480 output samples per 480 input samples
 with a fixed 1920-sample (40 ms) delay — 10 ms from the synthesis overlap
-plus the 30 ms look-ahead. enhance_audio() trims that delay so the output
-file aligns sample-for-sample with its input.
+plus the 30 ms look-ahead. run_whole() trims that delay so a whole file's
+output aligns sample-for-sample with its input, and returns the VAD with it.
 
 Without a model (identity mode: gains 1, strengths 0) the engine is an
 exact pass-through reconstructor; oracle evaluation replays known controls
@@ -110,6 +110,7 @@ class StreamingEnhancer:
         self._received = 0  # input samples
         self.frames_processed = 0
         self.last_vad = 0.0
+        self.vad_block = None  # the [k] VAD of the newest record stepped
 
     def process(self, samples: np.ndarray) -> np.ndarray:
         """Feed arbitrary-length audio; returns the ready output samples.
@@ -134,8 +135,8 @@ class StreamingEnhancer:
         for lo in range(0, len(x), PIECE_SAMPLES):
             rows = self.features.push(x[lo : lo + PIECE_SAMPLES])
             if combing and len(rows.features):
-                gains, strengths, vad = self.session.step(rows.features)
-                self.last_vad = float(vad[-1])
+                gains, strengths, self.vad_block = self.session.step(rows.features)
+                self.last_vad = float(self.vad_block[-1])
             for i, (period, spec) in enumerate(zip(rows.periods.tolist(), rows.spectra)):
                 t = self.frames_processed
                 self.frames_processed += 1
@@ -168,7 +169,7 @@ class StreamingEnhancer:
 def enhance_audio(audio: np.ndarray, weights: EnhancerWeights | None = None,
                   embedding: np.ndarray | None = None) -> np.ndarray:
     """Process a whole buffer; output is delay-compensated and equal length."""
-    return _run_whole(StreamingEnhancer(weights, embedding), audio)
+    return run_whole(StreamingEnhancer(weights, embedding), audio)[0]
 
 
 def replay_controls(audio: np.ndarray, gains: np.ndarray,
@@ -179,10 +180,24 @@ def replay_controls(audio: np.ndarray, gains: np.ndarray,
     """
     engine = StreamingEnhancer()
     engine.session = ControlReplay(gains, strengths)
-    return _run_whole(engine, audio)
+    return run_whole(engine, audio)[0]
 
 
-def _run_whole(engine: StreamingEnhancer, audio: np.ndarray) -> np.ndarray:
+def run_whole(engine: StreamingEnhancer, audio: np.ndarray):
+    """A fresh engine's delay-compensated output on a whole buffer, and the
+    [T] VAD of extract_features(audio)'s T rows (None without a session).
+
+    Each process() call gets one PIECE_SAMPLES piece, as process() would cut
+    it, so each steps at most one record; the flush's padding rows are dropped.
+    """
     x = np.asarray(audio, dtype=np.float64)
-    out = np.concatenate([engine.process(x), engine.flush()])
-    return out[engine.DELAY_SAMPLES : engine.DELAY_SAMPLES + len(x)]
+    out, vad = [], []
+    for lo in range(0, len(x), PIECE_SAMPLES):
+        stepped = engine.vad_block
+        out.append(engine.process(x[lo : lo + PIECE_SAMPLES]))
+        if engine.vad_block is not stepped:  # this piece completed rows
+            vad.append(engine.vad_block)
+    out.append(engine.flush())
+    delay = engine.DELAY_SAMPLES
+    vad = None if engine.session is None else np.concatenate(vad or [np.zeros(0)])
+    return np.concatenate(out)[delay : delay + len(x)], vad

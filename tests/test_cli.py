@@ -292,14 +292,15 @@ class TestEval:
                    "--mode", "model", "--out", str(tmp_path / "report.jsonl")])
         assert rc == EXIT_OK
 
-    @pytest.mark.parametrize("mode, calls", [("identity", 6), ("oracle", 8), ("model", 10)])
+    @pytest.mark.parametrize("mode, calls", [("identity", 6), ("oracle", 8), ("model", 8)])
     def test_eval_featurizes_each_signal_once(self, tmp_path, mix_dir, embedder_weights,
                                               enhancer_weights, monkeypatch, mode, calls):
         # extract_features calls, counted through every targetvoice module
         # that binds it; the engine frames its input in its own stream.
         # Per row: the output, the target and the interferer, for the probe;
-        # the mixture, for the oracle and model supervision, which reuses the
-        # target's features; the enrollment, for the model
+        # the mixture, for the oracle supervision, which reuses the target's
+        # features; the enrollment, for the model, whose VAD labels come from
+        # the target's features and whose VAD comes from the engine's run
         from targetvoice import frontend
 
         seen = []
@@ -315,6 +316,51 @@ class TestEval:
                    "--mode", mode, "--out", str(tmp_path / "report.jsonl")])
         assert rc == EXIT_OK
         assert len(seen) == calls
+
+    def test_model_eval_runs_one_session_per_mixture(self, tmp_path, mix_dir, embedder_weights,
+                                                     enhancer_weights, monkeypatch):
+        # the VAD scored is the one the engine's run gave with its audio
+        from targetvoice import enhancer
+
+        built = []
+
+        class CountingSession(enhancer.EnhancerSession):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        patch_everywhere(monkeypatch, enhancer.EnhancerSession, CountingSession)
+        rc = main(["eval", "--manifest", os.path.join(mix_dir, "manifest.jsonl"),
+                   "--embedder", embedder_weights, "--enhancer", enhancer_weights,
+                   "--mode", "model", "--out", str(tmp_path / "report.jsonl")])
+        assert rc == EXIT_OK
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("defect, message", [
+        ("target", "manifest row 1: mixture, target and interferer take 144000, 143999, "
+                   "144000 samples"),
+        ("short", "manifest row 1: mixture, target and interferer take 959, 959, 959 samples"),
+    ], ids=["target", "short"])
+    def test_malformed_row_exits_3_naming_the_row(self, tmp_path, mix_dir, embedder_weights,
+                                                  capsys, defect, message):
+        rows = [json.loads(line) for line in open(os.path.join(mix_dir, "manifest.jsonl"))]
+        bad = dict(rows[0])
+        for key in ("mixture", "target", "interferer"):
+            samples = read_wav(bad[key]).samples
+            if defect == "short":
+                samples = samples[:959]
+            elif key == defect:
+                samples = samples[:-1]
+            bad[key] = str(tmp_path / f"{key}.wav")
+            write_wav(bad[key], AudioBuffer(samples))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(rows[0]) + "\n" + json.dumps(bad) + "\n")
+        out = tmp_path / "report.jsonl"
+        rc = main(["eval", "--manifest", str(manifest), "--embedder", embedder_weights,
+                   "--mode", "identity", "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_mode_without_enhancer_exits_3_before_reading_audio(
             self, tmp_path, mix_dir, embedder_weights, monkeypatch, capsys):

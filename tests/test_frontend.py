@@ -352,7 +352,8 @@ def test_streaming_imports_leave_scipy_signal_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = ("import sys\n"
             "import targetvoice, targetvoice.pipeline, targetvoice.enhancer, "
-            "targetvoice.embedder, targetvoice.weights_io, targetvoice.comb\n"
+            "targetvoice.embedder, targetvoice.weights_io, targetvoice.comb, "
+            "targetvoice.metrics\n"
             "print('scipy.signal' in sys.modules)\n")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)

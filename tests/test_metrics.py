@@ -1,4 +1,4 @@
-"""Evaluation metrics: SI-SNR, EER, VAD scores, alignment, reports."""
+"""Evaluation metrics: SI-SNR, EER, VAD scores, reports."""
 
 import json
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from targetvoice import metrics as mt
+from targetvoice import synth as sy
 
 
 class TestSiSnr:
@@ -35,18 +36,38 @@ class TestSiSnr:
         with pytest.raises(mt.MetricError, match="length"):
             mt.si_snr(np.ones(10), np.ones(11))
 
+    def test_eval_scores_an_output_one_hop_late_below_it_in_place(self, tmp_path, monkeypatch):
+        # eval scores the engine's output as it is: the same identity output
+        # one hop late must lose, where a lag search would score both alike
+        from targetvoice import pipeline
+        from targetvoice.audio import AudioBuffer, write_wav
+        from targetvoice.cli import EXIT_OK, main
+        from targetvoice.embedder import EmbedderConfig, EmbedderNet, embedder_entries
+        from targetvoice.frontend import HOP
+        from targetvoice.weights_io import save_weights
 
-class TestAlignment:
-    @pytest.mark.parametrize("delay", [0, 480, 1920, 2400])
-    def test_recovers_known_delay(self, delay):
-        ref = np.random.default_rng(4).standard_normal(48000)
-        est = np.concatenate([np.zeros(delay), ref])[:48000]
-        assert mt.si_snr_aligned(est, ref) == 60.0
+        target = 0.5 * sy.synth_speaker(11, 2.0).samples
+        interf = 0.5 * sy.synth_speaker(12, 2.0).samples
+        row = {}
+        for name, x in (("mixture", target + interf), ("target", target), ("interferer", interf)):
+            row[name] = str(tmp_path / f"{name}.wav")
+            write_wav(row[name], AudioBuffer(x.astype(np.float32)))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(row) + "\n")
+        embedder = tmp_path / "embedder.ppnw"
+        save_weights(embedder, "embedder", embedder_entries(EmbedderNet(EmbedderConfig.toy())))
 
-    def test_negative_delay(self):
-        ref = np.random.default_rng(5).standard_normal(48000)
-        est = np.concatenate([ref[1000:], np.zeros(1000)])
-        assert mt.si_snr_aligned(est, ref) == 60.0
+        def score():
+            out = tmp_path / "report.jsonl"
+            assert main(["eval", "--manifest", str(manifest), "--embedder", str(embedder),
+                         "--mode", "identity", "--out", str(out)]) == EXIT_OK
+            return json.loads(out.read_text().splitlines()[0])["si_snr_out"]
+
+        in_place = score()
+        real = pipeline.enhance_audio
+        monkeypatch.setattr(pipeline, "enhance_audio",
+                            lambda audio: np.concatenate([np.zeros(HOP), real(audio)[:-HOP]]))
+        assert score() < in_place - 10.0
 
 
 class TestEer:

@@ -35,6 +35,7 @@ from targetvoice.pipeline import (
     StreamingEnhancer,
     enhance_audio,
     replay_controls,
+    run_whole,
 )
 from tests.conftest import tone
 from tests.digest import digests
@@ -248,6 +249,27 @@ class TestLookahead:
 
 
 class TestModelPath:
+    @pytest.mark.parametrize("preset", ["toy", "ppn512"])
+    def test_run_whole_hands_back_the_vad_of_the_inputs_rows(self, preset):
+        # the VAD of the run that made the audio is, byte for byte, one
+        # session's step over extract_features' rows; the flush's padding
+        # rows are not in it
+        weights = en.EnhancerNet(en.EnhancerConfig.preset(preset), seed=3).float32_weights()
+        emb = np.random.default_rng(4).standard_normal(weights.config.embedding_dim)
+        emb /= np.linalg.norm(emb)
+        x = sy.synth_speaker(5, 1.0).samples[:24000].astype(np.float64)
+        for n in (len(x), len(x) - 137, PIECE_SAMPLES + 137):
+            out, vad = run_whole(StreamingEnhancer(weights, emb), x[:n])
+            want = en.EnhancerSession(weights, emb).step(extract_features(x[:n]).features)[2]
+            assert vad.tobytes() == want.tobytes(), n
+            assert out.tobytes() == enhance_audio(x[:n], weights, emb).tobytes()
+        assert len(run_whole(StreamingEnhancer(weights, emb), x[: WINDOW - 1])[1]) == 0
+
+    def test_run_whole_without_a_session_has_no_vad(self):
+        x = sy.synth_speaker(5, 1.0).samples[:24000]
+        out, vad = run_whole(StreamingEnhancer(), x)
+        assert vad is None and out.tobytes() == enhance_audio(x).tobytes()
+
     def test_output_finite_and_same_length(self, toy_model):
         net, emb = toy_model
         x = sy.synth_speaker(8, 1.5).samples.astype(np.float64)
