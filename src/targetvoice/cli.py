@@ -250,9 +250,9 @@ def cmd_train_enhancer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from targetvoice.embedder import enroll_embedding
+    from targetvoice.embedder import MIN_EMBED_FRAMES, enroll_embedding
     from targetvoice.enhancer import lookahead_slices, vad_labels_from_energy
-    from targetvoice.frontend import WINDOW, extract_features
+    from targetvoice.frontend import HOP, WINDOW, extract_features
     from targetvoice.metrics import cosine_probe, si_snr, vad_accuracy, write_report
     from targetvoice.pipeline import StreamingEnhancer, enhance_audio, replay_controls, run_whole
     from targetvoice.synth import compute_supervision, read_manifest
@@ -268,14 +268,21 @@ def cmd_eval(args) -> int:
                 f"enhancer expects embedding dim {enhancer.config.embedding_dim}, "
                 f"embedder produces {embedder_net.config.embedding_dim}"
             )
+    # the fewest samples that give the embedder its MIN_EMBED_FRAMES frames
+    min_len = WINDOW + (MIN_EMBED_FRAMES - 1) * HOP
     rows = []
     for idx, row in enumerate(read_manifest(args.manifest)):
         mixture, target, interf = (read_wav(row[key]).samples.astype(np.float64)
                                    for key in ("mixture", "target", "interferer"))
-        if not WINDOW <= len(mixture) == len(target) == len(interf):
+        if not min_len <= len(mixture) == len(target) == len(interf):
             raise DataError(f"manifest row {idx}: mixture, target and interferer take "
                             f"{len(mixture)}, {len(target)}, {len(interf)} samples; they must "
-                            f"be equal and at least one {WINDOW}-sample analysis window")
+                            f"be equal and at least the {min_len} the embedder probes")
+        if args.mode == "model":
+            enroll = read_wav(row["enrollment"]).samples
+            if len(enroll) < min_len:
+                raise DataError(f"manifest row {idx}: the enrollment takes {len(enroll)} "
+                                f"samples; the embedder needs at least {min_len}")
         target_feats = extract_features(target).features
 
         vad_acc = None
@@ -283,7 +290,6 @@ def cmd_eval(args) -> int:
             targets = compute_supervision(target_feats, extract_features(mixture).features)
             out = replay_controls(mixture, targets.gains, targets.strengths)
         elif args.mode == "model":
-            enroll = read_wav(row["enrollment"]).samples
             emb = enroll_embedding(embedder_net, extract_features(enroll).features)
             out, vad = run_whole(StreamingEnhancer(enhancer, emb), mixture)
             labels = vad_labels_from_energy(target_feats[:, -2])

@@ -48,14 +48,14 @@ class EmbedderConfig:
 class EmbedderNet(Net):
     """Conv x2 -> GRU x2 -> last-frame dense -> L2 normalize."""
 
-    def _build(self, rng) -> None:
+    def _build(self) -> None:
         cfg = self.config
         ch, units, dim = cfg.conv_channels, cfg.gru_units, cfg.embedding_dim
-        self.conv1 = CausalConv1d(FEATURE_DIM, ch, 3, "tanh", rng, "se_conv1")
-        self.conv2 = CausalConv1d(ch, ch, 3, "tanh", rng, "se_conv2")
-        self.gru1 = GRU(ch, units, rng, "se_gru1")
-        self.gru2 = GRU(units, units, rng, "se_gru2")
-        self.proj = Dense(units, dim, "linear", rng, "se_proj")
+        self.conv1 = CausalConv1d(FEATURE_DIM, ch, 3, "tanh", "se_conv1")
+        self.conv2 = CausalConv1d(ch, ch, 3, "tanh", "se_conv2")
+        self.gru1 = GRU(ch, units, "se_gru1")
+        self.gru2 = GRU(units, units, "se_gru2")
+        self.proj = Dense(units, dim, "linear", "se_proj")
         self.layers = [self.conv1, self.conv2, self.gru1, self.gru2, self.proj]
         self._cache = None
 
@@ -298,24 +298,9 @@ def embedder_entries(net: EmbedderNet) -> list[tuple[str, str, np.ndarray]]:
     return net.entries(vars(net.config))
 
 
-def _param_shapes(cfg: EmbedderConfig):
-    """(name, shape) of every parameter EmbedderNet(cfg) holds, in order."""
-    ch, units, dim = cfg.conv_channels, cfg.gru_units, cfg.embedding_dim
-    yield "se_conv1.W", (3, FEATURE_DIM, ch)
-    yield "se_conv1.b", (ch,)
-    yield "se_conv2.W", (3, ch, ch)
-    yield "se_conv2.b", (ch,)
-    for name, n_in in (("se_gru1", ch), ("se_gru2", units)):
-        yield f"{name}.Wx", (n_in, 3 * units)
-        yield f"{name}.Wh", (units, 3 * units)
-        yield f"{name}.b", (3 * units,)
-    yield "se_proj.W", (units, dim)
-    yield "se_proj.b", (dim,)
-
-
 def embedder_from_entries(entries: dict) -> EmbedderNet:
     """The net a weight file holds; WeightsFormatError before any allocation."""
     config = EmbedderConfig(**read_meta(entries, vars(EmbedderConfig()), "embedder"))
-    shapes = list(_param_shapes(config))
+    shapes = EmbedderNet.param_shapes(config)
     check_shapes(entries, shapes, "embedder")
     return EmbedderNet.from_arrays(config, {name: entries[name][1] for name, _ in shapes})

@@ -68,20 +68,17 @@ class EnhancerNet(Net):
     streaming session runs on.
     """
 
-    def _build(self, rng) -> None:
+    def _build(self) -> None:
         d, c = self.config.dense_units, self.config.conv_channels
         n, e = self.config.gru_units, self.config.embedding_dim
-        self.dense_in = Dense(FEATURE_DIM, d, "tanh", rng, "en_dense_in")
-        self.conv1 = CausalConv1d(d, c, 5, "tanh", rng, "en_conv1")
-        self.conv2 = CausalConv1d(c, c, 3, "tanh", rng, "en_conv2")
-        self.grus = [
-            GRU(c + e if i == 0 else n, n, rng, f"en_gru{i + 1}")
-            for i in range(self.config.n_gru_layers)
-        ]
-        self.head_gains = Dense(n, N_BANDS, "sigmoid", rng, "en_gains")
-        self.head_strengths = Dense(n + N_BANDS, N_BANDS, "sigmoid", rng,
-                                    "en_strengths")
-        self.head_vad = Dense(n, 1, "sigmoid", rng, "en_vad")
+        self.dense_in = Dense(FEATURE_DIM, d, "tanh", "en_dense_in")
+        self.conv1 = CausalConv1d(d, c, 5, "tanh", "en_conv1")
+        self.conv2 = CausalConv1d(c, c, 3, "tanh", "en_conv2")
+        self.grus = [GRU(c + e if i == 0 else n, n, f"en_gru{i + 1}")
+                     for i in range(self.config.n_gru_layers)]
+        self.head_gains = Dense(n, N_BANDS, "sigmoid", "en_gains")
+        self.head_strengths = Dense(n + N_BANDS, N_BANDS, "sigmoid", "en_strengths")
+        self.head_vad = Dense(n, 1, "sigmoid", "en_vad")
         self.layers = [self.dense_in, self.conv1, self.conv2, *self.grus,
                        self.head_gains, self.head_strengths, self.head_vad]
 
@@ -298,28 +295,6 @@ def enhancer_entries(net: EnhancerNet) -> list[tuple[str, str, np.ndarray]]:
     return net.entries(sorted(vars(net.config)))
 
 
-def _param_shapes(cfg: EnhancerConfig):
-    """(name, shape) of every parameter EnhancerNet(cfg) holds, in order."""
-    d, c = cfg.dense_units, cfg.conv_channels
-    n, e = cfg.gru_units, cfg.embedding_dim
-    yield "en_dense_in.W", (FEATURE_DIM, d)
-    yield "en_dense_in.b", (d,)
-    yield "en_conv1.W", (5, d, c)
-    yield "en_conv1.b", (c,)
-    yield "en_conv2.W", (3, c, c)
-    yield "en_conv2.b", (c,)
-    for i in range(cfg.n_gru_layers):
-        yield f"en_gru{i + 1}.Wx", (c + e if i == 0 else n, 3 * n)
-        yield f"en_gru{i + 1}.Wh", (n, 3 * n)
-        yield f"en_gru{i + 1}.b", (3 * n,)
-    yield "en_gains.W", (n, N_BANDS)
-    yield "en_gains.b", (N_BANDS,)
-    yield "en_strengths.W", (n + N_BANDS, N_BANDS)
-    yield "en_strengths.b", (N_BANDS,)
-    yield "en_vad.W", (n, 1)
-    yield "en_vad.b", (1,)
-
-
 def enhancer_from_entries(entries: dict) -> EnhancerWeights:
     """The weights a file holds; WeightsFormatError before any allocation.
 
@@ -327,7 +302,7 @@ def enhancer_from_entries(entries: dict) -> EnhancerWeights:
     read-only; nothing is copied.
     """
     cfg = EnhancerConfig(**read_meta(entries, vars(EnhancerConfig()), "enhancer"))
-    shapes = list(_param_shapes(cfg))
+    shapes = EnhancerNet.param_shapes(cfg)
     check_shapes(entries, shapes, "enhancer")
     return EnhancerWeights(cfg, _shared_float32({name: entries[name][1] for name, _ in shapes}))
 
@@ -408,8 +383,9 @@ class EnhancerSession:
         # GRU 1 sees [conv2 out, embedding]; the embedding's term is constant
         self._gru1_b = (embedding.astype(np.float64) @ w["en_gru1.Wx"][c:].astype(np.float64)
                         + w["en_gru1.b"].astype(np.float64)).astype(np.float32)[None, None]
-        self._conv1_in = np.zeros((5, cfg.dense_units), dtype=np.float32)
-        self._conv2_in = np.zeros((3, c), dtype=np.float32)
+        # a conv's window is [kernel, n_in], as its W's first two axes
+        self._conv1_in = np.zeros(w["en_conv1.W"].shape[:2], dtype=np.float32)
+        self._conv2_in = np.zeros(w["en_conv2.W"].shape[:2], dtype=np.float32)
         self._h = [np.zeros(n, dtype=np.float32) for _ in range(cfg.n_gru_layers)]
         self.gains = np.zeros(N_BANDS, dtype=np.float32)
         self.strengths = np.zeros(N_BANDS, dtype=np.float32)

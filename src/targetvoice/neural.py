@@ -7,10 +7,11 @@ in float64, streaming inference in float32.
 
 Each layer caches its last forward pass; backward() consumes that cache,
 accumulates parameter gradients in-place, and returns the input gradient.
-`Layer` holds what every layer kind shares (named parameters with their
-gradients, the input check, the backward guard) and `Net` what both
-networks share (parameter and gradient maps, weight-file entries, a net
-built from stored arrays).
+`Layer` holds what every layer kind shares (parameters declared by shape
+and Xavier fans, given arrays by drawing or filling, with their gradients;
+the input check, the backward guard) and `Net` what both networks share
+(parameter and gradient maps, weight-file entries, a net drawn from a seed
+or filled from stored arrays, the layout without any array).
 """
 
 from __future__ import annotations
@@ -32,14 +33,6 @@ def xavier_uniform(rng: np.random.Generator, n_in: int, n_out: int,
                    shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (n_in + n_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-class Unfilled:
-    """Generator stand-in for a net whose loader fills every parameter next."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.empty(size)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -71,25 +64,49 @@ def _by_gate(w: np.ndarray) -> np.ndarray:
 class Layer:
     """The bookkeeping every layer kind shares.
 
-    Each keyword parameter p of __init__ becomes the attribute p, with its
-    gradient d<p> beside it; params() and grads() name them "<name>.<p>",
-    in the order given.
+    `shapes` maps each parameter p, in order, to its shape, and `fans` maps
+    those drawn Xavier-uniform to their (fan_in, fan_out); the rest start
+    at zero. A layer holds no array until draw() or fill() makes each p the
+    attribute p, with its gradient d<p> beside it; shapes(), params() and
+    grads() name them "<name>.<p>".
     """
 
-    def __init__(self, n_in: int, name: str, **params: np.ndarray):
+    def __init__(self, n_in: int, name: str, shapes: dict, fans: dict):
         self.n_in, self.name = n_in, name
-        self._keys = tuple(params)
-        for key, value in params.items():
+        # flat maps of int tuples, which one full gc pass untracks: a nested
+        # spec would leave tracked objects for later passes to drop, and a
+        # live net would then move the engine's heap audit
+        self._shapes, self._fans = shapes, fans
+        self._cache = None
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        return {f"{self.name}.{key}": shape for key, shape in self._shapes.items()}
+
+    def draw(self, rng: np.random.Generator) -> "Layer":
+        """Fresh parameters, the Xavier ones drawn from rng in order."""
+        return self._adopt({key: xavier_uniform(rng, *self._fans[key], shape)
+                            if key in self._fans else np.zeros(shape)
+                            for key, shape in self._shapes.items()})
+
+    def fill(self, arrays) -> "Layer":
+        """Parameters copied from arrays["<name>.<p>"], widened to float64."""
+        values = {key: np.empty(shape) for key, shape in self._shapes.items()}
+        for key, value in values.items():
+            value[...] = arrays[f"{self.name}.{key}"]
+        return self._adopt(values)
+
+    def _adopt(self, values: dict[str, np.ndarray]) -> "Layer":
+        for key, value in values.items():
             setattr(self, key, value)
             # np.zeros, not zeros_like: gradient pages stay untouched until training
             setattr(self, f"d{key}", np.zeros(value.shape))
-        self._cache = None
+        return self
 
     def params(self) -> dict[str, np.ndarray]:
-        return {f"{self.name}.{key}": getattr(self, key) for key in self._keys}
+        return {f"{self.name}.{key}": getattr(self, key) for key in self._shapes}
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {f"{self.name}.{key}": getattr(self, f"d{key}") for key in self._keys}
+        return {f"{self.name}.{key}": getattr(self, f"d{key}") for key in self._shapes}
 
     def zero_grads(self) -> None:
         for g in self.grads().values():
@@ -112,11 +129,10 @@ class Dense(Layer):
 
     kind = "dense"
 
-    def __init__(self, n_in: int, n_out: int, activation: str,
-                 rng: np.random.Generator, name: str = "dense"):
+    def __init__(self, n_in: int, n_out: int, activation: str, name: str):
         self.n_out, self.activation = n_out, activation
-        super().__init__(n_in, name, W=xavier_uniform(rng, n_in, n_out, (n_in, n_out)),
-                         b=np.zeros(n_out))
+        super().__init__(n_in, name, {"W": (n_in, n_out), "b": (n_out,)},
+                         {"W": (n_in, n_out)})
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x)
@@ -143,12 +159,10 @@ class CausalConv1d(Layer):
 
     kind = "conv1d"
 
-    def __init__(self, n_in: int, n_out: int, kernel: int, activation: str,
-                 rng: np.random.Generator, name: str = "conv"):
+    def __init__(self, n_in: int, n_out: int, kernel: int, activation: str, name: str):
         self.n_out, self.kernel, self.activation = n_out, kernel, activation
-        super().__init__(n_in, name,
-                         W=xavier_uniform(rng, kernel * n_in, n_out, (kernel, n_in, n_out)),
-                         b=np.zeros(n_out))
+        super().__init__(n_in, name, {"W": (kernel, n_in, n_out), "b": (n_out,)},
+                         {"W": (kernel * n_in, n_out)})
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x)
@@ -184,15 +198,13 @@ class GRU(Layer):
 
     kind = "gru"
 
-    def __init__(self, n_in: int, n_units: int, rng: np.random.Generator,
-                 name: str = "gru"):
+    def __init__(self, n_in: int, n_units: int, name: str):
         self.n_units = n_units
-        super().__init__(n_in, name,
-                         Wx=xavier_uniform(rng, n_in, n_units, (n_in, 3 * n_units)),
-                         Wh=xavier_uniform(rng, n_units, n_units, (n_units, 3 * n_units)),
-                         b=np.zeros(3 * n_units))
+        super().__init__(n_in, name, {"Wx": (n_in, 3 * n_units), "Wh": (n_units, 3 * n_units),
+                                      "b": (3 * n_units,)},
+                         {"Wx": (n_in, n_units), "Wh": (n_units, n_units)})
 
-    def forward(self, x: np.ndarray, h0: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._check_input(x)
         batch, steps, _ = x.shape
         n = self.n_units
@@ -207,7 +219,7 @@ class GRU(Layer):
         np.add(gx, _by_gate(self.b)[:, None], out=gates)
         wh = _by_gate(self.Wh)
         states = np.empty((steps + 1, batch, n))
-        states[0] = 0.0 if h0 is None else h0
+        states[0] = 0.0
         for t in range(steps):
             h = states[t]
             g = gates[t]
@@ -282,25 +294,38 @@ class GRU(Layer):
 class Net:
     """The bookkeeping both networks share.
 
-    A subclass's _build(rng) creates its layers, drawing their weights
-    from rng, and lists them in self.layers; params() names every
-    parameter in that order, which is also the weight file's order.
+    A subclass's _build() creates its layers from self.config and lists
+    them in self.layers, the one statement of the net's layout: the layers
+    draw their parameters from the seed in that order, params() and
+    param_shapes() name every parameter in it, and it is also the weight
+    file's order.
     """
 
     def __init__(self, config, seed: int = 0):
-        self.config = config
-        self._build(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for layer in self._declare(config):
+            layer.draw(rng)
 
     @classmethod
     def from_arrays(cls, config, arrays):
         """The net of `config` whose parameters are copies of `arrays`
         (name -> array, one per params() entry), widened to float64."""
         net = cls.__new__(cls)
-        net.config = config
-        net._build(Unfilled())
-        for name, p in net.params().items():
-            p[...] = arrays[name]
+        for layer in net._declare(config):
+            layer.fill(arrays)
         return net
+
+    @classmethod
+    def param_shapes(cls, config) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of every parameter the net of `config` holds, in
+        params() order; no parameter is allocated."""
+        net = cls.__new__(cls)
+        return [item for layer in net._declare(config) for item in layer.shapes().items()]
+
+    def _declare(self, config) -> list[Layer]:
+        self.config = config
+        self._build()
+        return self.layers
 
     @property
     def n_params(self) -> int:

@@ -176,11 +176,11 @@ def test_criterion_5_gradient_suite():
         results.append((label, worst))
 
     x = rng.standard_normal((2, 8, 6))
-    check("dense/linear", nn.Dense(6, 4, "linear", rng), x)
-    check("dense/tanh", nn.Dense(6, 4, "tanh", rng), x)
-    check("dense/sigmoid", nn.Dense(6, 4, "sigmoid", rng), x)
-    check("conv1d", nn.CausalConv1d(6, 5, 3, "tanh", rng), x)
-    check("gru", nn.GRU(6, 5, rng), x)
+    check("dense/linear", nn.Dense(6, 4, "linear", "dense").draw(rng), x)
+    check("dense/tanh", nn.Dense(6, 4, "tanh", "dense").draw(rng), x)
+    check("dense/sigmoid", nn.Dense(6, 4, "sigmoid", "dense").draw(rng), x)
+    check("conv1d", nn.CausalConv1d(6, 5, 3, "tanh", "conv").draw(rng), x)
+    check("gru", nn.GRU(6, 5, "gru").draw(rng), x)
 
     # losses
     g = rng.uniform(0.05, 0.95, (3, 32))

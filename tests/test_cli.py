@@ -123,7 +123,9 @@ class TestEnhance:
         def no_master(*args):
             raise AssertionError("enhance built the float64 parameters")
 
-        monkeypatch.setattr(EnhancerNet, "_build", no_master)
+        # a net is drawn or filled; loading lists its layout, which builds none
+        monkeypatch.setattr(EnhancerNet, "__init__", no_master)
+        monkeypatch.setattr(EnhancerNet, "from_arrays", no_master)
         rc = main(["enhance", os.path.join(mix_dir, "mix_0000.wav"),
                    "--embedding", str(emb_path),
                    "--weights", enhancer_weights, "--out", str(tmp_path / "out.wav")])
@@ -286,7 +288,8 @@ class TestEval:
         def no_master(*args):
             raise AssertionError("eval built the float64 parameters")
 
-        monkeypatch.setattr(EnhancerNet, "_build", no_master)
+        monkeypatch.setattr(EnhancerNet, "__init__", no_master)
+        monkeypatch.setattr(EnhancerNet, "from_arrays", no_master)
         rc = main(["eval", "--manifest", os.path.join(mix_dir, "manifest.jsonl"),
                    "--embedder", embedder_weights, "--enhancer", enhancer_weights,
                    "--mode", "model", "--out", str(tmp_path / "report.jsonl")])
@@ -340,15 +343,18 @@ class TestEval:
         ("target", "manifest row 1: mixture, target and interferer take 144000, 143999, "
                    "144000 samples"),
         ("short", "manifest row 1: mixture, target and interferer take 959, 959, 959 samples"),
-    ], ids=["target", "short"])
+        # one window, but 49 frames: the embedder probe needs 50
+        ("probe", "manifest row 1: mixture, target and interferer take 24000, 24000, 24000 "
+                  "samples; they must be equal and at least the 24480"),
+    ], ids=["target", "short", "probe"])
     def test_malformed_row_exits_3_naming_the_row(self, tmp_path, mix_dir, embedder_weights,
                                                   capsys, defect, message):
         rows = [json.loads(line) for line in open(os.path.join(mix_dir, "manifest.jsonl"))]
         bad = dict(rows[0])
         for key in ("mixture", "target", "interferer"):
             samples = read_wav(bad[key]).samples
-            if defect == "short":
-                samples = samples[:959]
+            if defect in ("short", "probe"):
+                samples = samples[: {"short": 959, "probe": 24000}[defect]]
             elif key == defect:
                 samples = samples[:-1]
             bad[key] = str(tmp_path / f"{key}.wav")
@@ -360,6 +366,28 @@ class TestEval:
                    "--mode", "identity", "--out", str(out)])
         assert rc == EXIT_DATA
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_short_enrollment_exits_3_naming_the_row_before_any_model_runs(
+            self, tmp_path, mix_dir, embedder_weights, enhancer_weights, monkeypatch, capsys):
+        from targetvoice import embedder, enhancer
+
+        def refuse(*args):
+            raise AssertionError("a model ran on a row with a short enrollment")
+
+        patch_everywhere(monkeypatch, embedder.enroll_embedding, refuse)
+        patch_everywhere(monkeypatch, enhancer.EnhancerSession, refuse)
+        row = json.loads(open(os.path.join(mix_dir, "manifest.jsonl")).readline())
+        row["enrollment"] = str(tmp_path / "enroll.wav")
+        write_wav(row["enrollment"], AudioBuffer(np.zeros(24000, dtype=np.float32)))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps(row) + "\n")
+        out = tmp_path / "report.jsonl"
+        rc = main(["eval", "--manifest", str(manifest), "--embedder", embedder_weights,
+                   "--enhancer", enhancer_weights, "--mode", "model", "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert ("manifest row 0: the enrollment takes 24000 samples; the embedder needs "
+                "at least 24480") in capsys.readouterr().err
         assert not out.exists()
 
     def test_model_mode_without_enhancer_exits_3_before_reading_audio(

@@ -132,9 +132,9 @@ class TestSerialization:
     @pytest.mark.parametrize("config", [em.EmbedderConfig(), em.EmbedderConfig.toy()],
                              ids=["full", "toy"])
     def test_param_shapes_list_the_built_params(self, config):
-        # embedder_from_entries checks a file against _param_shapes before building
+        # embedder_from_entries checks a file against param_shapes before building
         built = [(name, p.shape) for name, p in em.EmbedderNet(config).params().items()]
-        assert list(em._param_shapes(config)) == built
+        assert list(em.EmbedderNet.param_shapes(config)) == built
 
     def test_roundtrip_preserves_embeddings(self, toy_net):
         blob = pack_weights("embedder", em.embedder_entries(toy_net))

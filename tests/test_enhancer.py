@@ -51,10 +51,10 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("preset", ["toy", "ppn512", "ppn1024"])
     def test_param_shapes_list_the_built_params(self, preset):
-        # the loaders check a file against _param_shapes before building
+        # the loaders check a file against param_shapes before building
         cfg = en.EnhancerConfig.preset(preset)
         built = [(name, p.shape) for name, p in en.EnhancerNet(cfg).params().items()]
-        assert list(en._param_shapes(cfg)) == built
+        assert en.EnhancerNet.param_shapes(cfg) == built
 
     def test_backward_before_forward(self, tiny_cfg):
         net = en.EnhancerNet(tiny_cfg, seed=0)
@@ -313,7 +313,7 @@ class TestSharedWeights:
         assert s1.weights is s2.weights is weights.arrays
         # each narrowing of the net is a copy of its own
         assert net.float32_weights().arrays is not weights.arrays
-        names = [name for name, _ in en._param_shapes(tiny_cfg)]
+        names = [name for name, _ in en.EnhancerNet.param_shapes(tiny_cfg)]
         assert list(s1.weights) == names
         assert len(names) == 12 + 3 * tiny_cfg.n_gru_layers
         for arr in s1.weights.values():
@@ -426,7 +426,7 @@ class TestLoadedNet:
         _, entries, loaded = save_and_load(tiny_net)
         session = en.EnhancerSession(loaded, unit_embeddings(1, 8)[0].astype(np.float32))
         assert session.weights is loaded.arrays
-        assert list(loaded.arrays) == [name for name, _ in en._param_shapes(loaded.config)]
+        assert list(loaded.arrays) == [name for name, _ in en.EnhancerNet.param_shapes(loaded.config)]
         for name, arr in loaded.arrays.items():
             assert arr is entries[name][1]
             assert not arr.flags.writeable
@@ -449,7 +449,7 @@ class TestLoadedNet:
         cfg = en.EnhancerConfig.preset("ppn512")
         entries = {f"meta.{key}": ("scalar", np.array([float(val)], dtype=np.float32))
                    for key, val in vars(cfg).items()}
-        for name, shape in en._param_shapes(cfg):
+        for name, shape in en.EnhancerNet.param_shapes(cfg):
             entries[name] = ("dense", np.zeros(shape, dtype=np.float32))
         payload = sum(arr.nbytes for _, arr in entries.values())
         emb = unit_embeddings(1, cfg.embedding_dim)[0].astype(np.float32)

@@ -48,10 +48,10 @@ CFG4 = SimpleNamespace(units=4)
 
 
 class TwoLayerNet(nn.Net):
-    def _build(self, rng):
+    def _build(self):
         n = self.config.units
-        self.conv = nn.CausalConv1d(3, n, 2, "tanh", rng, "c")
-        self.gru = nn.GRU(n, n, rng, "g")
+        self.conv = nn.CausalConv1d(3, n, 2, "tanh", "c")
+        self.gru = nn.GRU(n, n, "g")
         self.layers = [self.conv, self.gru]
 
 
@@ -72,6 +72,25 @@ class TestNet:
                   for name, p in TwoLayerNet(CFG4, seed=2).params().items()}
         for name, p in TwoLayerNet.from_arrays(CFG4, source).params().items():
             assert p.tobytes() == source[name].astype(np.float64).tobytes()
+
+    def test_draws_each_layer_in_order_from_the_seed(self):
+        rng = np.random.default_rng(3)
+        layers = [nn.CausalConv1d(3, 4, 2, "tanh", "c").draw(rng),
+                  nn.GRU(4, 4, "g").draw(rng)]
+        drawn = nn.collect_params(layers)
+        net = TwoLayerNet(CFG4, seed=3)
+        assert list(net.params()) == list(drawn)
+        for name, p in net.params().items():
+            assert p.tobytes() == drawn[name].tobytes()
+        assert not net.conv.b.any() and not net.gru.b.any()
+
+    def test_param_shapes_list_the_layout_without_arrays(self):
+        net = TwoLayerNet(CFG4, seed=0)
+        assert TwoLayerNet.param_shapes(CFG4) == [
+            (name, p.shape) for name, p in net.params().items()]
+        declared = nn.GRU(4, 4, "g")
+        assert declared.shapes() == {"g.Wx": (4, 12), "g.Wh": (4, 12), "g.b": (12,)}
+        assert not hasattr(declared, "Wx")
 
     def test_params_grads_and_entries_follow_the_layers(self):
         net = TwoLayerNet(CFG4, seed=0)
@@ -96,20 +115,20 @@ class TestNet:
 
 class TestDense:
     def test_identity_weights(self):
-        layer = nn.Dense(4, 4, "linear", np.random.default_rng(0))
+        layer = nn.Dense(4, 4, "linear", "dense").draw(np.random.default_rng(0))
         layer.W[...] = np.eye(4)
         layer.b[...] = 0
         x = np.random.default_rng(1).standard_normal((3, 4))
         np.testing.assert_array_equal(layer.forward(x), x)
 
     def test_sigmoid_at_zero(self):
-        layer = nn.Dense(4, 2, "sigmoid", np.random.default_rng(0))
+        layer = nn.Dense(4, 2, "sigmoid", "dense").draw(np.random.default_rng(0))
         layer.b[...] = 0
         assert np.all(layer.forward(np.zeros((1, 4))) == 0.5)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(2)
-        layer = nn.Dense(5, 3, "tanh", rng)
+        layer = nn.Dense(5, 3, "tanh", "dense").draw(rng)
         x = rng.standard_normal((4, 5))
         y = layer.forward(x)
         expected = np.empty((4, 3))
@@ -123,9 +142,9 @@ class TestDense:
 
     def test_zero_upstream_gradient_zero_param_grads(self):
         rng = np.random.default_rng(11)
-        for layer in (nn.Dense(4, 3, "tanh", rng),
-                      nn.CausalConv1d(4, 3, 3, "tanh", rng),
-                      nn.GRU(4, 3, rng)):
+        for layer in (nn.Dense(4, 3, "tanh", "dense").draw(rng),
+                      nn.CausalConv1d(4, 3, 3, "tanh", "conv").draw(rng),
+                      nn.GRU(4, 3, "gru").draw(rng)):
             x = rng.standard_normal((2, 5, 4))
             layer.zero_grads()
             y = layer.forward(x)
@@ -136,7 +155,7 @@ class TestDense:
 
     def test_linear_gradient_is_outer_product(self):
         rng = np.random.default_rng(3)
-        layer = nn.Dense(4, 3, "linear", rng)
+        layer = nn.Dense(4, 3, "linear", "dense").draw(rng)
         x = rng.standard_normal((1, 4))
         dy = rng.standard_normal((1, 3))
         layer.zero_grads()
@@ -147,17 +166,17 @@ class TestDense:
     @pytest.mark.parametrize("activation", ["linear", "tanh", "sigmoid"])
     def test_gradients(self, activation):
         rng = np.random.default_rng(5)
-        layer = nn.Dense(6, 4, activation, rng)
+        layer = nn.Dense(6, 4, activation, "dense").draw(rng)
         x = rng.standard_normal((2, 7, 6))
         assert check_layer_gradients(layer, x) < 1e-4
 
     def test_shape_mismatch(self):
-        layer = nn.Dense(4, 2, "linear", np.random.default_rng(0))
+        layer = nn.Dense(4, 2, "linear", "dense").draw(np.random.default_rng(0))
         with pytest.raises(nn.ShapeError):
             layer.forward(np.zeros((3, 5)))
 
     def test_backward_before_forward(self):
-        layer = nn.Dense(4, 2, "linear", np.random.default_rng(0))
+        layer = nn.Dense(4, 2, "linear", "dense").draw(np.random.default_rng(0))
         with pytest.raises(RuntimeError, match="before forward"):
             layer.backward(np.zeros((3, 2)))
 
@@ -169,7 +188,7 @@ class TestDense:
 
 class TestCausalConv1d:
     def test_kernel1_identity(self):
-        layer = nn.CausalConv1d(3, 3, 1, "linear", np.random.default_rng(0))
+        layer = nn.CausalConv1d(3, 3, 1, "linear", "conv").draw(np.random.default_rng(0))
         layer.W[0] = np.eye(3)
         layer.b[...] = 0
         x = np.random.default_rng(1).standard_normal((2, 6, 3))
@@ -177,7 +196,7 @@ class TestCausalConv1d:
 
     def test_impulse_reveals_taps(self):
         rng = np.random.default_rng(2)
-        layer = nn.CausalConv1d(1, 1, 4, "linear", rng)
+        layer = nn.CausalConv1d(1, 1, 4, "linear", "conv").draw(rng)
         layer.b[...] = 0
         x = np.zeros((1, 10, 1))
         x[0, 3, 0] = 1.0
@@ -188,7 +207,7 @@ class TestCausalConv1d:
 
     def test_direct_convolution_oracle(self):
         rng = np.random.default_rng(3)
-        layer = nn.CausalConv1d(2, 3, 3, "tanh", rng)
+        layer = nn.CausalConv1d(2, 3, 3, "tanh", "conv").draw(rng)
         x = rng.standard_normal((1, 8, 2))
         y = layer.forward(x)
         for t in range(8):
@@ -200,7 +219,7 @@ class TestCausalConv1d:
 
     def test_causality(self):
         rng = np.random.default_rng(4)
-        layer = nn.CausalConv1d(3, 3, 3, "tanh", rng)
+        layer = nn.CausalConv1d(3, 3, 3, "tanh", "conv").draw(rng)
         x = rng.standard_normal((1, 10, 3))
         perturbed = x.copy()
         perturbed[0, 6] += 1.0
@@ -209,12 +228,12 @@ class TestCausalConv1d:
         assert not np.allclose(y0[0, 6:], y1[0, 6:])
 
     def test_preserves_time_length(self):
-        layer = nn.CausalConv1d(3, 5, 5, "tanh", np.random.default_rng(0))
+        layer = nn.CausalConv1d(3, 5, 5, "tanh", "conv").draw(np.random.default_rng(0))
         assert layer.forward(np.zeros((2, 17, 3))).shape == (2, 17, 5)
 
     def test_gradients(self):
         rng = np.random.default_rng(6)
-        layer = nn.CausalConv1d(4, 3, 3, "tanh", rng)
+        layer = nn.CausalConv1d(4, 3, 3, "tanh", "conv").draw(rng)
         x = rng.standard_normal((2, 9, 4))
         assert check_layer_gradients(layer, x) < 1e-4
 
@@ -226,67 +245,72 @@ class TestCausalConv1d:
 
 class TestGRU:
     def test_zero_weights_zero_state(self):
-        layer = nn.GRU(3, 4, np.random.default_rng(0))
+        layer = nn.GRU(3, 4, "gru").draw(np.random.default_rng(0))
         for p in layer.params().values():
             p[...] = 0.0
         y = layer.forward(np.random.default_rng(1).standard_normal((1, 5, 3)))
         assert np.all(y == 0)
 
     def test_closed_update_gate_keeps_state(self):
-        layer = nn.GRU(3, 4, np.random.default_rng(2))
-        layer.b[:4] = -60.0  # z ~ 0
-        h_prev = 0.5 * np.random.default_rng(3).standard_normal((1, 4))
-        x = np.random.default_rng(4).standard_normal((1, 1, 3))
-        h_new = layer.forward(x, h_prev)[:, 0]
-        np.testing.assert_allclose(h_new, h_prev, atol=1e-6)
+        layer = nn.GRU(3, 4, "gru").draw(np.random.default_rng(2))
+        # input channel 0 alone drives the update gate: open at 1, closed at 0
+        layer.Wx[:, :4] = 0.0
+        layer.Wx[0, :4] = 120.0
+        layer.Wh[:, :4] = 0.0
+        layer.b[:4] = -60.0
+        x = np.random.default_rng(4).standard_normal((1, 2, 3))
+        x[0, :, 0] = [1.0, 0.0]
+        h = layer.forward(x)[0]
+        assert np.all(np.abs(h[0]) > 1e-3)
+        np.testing.assert_allclose(h[1], h[0], atol=1e-6)
 
     def test_scalar_loop_oracle(self):
+        # two steps from the zero state: the second runs on a nonzero state
         rng = np.random.default_rng(5)
-        layer = nn.GRU(3, 2, rng)
-        x_t = rng.standard_normal(3)
-        h = rng.standard_normal(2) * 0.5
-        got = layer.forward(x_t[None, None], h[None])[0, 0]
+        layer = nn.GRU(3, 2, "gru").draw(rng)
+        layer.b[...] = 0.5 * rng.standard_normal(layer.b.shape)
+        xs = rng.standard_normal((2, 3))
+        got = layer.forward(xs[None])[0]
 
         def sigmoid(v):
             return 1.0 / (1.0 + np.exp(-v))
 
         n = 2
-        expected = np.empty(2)
-        for j in range(n):
-            gz = layer.b[j] + sum(x_t[i] * layer.Wx[i, j] for i in range(3)) \
-                + sum(h[i] * layer.Wh[i, j] for i in range(2))
-            gr = layer.b[n + j] + sum(x_t[i] * layer.Wx[i, n + j] for i in range(3)) \
-                + sum(h[i] * layer.Wh[i, n + j] for i in range(2))
-            z, r = sigmoid(gz), sigmoid(gr)
-            gn = layer.b[2 * n + j] + sum(x_t[i] * layer.Wx[i, 2 * n + j] for i in range(3)) \
-                + r * sum(h[i] * layer.Wh[i, 2 * n + j] for i in range(2))
-            expected[j] = (1 - z) * h[j] + z * np.tanh(gn)
-        np.testing.assert_allclose(got, expected, atol=1e-6)
+        h = np.zeros(n)
+        for t, x_t in enumerate(xs):
+            expected = np.empty(n)
+            for j in range(n):
+                gz = layer.b[j] + sum(x_t[i] * layer.Wx[i, j] for i in range(3)) \
+                    + sum(h[i] * layer.Wh[i, j] for i in range(2))
+                gr = layer.b[n + j] + sum(x_t[i] * layer.Wx[i, n + j] for i in range(3)) \
+                    + sum(h[i] * layer.Wh[i, n + j] for i in range(2))
+                z, r = sigmoid(gz), sigmoid(gr)
+                gn = layer.b[2 * n + j] + sum(x_t[i] * layer.Wx[i, 2 * n + j]
+                                              for i in range(3)) \
+                    + r * sum(h[i] * layer.Wh[i, 2 * n + j] for i in range(2))
+                expected[j] = (1 - z) * h[j] + z * np.tanh(gn)
+            np.testing.assert_allclose(got[t], expected, atol=1e-6)
+            h = expected
+        assert np.all(h != 0)
 
     def test_state_bounded_over_many_random_steps(self):
         rng = np.random.default_rng(7)
-        layer = nn.GRU(8, 8, rng)
-        h = np.zeros((1, 8))
-        peak = 0.0
-        for chunk in range(100):  # one recurrence, 1000 steps per forward
-            xs = rng.standard_normal((1, 1000, 8)) * 3.0
-            states = layer.forward(xs, h)
-            h = states[:, -1]
-            peak = max(peak, float(np.max(np.abs(states))))
-        assert peak <= 1.0
-        assert np.all(np.isfinite(h))
+        layer = nn.GRU(8, 8, "gru").draw(rng)
+        states = layer.forward(rng.standard_normal((1, 100_000, 8)) * 3.0)
+        assert float(np.max(np.abs(states))) <= 1.0
+        assert np.all(np.isfinite(states))
 
     def test_gradients(self):
         rng = np.random.default_rng(8)
-        layer = nn.GRU(5, 4, rng)
+        layer = nn.GRU(5, 4, "gru").draw(rng)
         x = rng.standard_normal((2, 6, 5))
         assert check_layer_gradients(layer, x) < 1e-4
 
     def test_composed_stack_gradients(self):
         rng = np.random.default_rng(9)
-        conv = nn.CausalConv1d(4, 5, 3, "tanh", rng, "c")
-        gru = nn.GRU(5, 4, rng, "g")
-        dense = nn.Dense(4, 2, "sigmoid", rng, "d")
+        conv = nn.CausalConv1d(4, 5, 3, "tanh", "c").draw(rng)
+        gru = nn.GRU(5, 4, "g").draw(rng)
+        dense = nn.Dense(4, 2, "sigmoid", "d").draw(rng)
         layers = [conv, gru, dense]
         x = rng.standard_normal((2, 6, 4))
         probe = rng.standard_normal((2, 6, 2))
@@ -323,11 +347,11 @@ class StepwiseGRU:
     def __init__(self, layer: nn.GRU):
         self.layer = layer
 
-    def forward(self, x, h0=None):
+    def forward(self, x):
         g = self.layer
         batch, steps, _ = x.shape
         n = g.n_units
-        h = np.zeros((batch, n)) if h0 is None else h0.copy()
+        h = np.zeros((batch, n))
         gx_all = x @ g.Wx + g.b
         h_seq = np.empty((batch, steps, n))
         cache = []
@@ -380,12 +404,12 @@ class StepwiseGRU:
         return dx
 
 
-def run_both(layer, x, dy, h0=None, passes=1):
+def run_both(layer, x, dy, passes=1):
     """Forward and `passes` backwards through the layer, then the oracle."""
     results = []
     for impl in (layer, StepwiseGRU(layer)):
         layer.zero_grads()
-        y = impl.forward(x, h0)
+        y = impl.forward(x)
         for _ in range(passes):
             dx = impl.backward(dy)
         results.append((y, dx, {k: v.copy() for k, v in layer.grads().items()}))
@@ -397,8 +421,8 @@ def assert_rel_close(got, want, rel):
     assert float(np.max(np.abs(got - want))) <= rel * scale
 
 
-def check_against_oracle(layer, x, dy, h0=None):
-    (y, dx, grads), (y_ref, dx_ref, grads_ref) = run_both(layer, x, dy, h0)
+def check_against_oracle(layer, x, dy):
+    (y, dx, grads), (y_ref, dx_ref, grads_ref) = run_both(layer, x, dy)
     assert y.shape == y_ref.shape and dx.shape == dx_ref.shape == x.shape
     np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
     assert_rel_close(dx, dx_ref, 1e-10)
@@ -417,19 +441,17 @@ class TestGRUSequenceKernels:
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("steps", [1, 2, 50])
-    @pytest.mark.parametrize("given_h0", [False, True])
-    def test_matches_stepwise_oracle(self, batch, steps, given_h0):
+    def test_matches_stepwise_oracle(self, batch, steps):
         rng = np.random.default_rng(100 * batch + steps)
-        layer = nn.GRU(5, 6, rng)
+        layer = nn.GRU(5, 6, "gru").draw(rng)
         layer.b[...] = 0.3 * rng.standard_normal(layer.b.shape)
         x = rng.standard_normal((batch, steps, 5))
         dy = rng.standard_normal((batch, steps, 6))
-        h0 = 0.5 * rng.standard_normal((batch, 6)) if given_h0 else None
-        check_against_oracle(layer, x, dy, h0)
+        check_against_oracle(layer, x, dy)
 
     def test_two_backwards_accumulate(self):
         rng = np.random.default_rng(9)
-        layer = nn.GRU(4, 3, rng)
+        layer = nn.GRU(4, 3, "gru").draw(rng)
         x = rng.standard_normal((2, 11, 4))
         dy = rng.standard_normal((2, 11, 3))
         (_, dx, grads), (_, dx_ref, grads_ref) = run_both(layer, x, dy, passes=2)
@@ -441,7 +463,7 @@ class TestGRUSequenceKernels:
 
     def test_output_does_not_alias_cache(self):
         rng = np.random.default_rng(10)
-        layer = nn.GRU(3, 4, rng)
+        layer = nn.GRU(3, 4, "gru").draw(rng)
         x = rng.standard_normal((1, 5, 3))
         dy = rng.standard_normal((1, 5, 4))
         layer.zero_grads()
@@ -452,12 +474,12 @@ class TestGRUSequenceKernels:
         np.testing.assert_array_equal(layer.backward(dy), dx)
 
     def test_shape_mismatch(self):
-        layer = nn.GRU(4, 3, np.random.default_rng(0))
+        layer = nn.GRU(4, 3, "gru").draw(np.random.default_rng(0))
         with pytest.raises(nn.ShapeError):
             layer.forward(np.zeros((2, 5, 6)))
 
     def test_backward_before_forward(self):
-        layer = nn.GRU(4, 3, np.random.default_rng(0))
+        layer = nn.GRU(4, 3, "gru").draw(np.random.default_rng(0))
         with pytest.raises(RuntimeError, match="before forward"):
             layer.backward(np.zeros((2, 5, 3)))
 
@@ -483,14 +505,14 @@ class TestAdam:
         assert np.all(np.isfinite(p["w"]))
 
     def test_deterministic_initialization(self):
-        a = nn.GRU(6, 5, np.random.default_rng(42))
-        b = nn.GRU(6, 5, np.random.default_rng(42))
+        a = nn.GRU(6, 5, "gru").draw(np.random.default_rng(42))
+        b = nn.GRU(6, 5, "gru").draw(np.random.default_rng(42))
         for pa, pb in zip(a.params().values(), b.params().values()):
             np.testing.assert_array_equal(pa, pb)
 
     def test_duplicate_param_names_rejected(self):
         rng = np.random.default_rng(0)
-        layers = [nn.Dense(2, 2, "linear", rng, name="same"),
-                  nn.Dense(2, 2, "linear", rng, name="same")]
+        layers = [nn.Dense(2, 2, "linear", "same").draw(rng),
+                  nn.Dense(2, 2, "linear", "same").draw(rng)]
         with pytest.raises(ValueError, match="duplicate"):
             nn.collect_params(layers)

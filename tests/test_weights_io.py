@@ -251,3 +251,47 @@ class TestEmbeddingFiles:
         wio.save_embedding(path, np.full(8, 3.0))
         with pytest.raises(wio.WeightsFormatError, match="norm"):
             wio.load_embedding(path)
+
+
+class TestModelLoaders:
+    """The model loaders size nothing from a file before they have checked it."""
+
+    @pytest.mark.parametrize("kind", ["enhancer", "embedder"])
+    def test_huge_meta_rejected_without_allocating(self, kind):
+        import tracemalloc
+
+        from targetvoice import embedder, enhancer
+
+        if kind == "enhancer":
+            net = enhancer.EnhancerNet(enhancer.EnhancerConfig.preset("toy"))
+            entries, load = enhancer.enhancer_entries(net), enhancer.enhancer_from_entries
+        else:
+            net = embedder.EmbedderNet(embedder.EmbedderConfig.toy())
+            entries, load = embedder.embedder_entries(net), embedder.embedder_from_entries
+        entries = [(name, k, np.array([2.0 ** 31]) if name == "meta.gru_units" else arr)
+                   for name, k, arr in entries]
+        _, stored = wio.unpack_weights(wio.pack_weights(kind, entries))
+        tracemalloc.start()
+        try:
+            with pytest.raises(wio.WeightsFormatError, match="shape mismatch"):
+                load(stored)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_param_shapes_allocate_no_parameter(self):
+        import math
+        import tracemalloc
+
+        from targetvoice.enhancer import EnhancerConfig, EnhancerNet
+
+        config = EnhancerConfig.preset("ppn1024")
+        tracemalloc.start()
+        try:
+            shapes = EnhancerNet.param_shapes(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert sum(math.prod(shape) for _, shape in shapes) == 25_190_081
