@@ -3,7 +3,8 @@
 Every command is a pure function of its arguments (`--seed` among them for
 the commands that draw random numbers), writes a resolved-config sidecar
 next to its main output, and never mutates its inputs. Exit codes: 0
-success, 2 usage error, 3 data error, 4 numeric failure.
+success, 2 usage error (argparse exits with it on its own), 3 data error,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from targetvoice.weights_io import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
@@ -278,11 +278,11 @@ def cmd_eval(args) -> int:
             raise DataError(f"manifest row {idx}: mixture, target and interferer take "
                             f"{len(mixture)}, {len(target)}, {len(interf)} samples; they must "
                             f"be equal and at least the {min_len} the embedder probes")
-        if args.mode == "model":
-            enroll = read_wav(row["enrollment"]).samples
-            if len(enroll) < min_len:
-                raise DataError(f"manifest row {idx}: the enrollment takes {len(enroll)} "
-                                f"samples; the embedder needs at least {min_len}")
+        if args.mode == "model":  # enroll's rule, which also gives the embedder its frames
+            enroll = read_wav(row["enrollment"])
+            if enroll.duration < MIN_ENROLL_S:
+                raise DataError(f"manifest row {idx}: the enrollment takes "
+                                f"{enroll.duration:.2f} s; enroll needs >= {MIN_ENROLL_S} s")
         target_feats = extract_features(target).features
 
         vad_acc = None
@@ -290,7 +290,7 @@ def cmd_eval(args) -> int:
             targets = compute_supervision(target_feats, extract_features(mixture).features)
             out = replay_controls(mixture, targets.gains, targets.strengths)
         elif args.mode == "model":
-            emb = enroll_embedding(embedder_net, extract_features(enroll).features)
+            emb = enroll_embedding(embedder_net, extract_features(enroll.samples).features)
             out, vad = run_whole(StreamingEnhancer(enhancer, emb), mixture)
             labels = vad_labels_from_energy(target_feats[:, -2])
             out_t, lab_t = lookahead_slices(len(vad), len(labels))

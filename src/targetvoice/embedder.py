@@ -206,7 +206,7 @@ class EmbedderTrainConfig:
     """Training of the toy embedder, EmbedderConfig.toy(); seed draws its
     initial weights and its batches."""
 
-    steps: int = 200
+    steps: int
     seed: int = 0
 
 

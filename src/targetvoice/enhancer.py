@@ -229,7 +229,7 @@ def vad_loss(pred_vad, labels):
 
 @dataclass
 class EnhancerTrainConfig:
-    steps: int = 1000
+    steps: int
     batch_size: int = 4
     seed: int = 0
     log_every: int = 100
@@ -332,10 +332,6 @@ class EnhancerWeights:
     def __init__(self, config: EnhancerConfig, arrays: MappingProxyType):
         self.config = config
         self.arrays = arrays
-
-    @property
-    def n_params(self) -> int:
-        return sum(arr.size for arr in self.arrays.values())
 
     def forward(self, features: np.ndarray, embedding: np.ndarray):
         """EnhancerNet.forward on the widened arrays."""

@@ -65,7 +65,6 @@ VOICING_THRESHOLD = 0.3
 OCTAVE_PREFERENCE = 0.85
 
 ENERGY_FLOOR = 1e-9
-LOG_FLOOR = float(np.log10(ENERGY_FLOOR))
 
 # context a frame needs behind its own start: the coherence comparison
 # window reaches back one maximum pitch lag before the frame

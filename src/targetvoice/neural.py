@@ -301,7 +301,7 @@ class Net:
     file's order.
     """
 
-    def __init__(self, config, seed: int = 0):
+    def __init__(self, config, seed: int):
         rng = np.random.default_rng(seed)
         for layer in self._declare(config):
             layer.draw(rng)
@@ -326,10 +326,6 @@ class Net:
         self.config = config
         self._build()
         return self.layers
-
-    @property
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params().values())
 
     def params(self) -> dict[str, np.ndarray]:
         return collect_params(self.layers)

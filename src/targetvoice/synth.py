@@ -228,12 +228,6 @@ def synth_speaker(speaker_seed: int, duration: float) -> AudioBuffer:
     return AudioBuffer(signal.astype(np.float32))
 
 
-def speaker_base_f0(speaker_seed: int) -> float:
-    """The seeded talker's base F0 in Hz (same draw synth_speaker makes)."""
-    rng = np.random.default_rng(np.random.SeedSequence([917, int(speaker_seed)]))
-    return 90.0 * (280.0 / 90.0) ** rng.uniform()
-
-
 def _shaped_noise(salt: int, seed: int, duration: float, response) -> AudioBuffer:
     """Seeded white noise filtered by response(rng, bin_hz), scaled to a 0.3 peak."""
     rng = np.random.default_rng(np.random.SeedSequence([salt, int(seed)]))
@@ -283,7 +277,7 @@ class SupervisionTargets:
     gains: np.ndarray      # [T, 32] ideal ratio masks
     strengths: np.ndarray  # [T, 32] clean-frame pitch coherence
     vad: np.ndarray        # [T] target-active labels {0, 1}
-    features: np.ndarray   # [T', 68] the mixture's feature matrix, T' >= T
+    features: np.ndarray   # [T, 68] the mixture's feature matrix
 
 
 @dataclass
@@ -366,13 +360,11 @@ def compute_supervision(clean: np.ndarray, mixture: np.ndarray) -> SupervisionTa
     """Frame-aligned training targets from the clean target's and the mixture's features.
 
     Both are [T, 68] feature matrices (Frames.features) of the stored
-    components.
+    components, with the same number of frames.
     """
-    clean = clean[: len(mixture)]
-    n_frames = len(clean)
     # columns: 32 log10 band energies, 32 coherences, then the general features
     clean_e = 10.0 ** clean[:, :N_BANDS].astype(np.float64)
-    mix_e = 10.0 ** mixture[:n_frames, :N_BANDS].astype(np.float64)
+    mix_e = 10.0 ** mixture[:, :N_BANDS].astype(np.float64)
     return SupervisionTargets(
         gains=compute_target_gains(clean_e, mix_e),
         strengths=clean[:, N_BANDS : 2 * N_BANDS].astype(np.float64),
@@ -386,12 +378,12 @@ def compute_supervision(clean: np.ndarray, mixture: np.ndarray) -> SupervisionTa
 # ---------------------------------------------------------------------------
 
 
-def evaluation_specs(n: int, seed: int, augmented: bool = False) -> list[MixtureSpec]:
+def evaluation_specs(n: int, seed: int, augmented: bool) -> list[MixtureSpec]:
     """Evaluation preset: SIR and SNR uniform over [3, 15] dB."""
     return _preset_specs(n, seed, 271, (3.0, 15.0), (3.0, 15.0), augmented)
 
 
-def training_specs(n: int, seed: int, augmented: bool = True) -> list[MixtureSpec]:
+def training_specs(n: int, seed: int, augmented: bool) -> list[MixtureSpec]:
     """Training preset: SNR in [-5, 35] dB, SIR in [-5, 10] dB."""
     return _preset_specs(n, seed, 272, (-5.0, 35.0), (-5.0, 10.0), augmented)
 
@@ -564,7 +556,7 @@ def draw_sources(rng: np.random.Generator, speakers: Sequence[ToySpeaker],
 
 
 def toy_enhancer_dataset(speakers: Sequence[ToySpeaker], embedder_net,
-                         n_mixtures: int = 96, seed: int = 0):
+                         n_mixtures: int, seed: int):
     """Training examples for the toy enhancer.
 
     Each example mixes an ordered speaker pair (both orders occur, so the
@@ -598,30 +590,3 @@ def toy_enhancer_dataset(speakers: Sequence[ToySpeaker], embedder_net,
     if not dataset:
         raise MixtureError("no usable training mixtures were generated")
     return dataset, embeddings
-
-
-def toy_eval_mixtures(speakers: Sequence[ToySpeaker], n_mixtures: int = 50,
-                      seed: int = 100, snr_db: float = 25.0, sir_db: float = 0.0):
-    """Held-out two-speaker mixtures for conditioning / VAD evaluation.
-
-    Returns a list of (MixtureExample, target_id, interferer_id); the
-    symmetric default SIR makes "enhance the louder talker" useless, so
-    only genuine speaker conditioning separates the pair.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([552, int(seed)]))
-    out = []
-    k = 0
-    while len(out) < n_mixtures:
-        a, b, target, interf, noise = draw_sources(rng, speakers, "heldout_audio",
-                                                   TOY_MIXTURE_S)
-        spec = MixtureSpec(snr_db=snr_db, sir_db=sir_db,
-                           seed=int(rng.integers(2 ** 31)))
-        try:
-            example = make_mixture(spec, target, interf, noise)
-        except MixtureError:
-            k += 1
-            if k > 10 * n_mixtures:
-                raise
-            continue
-        out.append((example, speakers[a].speaker_id, speakers[b].speaker_id))
-    return out

@@ -2,11 +2,13 @@
 
 import ctypes
 import glob
+import math
 import os
 
 import numpy as np
 import pytest
 
+from targetvoice.enhancer import EnhancerNet
 from targetvoice.frontend import Frames, design_erb_filterbank
 
 
@@ -31,6 +33,11 @@ def blas_core() -> str:
         corename.restype = ctypes.c_char_p
         return corename().decode()
     return "unknown"
+
+
+def param_count(config) -> int:
+    """The parameters of the enhancer net of `config`, from its layout; builds no net."""
+    return sum(math.prod(shape) for _, shape in EnhancerNet.param_shapes(config))
 
 
 def tone(freq_hz: float, duration_s: float, amplitude: float = 0.5) -> np.ndarray:

@@ -24,7 +24,7 @@ from targetvoice import neural as nn
 from targetvoice import synth as sy
 from targetvoice.pipeline import StreamingEnhancer, enhance_audio, replay_controls, run_whole
 from targetvoice.weights_io import pack_weights
-from tests.conftest import blas_core, finite_difference_params, tone
+from tests.conftest import blas_core, finite_difference_params, param_count, tone
 
 
 def _verdict(num, name, checks):
@@ -35,6 +35,32 @@ def _verdict(num, name, checks):
                        for label, good, info in checks)
     print(f"\n[criterion {num}] {status} — {name}: {detail}; BLAS core {blas_core()}")
     assert ok, f"criterion {num} ({name}): {detail}"
+
+
+def toy_eval_mixtures(speakers, n_mixtures, seed, snr_db, sir_db):
+    """Held-out two-speaker mixtures for conditioning and VAD evaluation.
+
+    Returns a list of (MixtureExample, target_id, interferer_id). At 0 dB
+    SIR "enhance the louder talker" is useless, so only genuine speaker
+    conditioning separates the pair.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([552, int(seed)]))
+    out = []
+    k = 0
+    while len(out) < n_mixtures:
+        a, b, target, interf, noise = sy.draw_sources(rng, speakers, "heldout_audio",
+                                                      sy.TOY_MIXTURE_S)
+        spec = sy.MixtureSpec(snr_db=snr_db, sir_db=sir_db,
+                              seed=int(rng.integers(2 ** 31)))
+        try:
+            example = sy.make_mixture(spec, target, interf, noise)
+        except sy.MixtureError:
+            k += 1
+            if k > 10 * n_mixtures:
+                raise
+            continue
+        out.append((example, speakers[a].speaker_id, speakers[b].speaker_id))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +124,8 @@ def test_criterion_1_feature_space_constants(fbank):
 
 def test_criterion_2_parameter_counts():
     t0 = time.perf_counter()
-    n512 = en.EnhancerNet(en.EnhancerConfig.preset("ppn512")).n_params
-    n1024 = en.EnhancerNet(en.EnhancerConfig.preset("ppn1024")).n_params
+    n512, n1024 = (param_count(en.EnhancerConfig.preset(name))
+                   for name in ("ppn512", "ppn1024"))
     checks = [
         ("ppn512 in 8.5M +- 20%", 6.8e6 <= n512 <= 10.2e6, f"{n512 / 1e6:.2f}M"),
         ("ppn1024 in 26.5M +- 20%", 21.2e6 <= n1024 <= 31.8e6, f"{n1024 / 1e6:.2f}M"),
@@ -142,8 +168,9 @@ def test_criterion_4_partition_and_pitch(fbank):
         x = (np.sin(2 * np.pi * f0 * t)
              + 0.4 * np.sin(2 * np.pi * 2 * f0 * t + 0.7)
              + 0.2 * np.sin(2 * np.pi * 3 * f0 * t + 1.1))
-        est = fe.estimate_pitch(x[-1536:])
-        err = abs((est.period or 0) - 48000.0 / f0)
+        # the period the engine's pitch kernel gives the last frame (0 when unvoiced)
+        period = int(fe.extract_features(x).periods[-1])
+        err = abs(period - 48000.0 / f0)
         worst = max(worst, err)
     checks = [
         ("partition of unity <= 1e-6", partition_err <= 1e-6, f"{partition_err:.2e}"),
@@ -281,8 +308,8 @@ def test_criterion_5_gradient_suite():
 def test_criterion_6_oracle_mask_separation(toy_speakers, embedder_bundle):
     t0 = time.perf_counter()
     net_e = embedder_bundle[0]
-    mixtures = sy.toy_eval_mixtures(toy_speakers, n_mixtures=50, seed=200,
-                                    snr_db=0.0, sir_db=5.0)
+    mixtures = toy_eval_mixtures(toy_speakers, n_mixtures=50, seed=200,
+                                 snr_db=0.0, sir_db=5.0)
     gains_db, cos_t, cos_i = [], [], []
     for example, _, _ in mixtures:
         mix = example.mixture.samples.astype(np.float64)
@@ -342,7 +369,8 @@ def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
         for a in heldout_set for b in heldout_set if a < b]
     same_beats_cross = min(same_spk) > float(np.mean(cross))
 
-    mixtures = sy.toy_eval_mixtures(toy_speakers, n_mixtures=50, seed=100)
+    mixtures = toy_eval_mixtures(toy_speakers, n_mixtures=50, seed=100,
+                                 snr_db=25.0, sir_db=0.0)
     wins = 0
     active_correct = 0
     active_total = 0

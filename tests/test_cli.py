@@ -379,16 +379,20 @@ class TestEval:
         patch_everywhere(monkeypatch, enhancer.EnhancerSession, refuse)
         row = json.loads(open(os.path.join(mix_dir, "manifest.jsonl")).readline())
         row["enrollment"] = str(tmp_path / "enroll.wav")
-        write_wav(row["enrollment"], AudioBuffer(np.zeros(24000, dtype=np.float32)))
         manifest = tmp_path / "manifest.jsonl"
         manifest.write_text(json.dumps(row) + "\n")
         out = tmp_path / "report.jsonl"
-        rc = main(["eval", "--manifest", str(manifest), "--embedder", embedder_weights,
-                   "--enhancer", enhancer_weights, "--mode", "model", "--out", str(out)])
-        assert rc == EXIT_DATA
-        assert ("manifest row 0: the enrollment takes 24000 samples; the embedder needs "
-                "at least 24480") in capsys.readouterr().err
-        assert not out.exists()
+        # 24000 samples are under the 50 frames the embedder needs; 2 s of
+        # speech gives it those frames but is under enroll's 3 s
+        for samples, seconds in ((np.zeros(24000, dtype=np.float32), "0.50"),
+                                 (synth_speaker(3, 2.0).samples, "2.00")):
+            write_wav(row["enrollment"], AudioBuffer(samples))
+            rc = main(["eval", "--manifest", str(manifest), "--embedder", embedder_weights,
+                       "--enhancer", enhancer_weights, "--mode", "model", "--out", str(out)])
+            assert rc == EXIT_DATA
+            assert (f"manifest row 0: the enrollment takes {seconds} s; enroll needs >= 3.0 s"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_model_mode_without_enhancer_exits_3_before_reading_audio(
             self, tmp_path, mix_dir, embedder_weights, monkeypatch, capsys):
@@ -417,7 +421,7 @@ class TestEval:
         enhancer = tmp_path / "enhancer8.ppnw"
         cfg = EnhancerConfig(gru_units=8, n_gru_layers=1, dense_units=8, conv_channels=8,
                              embedding_dim=8)
-        save_weights(enhancer, "enhancer", enhancer_entries(EnhancerNet(cfg)))
+        save_weights(enhancer, "enhancer", enhancer_entries(EnhancerNet(cfg, seed=0)))
         seen = []
 
         def refuse(path_or_audio, *args):

@@ -427,7 +427,7 @@ class TestAssembleFeatures:
 
     def test_silent_frame_at_floor(self):
         f = fe.extract_features(np.zeros(4800)).features[0]
-        np.testing.assert_allclose(f[BAND_MAG], fe.LOG_FLOOR, atol=1e-6)
+        np.testing.assert_allclose(f[BAND_MAG], np.log10(fe.ENERGY_FLOOR), atol=1e-6)
         assert np.all(f[COHERENCE] == 0)
         assert f[GENERAL][0] == 0.0
 

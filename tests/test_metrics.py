@@ -55,7 +55,7 @@ class TestSiSnr:
         manifest = tmp_path / "manifest.jsonl"
         manifest.write_text(json.dumps(row) + "\n")
         embedder = tmp_path / "embedder.ppnw"
-        save_weights(embedder, "embedder", embedder_entries(EmbedderNet(EmbedderConfig.toy())))
+        save_weights(embedder, "embedder", embedder_entries(EmbedderNet(EmbedderConfig.toy(), seed=0)))
 
         def score():
             out = tmp_path / "report.jsonl"
@@ -142,13 +142,13 @@ class TestVadAccuracy:
 
 class TestBenchmark:
     def test_frames_scale_with_duration(self):
-        a = mt.benchmark_stream(duration_s=1.0)
-        b = mt.benchmark_stream(duration_s=2.0)
+        a = mt.benchmark_stream(None, None, duration_s=1.0)
+        b = mt.benchmark_stream(None, None, duration_s=2.0)
         assert a.frames_processed == 100
         assert b.frames_processed == 200
 
     def test_identity_engine_is_realtime(self):
-        report = mt.benchmark_stream(duration_s=2.0)
+        report = mt.benchmark_stream(None, None, duration_s=2.0)
         assert report.realtime_factor > 1.0
         assert report.cpu_fraction == pytest.approx(1.0 / report.realtime_factor)
 

@@ -96,7 +96,8 @@ class TestNet:
         net = TwoLayerNet(CFG4, seed=0)
         names = ["c.W", "c.b", "g.Wx", "g.Wh", "g.b"]
         assert list(net.params()) == list(net.grads()) == names
-        assert net.n_params == (2 * 3 * 4 + 4) + (4 * 12 + 4 * 12 + 12)
+        assert (sum(p.size for p in net.params().values())
+                == (2 * 3 * 4 + 4) + (4 * 12 + 4 * 12 + 12))
         net.grads()["g.Wh"][...] = 1.0
         net.zero_grads()
         assert not net.gru.dWh.any()

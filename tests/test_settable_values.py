@@ -40,4 +40,4 @@ def test_counts_signature_defaults_and_config_fields():
 
 def test_package_total_is_pinned():
     # a change that adds a justified option raises this pin and says so
-    assert sum(counts(PACKAGE).values()) == 41
+    assert sum(counts(PACKAGE).values()) == 29

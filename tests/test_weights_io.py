@@ -263,10 +263,10 @@ class TestModelLoaders:
         from targetvoice import embedder, enhancer
 
         if kind == "enhancer":
-            net = enhancer.EnhancerNet(enhancer.EnhancerConfig.preset("toy"))
+            net = enhancer.EnhancerNet(enhancer.EnhancerConfig.preset("toy"), seed=0)
             entries, load = enhancer.enhancer_entries(net), enhancer.enhancer_from_entries
         else:
-            net = embedder.EmbedderNet(embedder.EmbedderConfig.toy())
+            net = embedder.EmbedderNet(embedder.EmbedderConfig.toy(), seed=0)
             entries, load = embedder.embedder_entries(net), embedder.embedder_from_entries
         entries = [(name, k, np.array([2.0 ** 31]) if name == "meta.gru_units" else arr)
                    for name, k, arr in entries]
