@@ -133,6 +133,7 @@ def cmd_enhance(args) -> int:
 def cmd_mix(args) -> int:
     from targetvoice.synth import (
         MIXTURE_TALKERS,
+        TOY_HELDOUT_S,
         TOY_TRAIN_S,
         ToySpeakers,
         draw_sources,
@@ -143,26 +144,29 @@ def cmd_mix(args) -> int:
     )
     from targetvoice.frontend import WINDOW
 
-    if not (np.isfinite(args.duration) and args.duration <= TOY_TRAIN_S):
-        raise DataError(f"--duration {args.duration} s is not a length within "
-                        f"the {TOY_TRAIN_S:g} s speaker regions mixtures are cut from")
+    if args.preset == "eval":
+        make_specs, region, region_name, region_s = (evaluation_specs, "heldout_audio",
+                                                     "held-out", TOY_HELDOUT_S)
+    else:
+        make_specs, region, region_name, region_s = (training_specs, "train_audio",
+                                                     "train", TOY_TRAIN_S)
+    if not (np.isfinite(args.duration) and args.duration <= region_s):
+        raise DataError(f"--duration {args.duration} s is not a length within the "
+                        f"{region_s:g} s {region_name} region {args.preset} mixtures "
+                        f"are cut from")
     if args.duration < WINDOW / SAMPLE_RATE:
         raise DataError(f"--duration {args.duration} s is shorter than one "
                         f"{WINDOW / SAMPLE_RATE} s analysis window")
     _check_speakers(args.speakers, MIXTURE_TALKERS, "a mixture needs two distinct talkers")
     os.makedirs(args.out_dir, exist_ok=True)
     speakers = ToySpeakers(args.speakers, args.seed)
-    if args.preset == "eval":
-        specs = evaluation_specs(args.n, args.seed, augmented=args.augment)
-    else:
-        specs = training_specs(args.n, args.seed, augmented=args.augment)
+    specs = make_specs(args.n, args.seed, augmented=args.augment)
     rng = np.random.default_rng(np.random.SeedSequence([973, args.seed]))
 
     manifest_path = os.path.join(args.out_dir, "manifest.jsonl")
     rows = []
     for k, spec in enumerate(specs):
-        a, _, target, interf, noise = draw_sources(rng, speakers, "train_audio",
-                                                   args.duration)
+        a, _, target, interf, noise = draw_sources(rng, speakers, region, args.duration)
         mixture, target, interf, noise = mix_components(spec, target, interf, noise)
         paths = {
             "mixture": os.path.join(args.out_dir, f"mix_{k:04d}.wav"),
@@ -199,8 +203,7 @@ def cmd_train_embedder(args) -> int:
     speakers = ToySpeakers(args.speakers, args.seed)
     train_set, heldout_set = embedder_crop_sets(speakers)
     config = embedder.EmbedderTrainConfig(steps=args.steps, seed=args.seed)
-    net, scale, history, _ = embedder.train_embedder(train_set, heldout_set, config,
-                                                     log=print)
+    net, history, _ = embedder.train_embedder(train_set, heldout_set, config, log=print)
     final_eer = history[-1][1]
     if not np.isfinite(final_eer):
         raise NumericError("EER is not finite")

@@ -5,7 +5,9 @@ followed by two GRU layers; the final GRU's output at the last frame is
 projected and L2-normalized into the speaker embedding. Training uses the
 generalized end-to-end softmax verification loss: each utterance embedding
 is pulled toward its own speaker centroid (computed leave-one-out) and
-pushed from the other speakers' centroids via scaled-cosine softmax.
+pushed from the other speakers' centroids by a softmax over the scaled
+cosines w * cos. Wan et al.'s similarity w * cos + b has a bias shared by
+every speaker, which that softmax cancels, so it is left out.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ MIN_SPEAKERS = 4  # the fewest train_embedder accepts
 EVAL_EVERY = 50
 
 GE2E_W_INIT = 10.0
-GE2E_B_INIT = -5.0
 GE2E_W_MIN = 1e-4
 
 
@@ -125,14 +126,14 @@ def enroll_embedding(net: EmbedderNet, features: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def ge2e_loss(embeddings: np.ndarray, w: float, b: float):
+def ge2e_loss(embeddings: np.ndarray, w: float):
     """GE2E softmax loss over an [N, M, E] embedding batch.
 
-    Similarities are w * cos(e_ji, c_k) + b against every speaker centroid,
+    Similarities are w * cos(e_ji, c_k) against every speaker centroid,
     with the query's own centroid computed leave-one-out. The loss sums the
     softmax cross-entropy of each utterance against its own speaker.
 
-    Returns (loss, d_embeddings, dw, db).
+    Returns (loss, d_embeddings, dw).
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if emb.ndim != 3:
@@ -142,58 +143,48 @@ def ge2e_loss(embeddings: np.ndarray, w: float, b: float):
         raise ValueError(f"need N >= 2 speakers and M >= 2 utterances, "
                          f"got N={n_spk}, M={n_utt}")
     w = max(float(w), GE2E_W_MIN)
+    own = np.arange(n_spk)
 
+    # centroid matrix per query [N, M, N, E]: own speaker leave-one-out
     sums = emb.sum(axis=1)                      # [N, E]
-    cent_full = sums / n_utt                    # [N, E]
-
-    # centroid matrix per query: own speaker leave-one-out
-    cents = np.broadcast_to(cent_full, (n_spk, n_utt, n_spk, dim)).copy()
-    for j in range(n_spk):
-        cents[j, :, j, :] = (sums[j][None, :] - emb[j]) / (n_utt - 1)
+    cents = np.broadcast_to(sums / n_utt, (n_spk, n_utt, n_spk, dim)).copy()
+    cents[own, :, own] = (sums[:, None] - emb) / (n_utt - 1)
 
     cnorm = np.linalg.norm(cents, axis=-1)
     enorm = np.linalg.norm(emb, axis=-1)
     dots = np.einsum("jie,jike->jik", emb, cents)
     denom = np.maximum(enorm[:, :, None] * cnorm, 1e-12)
     cos = dots / denom
-    sim = w * cos + b
+    sim = w * cos
 
     shifted = sim - sim.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     softmax = exp / exp.sum(axis=-1, keepdims=True)
     log_post = shifted - np.log(exp.sum(axis=-1, keepdims=True))
-    own = np.arange(n_spk)
     loss = -float(log_post[own, :, own].sum())
 
     g_sim = softmax.copy()
     g_sim[own, :, own] -= 1.0                   # dL/d sim
-
     dw = float(np.sum(g_sim * cos))
-    db = float(np.sum(g_sim))
 
     # dL/d cos -> gradients on queries and centroids
     g_cos = g_sim * w
-    d_emb = np.zeros_like(emb)
     inv = 1.0 / denom
     # query path: d cos/d e = c/(|e||c|) - cos * e/|e|^2
-    d_emb += np.einsum("jik,jike->jie", g_cos * inv, cents)
+    d_emb = np.einsum("jik,jike->jie", g_cos * inv, cents)
     d_emb -= emb * np.einsum(
         "jik->ji", g_cos * cos / np.maximum(enorm[:, :, None] ** 2, 1e-12)
     )[:, :, None]
     # centroid path: d cos/d c = e/(|e||c|) - cos * c/|c|^2
     d_cent = (g_cos * inv)[..., None] * emb[:, :, None, :]
     d_cent -= (g_cos * cos / np.maximum(cnorm ** 2, 1e-12))[..., None] * cents
-    # scatter centroid gradients back to their member embeddings
-    for j in range(n_spk):
-        for i in range(n_utt):
-            for k in range(n_spk):
-                if k == j:
-                    grad = d_cent[j, i, k] / (n_utt - 1)
-                    d_emb[j] += grad
-                    d_emb[j, i] -= grad
-                else:
-                    d_emb[k] += d_cent[j, i, k] / n_utt
-    return loss, d_emb, dw, db
+    # back to the member embeddings: a leave-one-out centroid averages the
+    # M - 1 others, every other centroid all M of its speaker
+    loo = d_cent[own, :, own] / (n_utt - 1)     # [N, M, E]
+    d_cent[own, :, own] = 0.0
+    d_emb += loo.sum(axis=1, keepdims=True) - loo
+    d_emb += d_cent.sum(axis=(0, 1))[:, None] / n_utt
+    return loss, d_emb, dw
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +206,9 @@ def train_embedder(train_set: dict, heldout_set: dict, config: EmbedderTrainConf
     """Train an embedder with GE2E batches of equal-length feature crops.
 
     train_set / heldout_set map speaker id -> list of [T, 68] arrays (all T
-    equal). Returns (net, ge2e_scale, history, losses) where history is a
-    list of (step, heldout_eer, mean_loss) checkpoints and losses the
-    per-step GE2E loss.
+    equal). Returns (net, history, losses) where history is a list of
+    (step, heldout_eer, mean_loss) checkpoints and losses the per-step GE2E
+    loss.
     """
     from targetvoice.metrics import eer as compute_eer
 
@@ -225,17 +216,13 @@ def train_embedder(train_set: dict, heldout_set: dict, config: EmbedderTrainConf
     if len(speakers) < MIN_SPEAKERS:
         raise ValueError(f"need >= {MIN_SPEAKERS} speakers, got {len(speakers)}")
     for spk in speakers:
-        if len(train_set[spk]) < 4:
-            raise ValueError(f"speaker {spk!r} has < 4 utterances")
+        if len(train_set[spk]) < GE2E_UTTERANCES:
+            raise ValueError(f"speaker {spk!r} has < {GE2E_UTTERANCES} utterances")
 
     rng = np.random.default_rng(config.seed)
     net = EmbedderNet(EmbedderConfig.toy(), seed=config.seed)
     w = np.array([GE2E_W_INIT])
-    b = np.array([GE2E_B_INIT])
-    params = dict(net.params())
-    params["ge2e.w"] = w
-    params["ge2e.b"] = b
-    opt = Adam(params)
+    opt = Adam({**net.params(), "ge2e.w": w})
 
     n_spk = min(GE2E_SPEAKERS, len(speakers))
     n_utt = GE2E_UTTERANCES
@@ -246,19 +233,16 @@ def train_embedder(train_set: dict, heldout_set: dict, config: EmbedderTrainConf
         batch = []
         for idx in chosen:
             utts = train_set[speakers[idx]]
-            picks = rng.choice(len(utts), size=n_utt, replace=len(utts) < n_utt)
+            picks = rng.choice(len(utts), size=n_utt, replace=False)
             batch.extend(utts[p] for p in picks)
         feats = np.stack(batch).astype(np.float64)
 
         net.zero_grads()
         emb = net.forward_batch(feats).reshape(n_spk, n_utt, -1)
-        loss, d_emb, dw, db = ge2e_loss(emb, float(w[0]), float(b[0]))
+        loss, d_emb, dw = ge2e_loss(emb, float(w[0]))
         net.backward_batch(d_emb.reshape(n_spk * n_utt, -1))
 
-        grads = dict(net.grads())
-        grads["ge2e.w"] = np.array([dw])
-        grads["ge2e.b"] = np.array([db])
-        opt.step(grads)
+        opt.step({**net.grads(), "ge2e.w": np.array([dw])})
         w[0] = max(w[0], GE2E_W_MIN)
         losses.append(loss)
 
@@ -269,24 +253,22 @@ def train_embedder(train_set: dict, heldout_set: dict, config: EmbedderTrainConf
             if log:
                 log(f"step {step}: ge2e loss {np.mean(losses[-20:]):.3f}, "
                     f"held-out EER {err:.3f}")
-    return net, float(w[0]), history, losses
+    return net, history, losses
 
 
 def verification_trials(net: EmbedderNet, utterances: dict):
-    """All-pairs cosine trials over a speaker -> crops mapping."""
-    embs = []
-    spk_ids = []
-    for spk in sorted(utterances):
-        feats = np.stack(utterances[spk]).astype(np.float64)
-        for e in net.forward_batch(feats):
-            embs.append(e)
-            spk_ids.append(spk)
-    scores, labels = [], []
-    for i in range(len(embs)):
-        for j in range(i + 1, len(embs)):
-            scores.append(float(np.dot(embs[i], embs[j])))
-            labels.append(spk_ids[i] == spk_ids[j])
-    return np.array(scores), np.array(labels)
+    """All-pairs cosine trials over a speaker -> crops mapping.
+
+    Returns (scores, labels) for every pair i < j of the crops in speaker
+    order, row by row: the embeddings' dot products and whether both crops
+    come from one speaker.
+    """
+    spks = sorted(utterances)
+    embs = np.concatenate([net.forward_batch(np.stack(utterances[spk]).astype(np.float64))
+                           for spk in spks])
+    ids = np.repeat(np.arange(len(spks)), [len(utterances[spk]) for spk in spks])
+    i, j = np.triu_indices(len(embs), k=1)
+    return (embs @ embs.T)[i, j], ids[i] == ids[j]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ reported in dB (capped at 60). It scores the engine's delay-compensated
 output as it is: no lag is searched, so a timeline fault lowers the score.
 The cosine probe embeds the processed output with a frozen embedder and
 compares it against the ground-truth target and interferer embeddings; a
-personalized system lands close to the target cluster.
+personalized system lands close to the target cluster. The EER of speaker
+verification trials counts errors on the sorted scores, and is NaN when
+any score is not finite.
 """
 
 from __future__ import annotations
@@ -102,21 +104,24 @@ def cosine_probe(output: np.ndarray, target: np.ndarray,
 def eer(scores: np.ndarray, labels: np.ndarray) -> float:
     """EER of same/different-speaker scores (accept when score >= threshold).
 
-    Sweeps every achievable operating point and linearly interpolates the
-    crossing where the false-accept and false-reject rates meet.
+    Counts false accepts and false rejects at every achievable operating
+    point from the sorted scores and linearly interpolates the crossing
+    where the two rates meet. NaN when any score is NaN or infinite: a
+    diverged embedder has no error rate.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.shape != labels.shape:
         raise MetricError("scores and labels differ in length")
-    n_same = int(labels.sum())
-    n_diff = int((~labels).sum())
-    if n_same == 0 or n_diff == 0:
+    same, other = np.sort(scores[labels]), np.sort(scores[~labels])
+    if len(same) == 0 or len(other) == 0:
         raise MetricError("need both same and different trials for EER")
+    if not np.all(np.isfinite(scores)):
+        return float("nan")
 
     thresholds = np.concatenate(([np.inf], np.unique(scores)[::-1], [-np.inf]))
-    far = np.array([np.sum(scores[~labels] >= t) / n_diff for t in thresholds])
-    frr = np.array([np.sum(scores[labels] < t) / n_same for t in thresholds])
+    far = (len(other) - np.searchsorted(other, thresholds)) / len(other)
+    frr = np.searchsorted(same, thresholds) / len(same)
     diff = far - frr  # monotone nondecreasing along the sweep
     k = int(np.argmax(diff >= 0.0))
     if diff[k] == 0.0:

@@ -287,7 +287,6 @@ class MixtureExample:
     interferer: AudioBuffer | None
     noise: AudioBuffer
     targets: SupervisionTargets
-    spec: MixtureSpec
 
 
 def mix_components(spec: MixtureSpec, target: AudioBuffer,
@@ -352,7 +351,6 @@ def make_mixture(spec: MixtureSpec, target: AudioBuffer,
         interferer=None if i32 is None else AudioBuffer(i32),
         noise=AudioBuffer(n32),
         targets=targets,
-        spec=spec,
     )
 
 

@@ -82,8 +82,8 @@ def toy_speakers():
 def embedder_bundle(toy_speakers):
     train_set, heldout_set = sy.embedder_crop_sets(toy_speakers)
     config = em.EmbedderTrainConfig(steps=200, seed=0)
-    net, scale, history, losses = em.train_embedder(train_set, heldout_set, config)
-    return net, scale, history, losses, heldout_set
+    net, history, losses = em.train_embedder(train_set, heldout_set, config)
+    return net, history, losses, heldout_set
 
 
 @pytest.fixture(scope="module")
@@ -239,14 +239,13 @@ def test_criterion_5_gradient_suite():
 
     emb = rng.standard_normal((3, 3, 6))
     emb /= np.linalg.norm(emb, axis=-1, keepdims=True)
-    _, d_emb, dw, _ = em.ge2e_loss(emb, 7.0, -3.0)
+    _, d_emb, dw = em.ge2e_loss(emb, 7.0)
     worst = 0.0
     for idx in [(0, 1, 2), (2, 0, 4)]:
         up, down = emb.copy(), emb.copy()
         up[idx] += h
         down[idx] -= h
-        numeric = (em.ge2e_loss(up, 7.0, -3.0)[0]
-                   - em.ge2e_loss(down, 7.0, -3.0)[0]) / (2 * h)
+        numeric = (em.ge2e_loss(up, 7.0)[0] - em.ge2e_loss(down, 7.0)[0]) / (2 * h)
         worst = max(worst, abs(numeric - d_emb[idx]) / max(abs(numeric), 1e-9))
     results.append(("ge2e_loss", worst))
 
@@ -257,11 +256,11 @@ def test_criterion_5_gradient_suite():
 
     def se_loss():
         e = se.forward_batch(feats).reshape(2, 2, -1)
-        return em.ge2e_loss(e, 8.0, -4.0)[0]
+        return em.ge2e_loss(e, 8.0)[0]
 
     se.zero_grads()
     e = se.forward_batch(feats).reshape(2, 2, -1)
-    _, d_emb, _, _ = em.ge2e_loss(e, 8.0, -4.0)
+    _, d_emb, _ = em.ge2e_loss(e, 8.0)
     se.backward_batch(d_emb.reshape(4, -1))
     grads = {k: v.copy() for k, v in se.grads().items()}
     results.append(("embedder+ge2e composed",
@@ -343,7 +342,7 @@ def test_criterion_6_oracle_mask_separation(toy_speakers, embedder_bundle):
 def test_criterion_7_toy_personalization(toy_speakers, embedder_bundle,
                                          enhancer_bundle):
     t0 = time.perf_counter()
-    net_e, _, history, se_losses, heldout_set = embedder_bundle
+    net_e, history, se_losses, heldout_set = embedder_bundle
     net_h, losses, embeddings = enhancer_bundle
     final_eer = history[-1][1]
 
@@ -481,7 +480,7 @@ def test_criterion_9_determinism(toy_speakers, tmp_path):
     cfg_e = em.EmbedderTrainConfig(steps=20, seed=5)
     blobs = []
     for _ in range(2):
-        net, _, _, _ = em.train_embedder(train_set, heldout_set, cfg_e)
+        net, _, _ = em.train_embedder(train_set, heldout_set, cfg_e)
         blobs.append(pack_weights("embedder", em.embedder_entries(net)))
     embedder_ok = blobs[0] == blobs[1]
 

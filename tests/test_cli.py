@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from targetvoice.audio import AudioBuffer, read_wav, write_wav
-from targetvoice.cli import EXIT_DATA, EXIT_OK, main
+from targetvoice.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from targetvoice.embedder import EmbedderConfig, EmbedderNet, embedder_entries
 from targetvoice.enhancer import EnhancerConfig, EnhancerNet, enhancer_entries
 from targetvoice.synth import synth_speaker
@@ -191,12 +191,14 @@ class TestMix:
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
-        (["--duration", "inf"], "within the 60 s speaker regions"),
-        (["--duration", "nan"], "within the 60 s speaker regions"),
-        (["--duration", "60.5"], "within the 60 s speaker regions"),
+        (["--duration", "inf"], "within the 20 s held-out region eval mixtures"),
+        (["--duration", "nan"], "within the 20 s held-out region eval mixtures"),
+        (["--duration", "20.5"], "within the 20 s held-out region eval mixtures"),
+        (["--preset", "train", "--duration", "60.5"],
+         "within the 60 s train region train mixtures"),
         (["--speakers", "1"], "a mixture needs two distinct talkers"),
         (["--speakers", "0"], "a mixture needs two distinct talkers"),
-    ], ids=["inf", "nan", "past_region", "one_speaker", "no_speaker"])
+    ], ids=["inf", "nan", "past_region", "past_train_region", "one_speaker", "no_speaker"])
     def test_impossible_request_exits_3_before_building_speakers(
             self, tmp_path, capsys, monkeypatch, args, message):
         from targetvoice import synth
@@ -234,6 +236,25 @@ class TestMix:
         wav_a = (a / "mix_0000.wav").read_bytes()
         wav_b = (b / "mix_0000.wav").read_bytes()
         assert wav_a == wav_b
+
+    @pytest.mark.parametrize("preset, region", [("eval", "heldout_audio"),
+                                                ("train", "train_audio")])
+    def test_each_preset_cuts_its_own_region(self, tmp_path, monkeypatch, preset, region):
+        # eval mixtures come from audio that no training run sees
+        from targetvoice import synth
+
+        seen = []
+        real = synth.draw_sources
+
+        def recording(rng, speakers, source, duration_s):
+            seen.append(source)
+            return real(rng, speakers, source, duration_s)
+
+        monkeypatch.setattr(synth, "draw_sources", recording)
+        rc = main(["mix", "--out-dir", str(tmp_path), "--n", "2", "--preset", preset,
+                   "--duration", "1.0", "--speakers", "2"])
+        assert rc == EXIT_OK
+        assert seen == [region, region]
 
     def test_mix_featurizes_nothing(self, tmp_path, monkeypatch):
         # mix writes audio only, so it computes no supervision targets
@@ -501,6 +522,20 @@ class TestTraining:
         net = enhancer_from_entries(load_weights(enh_w, "enhancer")[1])
         assert net.config.gru_units == 64
 
+    def test_diverged_embedder_exits_4(self, tmp_path, capsys, monkeypatch):
+        # NaN embeddings give a NaN EER, which the command refuses to report
+        from targetvoice import embedder, synth
+
+        crops = {spk: [np.zeros((8, 68))] * 4 for spk in range(4)}
+        monkeypatch.setattr(synth, "embedder_crop_sets", lambda speakers: (crops, crops))
+        real = embedder.EmbedderNet.forward_batch
+        monkeypatch.setattr(embedder.EmbedderNet, "forward_batch",
+                            lambda net, feats: np.full_like(real(net, feats), np.nan))
+        out = tmp_path / "se.ppnw"
+        rc = main(["train-embedder", "--out", str(out), "--steps", "1", "--speakers", "4"])
+        assert rc == EXIT_NUMERIC
+        assert "EER is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_embedding_size_mismatch_exits_3_before_building_speakers(
             self, tmp_path, capsys, monkeypatch, embedder_weights):

@@ -7,6 +7,7 @@ import pytest
 
 from targetvoice import metrics as mt
 from targetvoice import synth as sy
+from tests.unfused_reference import reference_eer
 
 
 class TestSiSnr:
@@ -114,6 +115,25 @@ class TestEer:
     def test_single_class_rejected(self):
         with pytest.raises(mt.MetricError, match="both"):
             mt.eer(np.array([0.5, 0.2]), np.array([True, True]))
+
+    def test_bit_equal_to_the_threshold_loop(self):
+        # scores rounded to a coarse grid, so most sets hold ties, some
+        # across the two classes
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 80))
+            labels = rng.uniform(0, 1, n) < rng.uniform(0.1, 0.9)
+            labels[:2] = [True, False]
+            scores = np.round(rng.standard_normal(n) + 0.8 * labels, int(rng.integers(0, 3)))
+            assert mt.eer(scores, labels) == reference_eer(scores, labels), seed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_score_gives_nan(self, bad):
+        scores = np.array([0.9, 0.8, 0.7, 0.3, 0.2, 0.1])
+        labels = np.array([True, True, True, False, False, False])
+        scores[4] = bad
+        assert np.isnan(mt.eer(scores, labels))
+        assert np.isnan(mt.eer(np.full(6, np.nan), labels))
 
 
 class TestVadAccuracy:

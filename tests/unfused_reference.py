@@ -10,15 +10,24 @@ the lagged window on its own and sums each band product separately, the
 overlap-add copies its tail, the augmentation frames and resynthesizes in a
 loop, the session steps one feature vector through every layer, and every
 step allocates its results.
+
+It also keeps the speaker embedder's loss and scoring as loops: the GE2E
+loss with the similarity's bias, which `ge2e_loss` drops because the
+softmax cancels it, fills each leave-one-out centroid and scatters each
+centroid gradient by speaker, utterance and speaker; the trials pair the
+embeddings one by one; and the EER counts errors by a comparison per
+threshold.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+from targetvoice import embedder as em
 from targetvoice import enhancer as en
 from targetvoice import frontend as fe
 from targetvoice import synth as sy
+from targetvoice.metrics import MetricError
 
 _LAGS = np.arange(fe.PITCH_MIN_LAG, fe.PITCH_MAX_LAG + 1)
 _CORR_INDEX = 2 * fe.PITCH_CORR_WINDOW - 1 - _LAGS
@@ -208,3 +217,92 @@ class ReferenceSession(en.EnhancerSession):
         strengths = en._sigmoid(np.concatenate([h, gains]) @ w["en_strengths.W"]
                                 + w["en_strengths.b"])
         return gains, strengths, vad[0]
+
+
+def reference_ge2e_loss(embeddings, w, b):
+    """(loss, d_embeddings, dw, db) of the GE2E loss with similarity w * cos + b."""
+    emb = np.asarray(embeddings, dtype=np.float64)
+    n_spk, n_utt, dim = emb.shape
+    w = max(float(w), em.GE2E_W_MIN)
+    sums = emb.sum(axis=1)
+    cents = np.broadcast_to(sums / n_utt, (n_spk, n_utt, n_spk, dim)).copy()
+    for j in range(n_spk):
+        cents[j, :, j, :] = (sums[j][None, :] - emb[j]) / (n_utt - 1)
+
+    cnorm = np.linalg.norm(cents, axis=-1)
+    enorm = np.linalg.norm(emb, axis=-1)
+    dots = np.einsum("jie,jike->jik", emb, cents)
+    denom = np.maximum(enorm[:, :, None] * cnorm, 1e-12)
+    cos = dots / denom
+    sim = w * cos + b
+
+    shifted = sim - sim.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    softmax = exp / exp.sum(axis=-1, keepdims=True)
+    log_post = shifted - np.log(exp.sum(axis=-1, keepdims=True))
+    own = np.arange(n_spk)
+    loss = -float(log_post[own, :, own].sum())
+
+    g_sim = softmax.copy()
+    g_sim[own, :, own] -= 1.0
+    dw = float(np.sum(g_sim * cos))
+    db = float(np.sum(g_sim))
+
+    g_cos = g_sim * w
+    d_emb = np.zeros_like(emb)
+    inv = 1.0 / denom
+    d_emb += np.einsum("jik,jike->jie", g_cos * inv, cents)
+    d_emb -= emb * np.einsum(
+        "jik->ji", g_cos * cos / np.maximum(enorm[:, :, None] ** 2, 1e-12)
+    )[:, :, None]
+    d_cent = (g_cos * inv)[..., None] * emb[:, :, None, :]
+    d_cent -= (g_cos * cos / np.maximum(cnorm ** 2, 1e-12))[..., None] * cents
+    for j in range(n_spk):
+        for i in range(n_utt):
+            for k in range(n_spk):
+                if k == j:
+                    grad = d_cent[j, i, k] / (n_utt - 1)
+                    d_emb[j] += grad
+                    d_emb[j, i] -= grad
+                else:
+                    d_emb[k] += d_cent[j, i, k] / n_utt
+    return loss, d_emb, dw, db
+
+
+def reference_verification_trials(net, utterances):
+    """(scores, labels) of every crop pair i < j, one dot product at a time."""
+    embs = []
+    spk_ids = []
+    for spk in sorted(utterances):
+        feats = np.stack(utterances[spk]).astype(np.float64)
+        for e in net.forward_batch(feats):
+            embs.append(e)
+            spk_ids.append(spk)
+    scores, labels = [], []
+    for i in range(len(embs)):
+        for j in range(i + 1, len(embs)):
+            scores.append(float(np.dot(embs[i], embs[j])))
+            labels.append(spk_ids[i] == spk_ids[j])
+    return np.array(scores), np.array(labels)
+
+
+def reference_eer(scores, labels):
+    """EER by counting accepts and rejects with one comparison per threshold."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    n_same = int(labels.sum())
+    n_diff = int((~labels).sum())
+    if n_same == 0 or n_diff == 0:
+        raise MetricError("need both same and different trials for EER")
+    thresholds = np.concatenate(([np.inf], np.unique(scores)[::-1], [-np.inf]))
+    far = np.array([np.sum(scores[~labels] >= t) / n_diff for t in thresholds])
+    frr = np.array([np.sum(scores[labels] < t) / n_same for t in thresholds])
+    diff = far - frr
+    k = int(np.argmax(diff >= 0.0))
+    if diff[k] == 0.0:
+        return float(far[k])
+    f0, r0 = far[k - 1], frr[k - 1]
+    f1, r1 = far[k], frr[k]
+    denom = (f1 - f0) - (r1 - r0)
+    alpha = (r0 - f0) / denom if denom != 0 else 0.0
+    return float(f0 + alpha * (f1 - f0))
