@@ -18,6 +18,7 @@ import numpy as np
 
 from targetvoice import __version__
 from targetvoice.audio import AudioBuffer, AudioFormatError, SAMPLE_RATE, read_wav, write_wav
+from targetvoice.frontend import HOP
 from targetvoice.weights_io import (
     WeightsFormatError,
     load_embedding,
@@ -168,19 +169,13 @@ def cmd_mix(args) -> int:
     for k, spec in enumerate(specs):
         a, _, target, interf, noise = draw_sources(rng, speakers, region, args.duration)
         mixture, target, interf, noise = mix_components(spec, target, interf, noise)
-        paths = {
-            "mixture": os.path.join(args.out_dir, f"mix_{k:04d}.wav"),
-            "target": os.path.join(args.out_dir, f"target_{k:04d}.wav"),
-            "interferer": os.path.join(args.out_dir, f"interferer_{k:04d}.wav"),
-            "noise": os.path.join(args.out_dir, f"noise_{k:04d}.wav"),
-            "enrollment": os.path.join(args.out_dir, f"enroll_{k:04d}.wav"),
-        }
-        write_wav(paths["mixture"], mixture)
-        write_wav(paths["target"], target)
-        write_wav(paths["interferer"], interf)
-        write_wav(paths["noise"], noise)
-        write_wav(paths["enrollment"],
-                  AudioBuffer(speakers[a].enroll_audio[: 6 * SAMPLE_RATE]))
+        enroll = AudioBuffer(speakers[a].enroll_audio[: 6 * SAMPLE_RATE])
+        paths = {}  # manifest key -> written file
+        for key, stem, audio in (("mixture", "mix", mixture), ("target", "target", target),
+                                 ("interferer", "interferer", interf), ("noise", "noise", noise),
+                                 ("enrollment", "enroll", enroll)):
+            paths[key] = os.path.join(args.out_dir, f"{stem}_{k:04d}.wav")
+            write_wav(paths[key], audio)
         rows.append(manifest_row(paths, spec))
     with open(manifest_path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
@@ -273,10 +268,13 @@ def cmd_eval(args) -> int:
             )
     # the fewest samples that give the embedder its MIN_EMBED_FRAMES frames
     min_len = WINDOW + (MIN_EMBED_FRAMES - 1) * HOP
+    keys = ("mixture", "target", "interferer") + (("enrollment",) if args.mode == "model" else ())
     rows = []
     for idx, row in enumerate(read_manifest(args.manifest)):
+        if missing := [key for key in keys if not isinstance(row.get(key), str)]:
+            raise DataError(f"manifest row {idx}: no path string for {', '.join(missing)}")
         mixture, target, interf = (read_wav(row[key]).samples.astype(np.float64)
-                                   for key in ("mixture", "target", "interferer"))
+                                   for key in keys[:3])
         if not min_len <= len(mixture) == len(target) == len(interf):
             raise DataError(f"manifest row {idx}: mixture, target and interferer take "
                             f"{len(mixture)}, {len(target)}, {len(interf)} samples; they must "
@@ -354,11 +352,14 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
+def _at_least(low, cast):
+    """An argparse type: the text as `cast`, a finite number no less than `low`."""
+    def at_least(text: str):
+        value = cast(text)
+        if not low <= value < float("inf"):  # False for NaN too
+            raise argparse.ArgumentTypeError(f"{text} is not a finite number >= {low:g}")
+        return value
+    return at_least
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mix", help="synthesize an evaluation/training mixture set")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n", type=_positive_int, default=50)
+    p.add_argument("--n", type=_at_least(1, int), default=50)
     p.add_argument("--preset", choices=["eval", "train"], default="eval")
     p.add_argument("--duration", type=float, default=4.0)
     p.add_argument("--speakers", type=int, default=8)
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-embedder", help="train the toy speaker embedder")
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=_positive_int, default=200)
+    p.add_argument("--steps", type=_at_least(1, int), default=200)
     p.add_argument("--speakers", type=int, default=8)
     common(p)
     p.set_defaults(func=cmd_train_embedder)
@@ -407,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-enhancer", help="train the toy enhancer")
     p.add_argument("--embedder", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=_positive_int, default=1000)
-    p.add_argument("--mixtures", type=_positive_int, default=96)
+    p.add_argument("--steps", type=_at_least(1, int), default=1000)
+    p.add_argument("--mixtures", type=_at_least(1, int), default=96)
     p.add_argument("--speakers", type=int, default=8)
     p.add_argument("--preset", choices=["toy", "ppn512", "ppn1024"], default="toy")
     common(p)
@@ -426,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="real-time factor benchmark")
     p.add_argument("--preset", choices=["identity", "toy", "ppn512", "ppn1024"],
                    default="ppn512")
-    p.add_argument("--duration", type=float, default=10.0)
+    # at least one hop, so the timed stretch holds a frame
+    p.add_argument("--duration", type=_at_least(HOP / SAMPLE_RATE, float), default=10.0)
     p.add_argument("--out")
     common(p)
     p.set_defaults(func=cmd_bench)

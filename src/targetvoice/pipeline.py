@@ -13,8 +13,8 @@ StreamingEnhancer) is synthesis-only.
 
 Stream timing: process() returns 480 output samples per 480 input samples
 with a fixed 1920-sample (40 ms) delay — 10 ms from the synthesis overlap
-plus the 30 ms look-ahead. run_whole() trims that delay so a whole file's
-output aligns sample-for-sample with its input, and returns the VAD with it.
+plus the 30 ms look-ahead. run_whole() is process() plus flush(): it trims
+that delay and returns the VAD that the process() call left in vad_block.
 
 Without a model (identity mode: gains 1, strengths 0) the engine is an
 exact pass-through reconstructor; oracle evaluation replays known controls
@@ -110,7 +110,7 @@ class StreamingEnhancer:
         self._received = 0  # input samples
         self.frames_processed = 0
         self.last_vad = 0.0
-        self.vad_block = None  # the [k] VAD of the newest record stepped
+        self.vad_block = None  # the VAD of every row the last process() stepped, or None
 
     def process(self, samples: np.ndarray) -> np.ndarray:
         """Feed arbitrary-length audio; returns the ready output samples.
@@ -126,6 +126,7 @@ class StreamingEnhancer:
         out = np.zeros((self._received // HOP - first) * HOP)
         combing = self.session is not None
         fed = 0  # x[:fed] is in the comb ring
+        vads = []  # each stepped record's [k] VAD
         if start < HOP:  # the straddle frame: a hop of silence, then the first hop
             self._first_hop = np.concatenate([self._first_hop, x[: HOP - start]])
             if len(self._first_hop) == HOP:
@@ -135,8 +136,9 @@ class StreamingEnhancer:
         for lo in range(0, len(x), PIECE_SAMPLES):
             rows = self.features.push(x[lo : lo + PIECE_SAMPLES])
             if combing and len(rows.features):
-                gains, strengths, self.vad_block = self.session.step(rows.features)
-                self.last_vad = float(self.vad_block[-1])
+                gains, strengths, vad = self.session.step(rows.features)
+                vads.append(vad)
+                self.last_vad = float(vad[-1])
             for i, (period, spec) in enumerate(zip(rows.periods.tolist(), rows.spectra)):
                 t = self.frames_processed
                 self.frames_processed += 1
@@ -158,6 +160,7 @@ class StreamingEnhancer:
                 out[(t - first) * HOP : (t - first + 1) * HOP] = self.ola.push(out_spec)
         if combing and fed < len(x):
             self.comb.push(x[fed:])  # the input past the last frame's end
+        self.vad_block = vads[0] if len(vads) == 1 else np.concatenate(vads) if vads else None
         return out
 
     def flush(self) -> np.ndarray:
@@ -187,17 +190,13 @@ def run_whole(engine: StreamingEnhancer, audio: np.ndarray):
     """A fresh engine's delay-compensated output on a whole buffer, and the
     [T] VAD of extract_features(audio)'s T rows (None without a session).
 
-    Each process() call gets one PIECE_SAMPLES piece, as process() would cut
-    it, so each steps at most one record; the flush's padding rows are dropped.
+    The VAD is read before the flush, whose padding rows are not the input's.
     """
     x = np.asarray(audio, dtype=np.float64)
-    out, vad = [], []
-    for lo in range(0, len(x), PIECE_SAMPLES):
-        stepped = engine.vad_block
-        out.append(engine.process(x[lo : lo + PIECE_SAMPLES]))
-        if engine.vad_block is not stepped:  # this piece completed rows
-            vad.append(engine.vad_block)
-    out.append(engine.flush())
+    out = engine.process(x)
+    vad = engine.vad_block
+    if vad is None and engine.session is not None:
+        vad = np.zeros(0)  # the input completed no row
+    out = np.concatenate([out, engine.flush()])
     delay = engine.DELAY_SAMPLES
-    vad = None if engine.session is None else np.concatenate(vad or [np.zeros(0)])
-    return np.concatenate(out)[delay : delay + len(x)], vad
+    return out[delay : delay + len(x)], vad

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import json
 
 import numpy as np
-from scipy.signal import lfilter
 
 from targetvoice.audio import SAMPLE_RATE, AudioBuffer
 from targetvoice.comb import OverlapAddSynthesizer
@@ -176,6 +175,8 @@ def synth_speaker(speaker_seed: int, duration: float) -> AudioBuffer:
     and segment rhythm all derive from the seed; the waveform alternates
     amplitude-modulated voiced stretches, soft unvoiced noise, and pauses.
     """
+    from scipy.signal import lfilter  # a slow import that only talker synthesis needs
+
     if duration < 1.0:
         raise ValueError("duration must be at least 1 s")
     rng = np.random.default_rng(np.random.SeedSequence([917, int(speaker_seed)]))
@@ -413,28 +414,25 @@ def _preset_specs(n: int, seed: int, salt: int, snr_db: tuple[float, float],
 
 
 def manifest_row(paths: dict, spec: MixtureSpec) -> str:
-    row = {
-        "mixture": paths["mixture"],
-        "target": paths["target"],
-        "interferer": paths.get("interferer"),
-        "noise": paths["noise"],
-        "enrollment": paths.get("enrollment"),
-        "snr_db": spec.snr_db,
-        "sir_db": spec.sir_db,
-        "seed": spec.seed,
-        "lowpass_hz": spec.augment.lowpass_hz,
-        "tilt_db_per_octave": spec.augment.tilt_db_per_octave,
-    }
-    return json.dumps(row, sort_keys=True)
+    """One manifest line: the sources' paths by role, and the spec that mixed them."""
+    aug = spec.augment
+    return json.dumps({**paths, "snr_db": spec.snr_db, "sir_db": spec.sir_db, "seed": spec.seed,
+                       "lowpass_hz": aug.lowpass_hz, "tilt_db_per_octave": aug.tilt_db_per_octave},
+                      sort_keys=True)
 
 
 def read_manifest(path) -> list[dict]:
-    rows = []
+    """The JSON object on each non-blank line; ValueError names a row that is not one."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        lines = [line for line in fh if line.strip()]
+    rows = []
+    for idx, line in enumerate(lines):
+        try:
+            rows.append(json.loads(line))
+        except json.JSONDecodeError:
+            rows.append(None)
+        if not isinstance(rows[-1], dict):
+            raise ValueError(f"manifest row {idx} is not a JSON object")
     return rows
 
 

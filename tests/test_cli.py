@@ -389,6 +389,31 @@ class TestEval:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, line, message", [
+        ("identity", lambda row: json.dumps({k: v for k, v in row.items() if k != "interferer"}),
+         ": no path string for interferer"),
+        ("identity", lambda row: json.dumps({**row, "mixture": None}),
+         ": no path string for mixture"),
+        ("identity", lambda row: json.dumps({**row, "target": 3}), ": no path string for target"),
+        ("model", lambda row: json.dumps({k: v for k, v in row.items() if k != "enrollment"}),
+         ": no path string for enrollment"),
+        ("identity", lambda row: "[1, 2]", " is not a JSON object"),
+        ("identity", lambda row: '{"mixture": ', " is not a JSON object"),
+    ], ids=["no_interferer", "null_mixture", "number_target", "no_enrollment", "array",
+            "not_json"])
+    def test_row_without_its_paths_exits_3_naming_the_row(
+            self, tmp_path, mix_dir, embedder_weights, enhancer_weights, capsys,
+            mode, line, message):
+        first, second = open(os.path.join(mix_dir, "manifest.jsonl")).read().splitlines()
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(first + "\n" + line(json.loads(second)) + "\n")
+        out = tmp_path / "report.jsonl"
+        rc = main(["eval", "--manifest", str(manifest), "--embedder", embedder_weights,
+                   "--enhancer", enhancer_weights, "--mode", mode, "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert f"manifest row 1{message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_short_enrollment_exits_3_naming_the_row_before_any_model_runs(
             self, tmp_path, mix_dir, embedder_weights, enhancer_weights, monkeypatch, capsys):
         from targetvoice import embedder, enhancer
@@ -484,6 +509,16 @@ class TestEval:
 
 
 class TestBench:
+    # 0.0099 s is positive, but the timed stretch would hold no frame
+    @pytest.mark.parametrize("duration", ["0", "-1", "inf", "nan", "ten", "0.0099"])
+    def test_duration_must_be_finite_and_at_least_one_hop(self, tmp_path, capsys, duration):
+        out = tmp_path / "bench.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--preset", "identity", "--duration", duration, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--duration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identity_bench(self, tmp_path, capsys):
         out = tmp_path / "bench.txt"
         rc = main(["bench", "--preset", "identity", "--duration", "1.0",

@@ -353,7 +353,7 @@ def test_streaming_imports_leave_scipy_signal_unloaded():
     code = ("import sys\n"
             "import targetvoice, targetvoice.pipeline, targetvoice.enhancer, "
             "targetvoice.embedder, targetvoice.weights_io, targetvoice.comb, "
-            "targetvoice.metrics\n"
+            "targetvoice.metrics, targetvoice.synth, targetvoice.cli\n"
             "print('scipy.signal' in sys.modules)\n")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)

@@ -265,6 +265,43 @@ class TestModelPath:
             assert out.tobytes() == enhance_audio(x[:n], weights, emb).tobytes()
         assert len(run_whole(StreamingEnhancer(weights, emb), x[: WINDOW - 1])[1]) == 0
 
+    @pytest.mark.parametrize("preset", ["toy", "ppn512"])
+    def test_process_leaves_the_vad_of_every_row_it_stepped(self, preset):
+        # one call over several pieces hands back every row's VAD, byte for
+        # byte one session's step over extract_features' rows; a call that
+        # completes no frame hands back none and keeps the newest row's last_vad
+        weights = en.EnhancerNet(en.EnhancerConfig.preset(preset), seed=3).float32_weights()
+        emb = np.random.default_rng(4).standard_normal(weights.config.embedding_dim)
+        emb /= np.linalg.norm(emb)
+        x = sy.synth_speaker(5, 1.0).samples[: 3 * PIECE_SAMPLES + 137].astype(np.float64)
+        want = en.EnhancerSession(weights, emb).step(extract_features(x).features)[2]
+        engine = StreamingEnhancer(weights, emb)
+        engine.process(x)
+        assert engine.vad_block.tobytes() == want.tobytes()
+        assert engine.last_vad == float(want[-1])
+        engine.process(np.zeros(100))  # 23277 samples: row 47 ends at 23520
+        assert engine.vad_block is None
+        assert engine.last_vad == float(want[-1])
+
+    def test_one_hop_push_hands_back_the_sessions_block(self, toy_model):
+        net, emb = toy_model
+        engine = StreamingEnhancer(net, emb)
+        step, blocks = engine.session.step, []
+
+        def recording_step(features):
+            out = step(features)
+            blocks.append(out[2])
+            return out
+
+        engine.session.step = recording_step
+        x = sy.synth_speaker(5, 1.0).samples[: 6 * HOP].astype(np.float64)
+        for h in range(6):
+            engine.process(x[h * HOP : (h + 1) * HOP])
+            if h == 0:  # the straddle frame only
+                assert engine.vad_block is None and not blocks
+            else:
+                assert engine.vad_block is blocks[-1] and len(blocks) == h
+
     def test_run_whole_without_a_session_has_no_vad(self):
         x = sy.synth_speaker(5, 1.0).samples[:24000]
         out, vad = run_whole(StreamingEnhancer(), x)
